@@ -355,14 +355,7 @@ def _cmd_build(cfg: RunConfig, args) -> str | None:
         if args.jump_trace:
             reg = np.full(pc.heights[depth], depth, dtype=np.int64)
             for n in range(depth - 1, -1, -1):
-                cur = dyn.project_all(pc, n)
-                nxt = np.roll(cur, -1)
-                plain = (
-                    (cur != dyn.SPACER_MARK)
-                    & (nxt != dyn.SPACER_MARK)
-                    & (nxt == (cur + 1) % pc.heights[n])
-                )
-                reg[plain] = n
+                reg[dyn._plain_steps(dyn.project_all(pc, n), pc.heights[n])] = n
             jump_rows = [(sh, int(p), int(reg[p])) for p in np.nonzero(reg > 0)[0]]
             _write_csv(cfg.out_dir / "jumps.csv",
                        ["schedule_hash", "position", "regular_index"], jump_rows, cfg.overwrite)

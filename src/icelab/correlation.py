@@ -426,8 +426,6 @@ def simplicity_diagnostic(
 
     u = np.where(far, f, 0.0)
     v = g - f + u
-    # Decomposition sanity: g = f - u + v up to float re-association.
-    assert np.allclose(g, f - u + v, rtol=1e-12, atol=1e-12)
 
     def avg(x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.vdot(y, x) / h_N)

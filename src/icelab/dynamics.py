@@ -1,19 +1,21 @@
-"""Finite-truncation dynamics via the projection chain.
+"""Finite-truncation dynamics: level coordinates of the truncation shift.
 
 The depth-``N`` truncation of a hierarchy is the cyclic shift ``x -> x + 1``
-on ``Z_{h_N}``.  Each stage carries a projection ``phi_n`` sending a position
-of ``W_{n+1}`` to the position of ``W_n`` it reads, ``phi_n(y*h_n + t) =
-(t + a_{n,y}) mod h_n`` for pure stages; spacer positions map to a reserved
-mark.  Composing projections yields every lower coordinate of a point, the
-per-level jump structure of the shift, orbit codings, and the coverage
-statistic (how much of the deep word is covered by rotations of a shallow
-one).
+on ``Z_{h_N}``.  Each position of ``W_{n+1}`` reads a position of ``W_n``,
+``phi_n(y*h_n + t) = (t + a_{n,y}) mod h_n`` inside copy ``y``; spacer
+positions read a reserved mark.  Composing these gives every lower
+coordinate of a point, the per-level jump structure of the shift, orbit
+codings, and the coverage statistic (how much of the deep word is covered by
+rotations of a shallow one).
 
-Two evaluation routes are provided: a ``ProjectionChain`` with materialised
-per-stage tables (fast for repeated full-cycle scans, guarded by the symbol
-cap) and table-free arithmetic projection of arbitrary position subsets
-(``project_positions`` / ``symbols_range``), which streams through words far
-beyond the materialisation guardrail.
+Two routes compute coordinates.  The concatenated route (``project_all``)
+builds the level-``n`` coordinates of a whole truncation the way words are
+built: ``words.concat_stage`` applied to ``arange(h_n)`` through stages
+``n .. N-1`` with ``SPACER_MARK`` as the spacer fill.  The arithmetic route
+(``project_positions`` / ``symbols_range``) locates arbitrary position
+subsets by ``searchsorted`` over the copy starts, so it streams through words
+far beyond the materialisation guardrail; it is also the independent oracle
+for the concatenated route.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ResourceRefusal
-from .words import MAX_MATERIAL_SYMBOLS, Schedule, Word, build_word
+from .words import MAX_MATERIAL_SYMBOLS, Schedule, Word, build_word, concat_stage
 
 #: Reserved projection value for spacer positions.
 SPACER_MARK = -1
@@ -34,8 +36,8 @@ def project_positions(
 ) -> np.ndarray:
     """Level-``to_level`` coordinates of positions given at ``from_level``.
 
-    Pure arithmetic (no tables): works on arbitrary position subsets of
-    arbitrarily tall truncations.  Spacer positions propagate the mark.
+    Pure arithmetic (no coordinate arrays): works on arbitrary position
+    subsets of arbitrarily tall truncations.  Spacer positions propagate the mark.
     """
     if not 0 <= to_level <= from_level <= schedule.depth:
         raise ConfigurationError(
@@ -59,12 +61,17 @@ def project_positions(
 
 @dataclass(eq=False)
 class ProjectionChain:
-    """Per-stage projection tables ``phi_n: Z_{h_{n+1}} -> Z_{h_n} | mark``."""
+    """The depth-``depth`` truncation of a schedule, within the symbol guardrail.
+
+    Holds no coordinate arrays: ``project_all`` builds them from the schedule
+    on each call by the concatenated route, and ``project`` / ``step`` read
+    single points through the arithmetic route.  ``build`` refuses truncations
+    whose height reaches ``max_symbols`` unless forced.
+    """
 
     schedule: Schedule
     depth: int
     heights: list[int]
-    tables: list[np.ndarray]
     _words: dict[int, Word] = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -83,14 +90,10 @@ class ProjectionChain:
         heights = schedule.heights()[: depth + 1]
         if heights[-1] >= max_symbols and not force:
             raise ResourceRefusal(
-                f"projection tables for h_N = {heights[-1]} exceed the "
+                f"coordinates for h_N = {heights[-1]} exceed the "
                 f"{max_symbols}-symbol guardrail"
             )
-        tables = [
-            project_positions(schedule, np.arange(heights[n + 1], dtype=np.int64), n + 1, n)
-            for n in range(depth)
-        ]
-        return cls(schedule=schedule, depth=depth, heights=heights, tables=tables)
+        return cls(schedule=schedule, depth=depth, heights=heights)
 
     def word(self, m: int) -> Word:
         """Materialised ``W_m`` (cached; covered by the chain's guardrail)."""
@@ -121,14 +124,35 @@ class StepResult:
     regular_index: int
 
 
-def _coordinates(pc: ProjectionChain, x: int, down_to: int = 0) -> list[int]:
-    """Coordinates ``x_down_to .. x_depth`` of a top-level index (marks kept)."""
-    coords = [int(x)]
-    for n in range(pc.depth - 1, down_to - 1, -1):
-        top = coords[-1]
-        coords.append(SPACER_MARK if top == SPACER_MARK else int(pc.tables[n][top]))
-    coords.reverse()
-    return coords
+def _coordinates(pc: ProjectionChain, positions: np.ndarray) -> list[np.ndarray]:
+    """Level-``0 .. depth-1`` coordinates of top-level indices (marks kept)."""
+    return [project_positions(pc.schedule, positions, pc.depth, n) for n in range(pc.depth)]
+
+
+def _plain_steps(cur: np.ndarray, h: int) -> np.ndarray:
+    """Plain-step mask of a cycle of level-``n`` coordinates.
+
+    ``cur[p]`` is the level-``n`` coordinate of the ``p``-th point of a cycle
+    (wrapping at the end); entry ``p`` is True when the next point's
+    coordinate is ``cur[p] + 1 mod h`` and neither is a spacer mark.
+    """
+    nxt = np.roll(cur, -1)
+    return (cur != SPACER_MARK) & (nxt != SPACER_MARK) & (nxt == (cur + 1) % h)
+
+
+def _letters(schedule: Schedule, coords: np.ndarray) -> np.ndarray:
+    """Seed letters at level-0 coordinates (marks -> the spacer symbol).
+
+    Any level reads the same letters this way: ``W_m[x_m] = W_0[x_0]``, with
+    spacer positions read as the spacer symbol.
+    """
+    seed = schedule.seed_word.symbols
+    if np.any(coords == SPACER_MARK):
+        spacer = schedule.alphabet.spacer_index
+        if spacer is None:
+            raise ConfigurationError("spacer positions but alphabet has no spacer symbol")
+        return np.where(coords == SPACER_MARK, np.int32(spacer), seed[np.maximum(coords, 0)])
+    return seed[coords]
 
 
 def project(pc: ProjectionChain, x: "int | FinitePoint", n: int) -> int:
@@ -145,24 +169,22 @@ def project(pc: ProjectionChain, x: "int | FinitePoint", n: int) -> int:
         raise ConfigurationError(f"need 0 <= n <= level <= depth, got n={n}, level={level}")
     if not 0 <= x < pc.heights[level]:
         raise ConfigurationError(f"index {x} outside Z_{pc.heights[level]}")
-    val = int(x)
-    for m in range(level - 1, n - 1, -1):
-        if val == SPACER_MARK:
-            break
-        val = int(pc.tables[m][val])
-    return val
+    return int(project_positions(pc.schedule, np.array([int(x)]), level, n)[0])
 
 
 def project_all(pc: ProjectionChain, n: int, level: int | None = None) -> np.ndarray:
-    """Vector of level-``n`` coordinates of every position of ``Z_{h_level}``."""
+    """Vector of level-``n`` coordinates of every position of ``Z_{h_level}``.
+
+    Built by concatenation: ``arange(h_n)`` through stages ``n .. level-1``
+    with ``SPACER_MARK`` in the spacer runs.
+    """
     if level is None:
         level = pc.depth
     if not 0 <= n <= level <= pc.depth:
         raise ConfigurationError(f"need 0 <= n <= level <= depth, got n={n}, level={level}")
-    arr = np.arange(pc.heights[level], dtype=np.int64)
-    for m in range(level - 1, n - 1, -1):
-        tab = pc.tables[m]
-        arr = np.where(arr >= 0, tab[np.maximum(arr, 0)], np.int64(SPACER_MARK))
+    arr = np.arange(pc.heights[n], dtype=np.int64)
+    for st in pc.schedule.stages[n:level]:
+        arr = concat_stage(arr, st, SPACER_MARK)
     return arr
 
 
@@ -171,15 +193,11 @@ def step(pc: ProjectionChain, x: int) -> StepResult:
     h_N = pc.heights[pc.depth]
     x = int(x) % h_N
     succ = (x + 1) % h_N
-    before = _coordinates(pc, x)
-    after = _coordinates(pc, succ)
-    jumps = []
-    for n in range(pc.depth):
-        a, b = before[n], after[n]
-        plain = a != SPACER_MARK and b != SPACER_MARK and b == (a + 1) % pc.heights[n]
-        jumps.append(not plain)
+    # [x, succ] as a two-point cycle: entry 0 of its mask is the step x -> succ.
+    coords = _coordinates(pc, np.array([x, succ]))
+    jumps = tuple(not _plain_steps(c, pc.heights[n])[0] for n, c in enumerate(coords))
     regular = next((n for n, j in enumerate(jumps) if not j), pc.depth)
-    return StepResult(successor=succ, jumps=tuple(jumps), regular_index=regular)
+    return StepResult(successor=succ, jumps=jumps, regular_index=regular)
 
 
 def inverse_step(pc: ProjectionChain, x: int) -> int:
@@ -192,40 +210,24 @@ def jump_positions(pc: ProjectionChain, n: int) -> np.ndarray:
     """All positions ``p`` whose step jumps at level ``n`` (brute force)."""
     if not 0 <= n < pc.depth:
         raise ConfigurationError(f"level {n} outside [0, {pc.depth})")
-    h_n = pc.heights[n]
-    cur = project_all(pc, n)
-    nxt = np.roll(cur, -1)
-    plain = (cur != SPACER_MARK) & (nxt != SPACER_MARK) & (nxt == (cur + 1) % h_n)
-    return np.nonzero(~plain)[0]
+    return np.nonzero(~_plain_steps(project_all(pc, n), pc.heights[n]))[0]
 
 
 def orbit_coding(pc: ProjectionChain, start: int, length: int, m: int) -> Word:
     """Letters of ``W_m`` read along ``length`` forward steps from ``start``.
 
-    Spacer positions contribute the alphabet's spacer symbol.  Starting at 0
-    with ``length = h_N`` on a pure schedule returns ``W_N`` itself.
+    Spacer positions contribute the alphabet's spacer symbol.  Since
+    ``W_m[x_m] = W_0[x_0]``, the coding is the same for every ``m`` and is read
+    from the seed at level-0 coordinates.  Starting at 0 with ``length = h_N``
+    on a pure schedule returns ``W_N`` itself.
     """
     h_N = pc.heights[pc.depth]
+    if not 0 <= m <= pc.depth:
+        raise ConfigurationError(f"coding level {m} outside [0, {pc.depth}]")
     if not 1 <= length <= h_N:
         raise ConfigurationError(f"coding length {length} outside [1, {h_N}]")
     positions = (int(start) + np.arange(length, dtype=np.int64)) % h_N
-    coords = project_all(pc, m)[positions]
-    return _letters_at(pc, m, coords)
-
-
-def _letters_at(pc: ProjectionChain, m: int, coords: np.ndarray) -> Word:
-    """Letters of ``W_m`` at level-``m`` coordinates (marks -> spacer symbol)."""
-    w_m = pc.word(m)
-    spacer = pc.schedule.alphabet.spacer_index
-    if np.any(coords == SPACER_MARK):
-        if spacer is None:
-            raise ConfigurationError("orbit crosses spacers but alphabet has no spacer symbol")
-        letters = np.where(
-            coords == SPACER_MARK, np.int32(spacer), w_m.symbols[np.maximum(coords, 0)]
-        )
-    else:
-        letters = w_m.symbols[coords]
-    return Word(pc.schedule.alphabet, letters)
+    return Word(pc.schedule.alphabet, _letters(pc.schedule, project_all(pc, 0)[positions]))
 
 
 def coverage_statistic(pc: ProjectionChain, m: int, windows: int) -> float:
@@ -248,17 +250,7 @@ def coverage_statistic(pc: ProjectionChain, m: int, windows: int) -> float:
     w_m = pc.word(m)
     rotations = {np.roll(w_m.symbols, -a).tobytes() for a in range(h_m)}
     coords = project_all(pc, m)
-    spacer = pc.schedule.alphabet.spacer_index
-    if np.any(coords == SPACER_MARK):
-        if spacer is None:
-            raise ConfigurationError("spacer positions need a spacer symbol to code")
-        letters = np.where(
-            coords == SPACER_MARK,
-            np.int32(spacer),
-            w_m.symbols[np.maximum(coords, 0)],
-        )
-    else:
-        letters = w_m.symbols[coords]
+    letters = _letters(pc.schedule, project_all(pc, 0))
     offsets = np.arange(h_m, dtype=np.int64)
     hits = 0
     for k in range(windows):
@@ -284,11 +276,4 @@ def symbols_range(schedule: Schedule, depth: int, start: int, stop: int) -> np.n
     if not 0 <= start <= stop <= h_N:
         raise ConfigurationError("range outside the truncation")
     positions = np.arange(start, stop, dtype=np.int64)
-    coords = project_positions(schedule, positions, depth, 0)
-    seed = schedule.seed_word.symbols
-    spacer = schedule.alphabet.spacer_index
-    if np.any(coords == SPACER_MARK):
-        if spacer is None:
-            raise ConfigurationError("spacer positions but alphabet has no spacer symbol")
-        return np.where(coords == SPACER_MARK, np.int32(spacer), seed[np.maximum(coords, 0)])
-    return seed[coords]
+    return _letters(schedule, project_positions(schedule, positions, depth, 0))

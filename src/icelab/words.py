@@ -241,24 +241,24 @@ def rotate(word: Word, alpha: int) -> Word:
     return Word(word.alphabet, np.roll(word.symbols, -alpha))
 
 
-def concat_stage(word: Word, stage: Stage) -> Word:
-    """Apply one stage: concatenate rotated copies with spacer runs.
+def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None) -> np.ndarray:
+    """Apply one stage to an index array: concatenate rotated copies with fill runs.
 
-    Result = ``rot(W, a_0) 1^{s_0} rot(W, a_1) 1^{s_1} ... rot(W, a_{q-1}) 1^{s_{q-1}}``
-    where ``1`` is the alphabet's spacer symbol.  Rotations are reduced mod
-    ``len(word)`` here, at application time.
+    Result = ``rot(A, a_0) f^{s_0} rot(A, a_1) f^{s_1} ... rot(A, a_{q-1}) f^{s_{q-1}}``
+    where ``f`` is ``fill`` (read only when the stage has spacers).  Rotations
+    are reduced mod ``len(arr)`` here, at application time.  Words are this
+    loop on symbol arrays with the spacer symbol as fill; level-``n``
+    coordinates are this loop on ``arange(h_n)`` with the dynamics' spacer
+    mark as fill.
     """
-    h = word.h
-    spacer = word.alphabet.spacer_index
-    if any(s > 0 for s in stage.spacers) and spacer is None:
-        raise ConfigurationError("stage requests spacers but alphabet has no spacer symbol")
+    h = arr.size
     parts: list[np.ndarray] = []
     for y in range(stage.q):
-        parts.append(np.roll(word.symbols, -(stage.rotations[y] % h)))
+        parts.append(np.roll(arr, -(stage.rotations[y] % h)))
         s = stage.spacers[y]
         if s:
-            parts.append(np.full(s, spacer, dtype=word.symbols.dtype))
-    return Word(word.alphabet, np.concatenate(parts))
+            parts.append(np.full(s, fill, dtype=arr.dtype))
+    return np.concatenate(parts)
 
 
 def build_word(
@@ -282,9 +282,12 @@ def build_word(
         raise ResourceRefusal(
             f"word of {h_final} symbols exceeds the {max_symbols}-symbol guardrail"
         )
+    spacer = schedule.alphabet.spacer_index
+    if spacer is None and not all(st.pure for st in schedule.stages[:depth]):
+        raise ConfigurationError("stage requests spacers but alphabet has no spacer symbol")
     words = [schedule.seed_word]
-    for n in range(depth):
-        words.append(concat_stage(words[-1], schedule.stages[n]))
+    for st in schedule.stages[:depth]:
+        words.append(Word(schedule.alphabet, concat_stage(words[-1].symbols, st, spacer)))
     return words
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import icelab as il
+from icelab import cli
 from icelab.errors import ConfigurationError
 
 
@@ -50,12 +53,20 @@ def test_project_identity_at_top(cat_chain_2):
     assert np.array_equal(il.project_all(cat_chain_2, 2), np.arange(54))
 
 
-def test_project_positions_streaming(cat_schedule):
-    # Table-free arithmetic projection agrees with the chain tables.
-    pc = il.ProjectionChain.build(cat_schedule, 2)
-    pos = np.arange(54)
-    got = il.project_positions(cat_schedule, pos, 2, 0)
-    assert np.array_equal(got, il.project_all(pc, 0))
+@pytest.mark.parametrize("family", ["cat", "staircase", "ornstein"])
+def test_project_positions_streaming(family, cat_schedule):
+    # The arithmetic route agrees with the concatenated route at every level,
+    # spacer marks included.
+    sch = {
+        "cat": cat_schedule,
+        "staircase": il.rank_one_schedule("staircase", [3, 3, 2]),
+        "ornstein": il.rank_one_schedule("ornstein", [4, 3, 2, 5], seed=7, ratio=1),
+    }[family]
+    pc = il.ProjectionChain.build(sch)
+    pos = np.arange(pc.heights[pc.depth])
+    for n in range(pc.depth + 1):
+        got = il.project_positions(sch, pos, pc.depth, n)
+        assert np.array_equal(got, il.project_all(pc, n))
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +98,33 @@ def test_jump_positions_top_stage(cat_chain_2):
     # Stage-1 rotations (7,4,11) all differ, so every copy boundary jumps.
     got = sorted(int(x) for x in il.jump_positions(cat_chain_2, 1))
     assert got == [17, 35, 53]
+
+
+def test_plain_step_mask_shared_by_step_jumps_and_cli(tmp_path):
+    # step, jump_positions and the CLI jump trace agree on a schedule with
+    # both rotations and spacer runs.
+    w0 = il.word_from_text(il.BINARY_SPACER, "010")
+    sch = il.Schedule(il.BINARY_SPACER, w0, (
+        il.Stage(3, (0, 0, 2), (1, 0, 2)), il.Stage(2, (4, 1), (0, 3)),
+    ))
+    pc = il.ProjectionChain.build(sch)
+    h_N = pc.heights[pc.depth]
+    jumps = [set(int(p) for p in il.jump_positions(pc, n)) for n in range(pc.depth)]
+    # Steps touching a spacer mark always jump, also a mark followed by 0.
+    assert sorted(jumps[0]) == [2, 5, 6, 7, 10, 11, 13, 14, 17, 20, 21, 22, 23, 24, 25, 26]
+    steps = [il.step(pc, x) for x in range(h_N)]
+    for x, res in enumerate(steps):
+        assert res.jumps == tuple(x in j for j in jumps)
+
+    path = tmp_path / "spacer.json"
+    il.save_schedule(sch, path)
+    out = tmp_path / "o"
+    assert cli.run(["build", "--schedule", str(path), "--out", str(out), "--jump-trace"]) == 0
+    with open(out / "jumps.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected = [(x, res.regular_index) for x, res in enumerate(steps) if res.regular_index > 0]
+    assert {r for _, r in expected} == {1, 2}
+    assert [(int(r[1]), int(r[2])) for r in rows] == expected
 
 
 def test_step_cycles_whole_truncation(cat_chain_2):
@@ -143,6 +181,42 @@ def test_orbit_coding_regular_window_matches_rotation():
         assert coding in rotations
         checked += 1
     assert checked > 0
+
+
+def _family_schedule(family: str, qs: list[int], seed: int) -> il.Schedule:
+    if family == "morse":
+        return il.morse_schedule(2, len(qs), il.word_from_text(il.BINARY, "01"))
+    if family == "random":
+        return il.random_schedule(qs, seed, il.word_from_text(il.BINARY, "011"))
+    if family == "staircase":
+        return il.rank_one_schedule("staircase", qs)
+    return il.rank_one_schedule("ornstein", qs, seed=seed, ratio=2)
+
+
+@given(
+    family=st.sampled_from(["morse", "random", "staircase", "ornstein"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    qs=st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_orbit_coding_independent_of_level(family, seed, qs, data):
+    # W_m[x_m] = W_0[x_0] with marks read as the spacer symbol: the letters of
+    # every W_m along an orbit are the coding, whatever the level m.
+    sch = _family_schedule(family, qs, seed)
+    pc = il.ProjectionChain.build(sch)
+    h_N = pc.heights[pc.depth]
+    start = data.draw(st.integers(min_value=0, max_value=h_N - 1))
+    length = data.draw(st.integers(min_value=1, max_value=h_N))
+    positions = (start + np.arange(length)) % h_N
+    spacer = sch.alphabet.spacer_index
+    coding = il.orbit_coding(pc, start, length, 0).symbols.tolist()
+    for m in range(pc.depth + 1):
+        assert il.orbit_coding(pc, start, length, m).symbols.tolist() == coding
+        w_m = pc.word(m).symbols
+        coords = il.project_all(pc, m)[positions]
+        direct = [spacer if c == il.SPACER_MARK else int(w_m[c]) for c in coords]
+        assert direct == coding
 
 
 # ---------------------------------------------------------------------------
