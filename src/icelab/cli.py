@@ -10,8 +10,10 @@ products, flatness, merit factors), ``rank`` (rectangle certificates), and
 Every run writes a ``manifest.json`` (inputs, schedule hash, versions,
 timestamp) next to its payloads; payload CSVs are deterministic for a fixed
 (config, seed) pair — byte-identical across runs — and every schedule-derived
-row carries the schedule hash.  Exit codes: 0 success, 2 validation error,
-3 resource refusal.
+row carries the schedule hash.  A command writes its payloads into a staging
+directory inside ``--out``; they are moved into place only when the command
+succeeds, so a failed run leaves no outputs.  Exit codes: 0 success,
+2 validation error, 3 resource refusal.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -36,26 +40,24 @@ from . import iceberg as ice
 from . import rank as rank_mod
 from . import spectral as spx
 from . import words as words_mod
-from .errors import ConfigurationError, ResourceRefusal
+from .errors import MAX_GRID_POINTS, MAX_SYMBOLS, ConfigurationError, ResourceRefusal, refuse_above
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
 
-#: CLI guardrails (overridable with --force).
-MAX_CLI_HEIGHT = 10_000_000
-MAX_CLI_GRID = 2**22
-
 
 @dataclass
 class RunConfig:
-    """Shared run-level options extracted from the command line."""
+    """Shared run-level options extracted from the command line.
+
+    ``out_dir`` is the command's staging directory inside ``--out``.
+    """
 
     command: str
     out_dir: Path
     seed: int | None
     threads: int
     force: bool
-    overwrite: bool
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +76,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _prepare(path: Path, overwrite: bool) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists() and not overwrite:
-        raise ConfigurationError(f"{path} exists; pass --overwrite to replace it")
-    return path
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence], overwrite: bool) -> None:
-    _prepare(path, overwrite)
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -98,16 +92,26 @@ def _jsonable(value):
     raise TypeError(f"cannot serialise {type(value).__name__}")
 
 
-def _write_json(path: Path, payload: dict, overwrite: bool) -> None:
-    _prepare(path, overwrite)
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
 
-def _write_manifest(cfg: RunConfig, argv: Sequence[str], schedule_hash: str | None) -> None:
+def _publish(staging: Path, out_dir: Path, overwrite: bool) -> None:
+    """Move every staged output into ``out_dir``; none moves if one would replace a file."""
+    names = sorted(p.name for p in staging.iterdir())
+    clashes = [name for name in names if (out_dir / name).exists()]
+    if clashes and not overwrite:
+        raise ConfigurationError(f"{out_dir / clashes[0]} exists; pass --overwrite to replace it")
+    for name in names:
+        os.replace(staging / name, out_dir / name)
+
+
+def _write_manifest(out_dir: Path, command: str, argv: Sequence[str],
+                    schedule_hash: str | None) -> None:
     manifest = {
-        "command": cfg.command,
+        "command": command,
         "argv": list(argv),
         "schedule_hash": schedule_hash,
         "versions": {
@@ -118,9 +122,7 @@ def _write_manifest(cfg: RunConfig, argv: Sequence[str], schedule_hash: str | No
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     # The manifest is rewritten freely: determinism guarantees cover payloads.
-    path = cfg.out_dir / "manifest.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -215,7 +217,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or ./icelab-out)")
     p.add_argument("--seed", type=int, help="master random seed")
     p.add_argument("--threads", type=int, default=1, help="worker pool size for ensembles")
-    p.add_argument("--force", action="store_true", help="override resource guardrails")
+    p.add_argument("--force", action="store_true", help="lift the symbol and grid-point size limits")
     p.add_argument("--overwrite", action="store_true", help="allow replacing existing outputs")
     p.add_argument("--labels", help="label map SYMBOL=VALUE[,SYMBOL=VALUE...]")
     p.add_argument("--zero-mean", dest="zero_mean", action="store_true",
@@ -301,22 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ---------------------------------------------------------------------------
-# Guardrails
-# ---------------------------------------------------------------------------
-
-
-def _check_height(schedule: words_mod.Schedule, depth: int, force: bool) -> None:
-    h = schedule.heights()[depth]
-    if h > MAX_CLI_HEIGHT and not force:
-        raise ResourceRefusal(f"h_N = {h} > {MAX_CLI_HEIGHT}; pass --force to proceed")
-
-
-def _check_grid(size: int, force: bool) -> None:
-    if size > MAX_CLI_GRID and not force:
-        raise ResourceRefusal(f"grid of {size} points > {MAX_CLI_GRID}; pass --force")
-
-
 def _labels_or_error(args) -> dict[str, complex]:
     if not args.labels:
         raise ConfigurationError("this command needs --labels")
@@ -331,13 +317,10 @@ def _labels_or_error(args) -> dict[str, complex]:
 def _cmd_build(cfg: RunConfig, args) -> str | None:
     sch = _schedule_from_args(args)
     depth = args.depth if args.depth is not None else sch.depth
-    _check_height(sch, depth, cfg.force)
     sh = words_mod.schedule_hash(sch)
-    stages = words_mod.build_word(sch, depth, force=True)
+    stages = words_mod.build_word(sch, depth, force=cfg.force)
     rows = [(sh, n, w.h, w.text) for n, w in enumerate(stages)]
-    _write_csv(cfg.out_dir / "words.csv", ["schedule_hash", "stage", "h", "word"], rows,
-               cfg.overwrite)
-    _prepare(cfg.out_dir / "schedule.json", cfg.overwrite)
+    _write_csv(cfg.out_dir / "words.csv", ["schedule_hash", "stage", "h", "word"], rows)
     words_mod.save_schedule(sch, cfg.out_dir / "schedule.json")
 
     wants_coding = any(
@@ -350,15 +333,14 @@ def _cmd_build(cfg: RunConfig, args) -> str | None:
             length = args.coding_length or pc.heights[depth]
             level = args.coding_level if args.coding_level is not None else 0
             coding = dyn.orbit_coding(pc, start, length, level)
-            path = _prepare(cfg.out_dir / "coding.txt", cfg.overwrite)
-            path.write_text(coding.text + "\n", encoding="utf-8")
+            (cfg.out_dir / "coding.txt").write_text(coding.text + "\n", encoding="utf-8")
         if args.jump_trace:
             reg = np.full(pc.heights[depth], depth, dtype=np.int64)
             for n in range(depth - 1, -1, -1):
                 reg[dyn._plain_steps(dyn.project_all(pc, n), pc.heights[n])] = n
             jump_rows = [(sh, int(p), int(reg[p])) for p in np.nonzero(reg > 0)[0]]
             _write_csv(cfg.out_dir / "jumps.csv",
-                       ["schedule_hash", "position", "regular_index"], jump_rows, cfg.overwrite)
+                       ["schedule_hash", "position", "regular_index"], jump_rows)
     print(f"built {depth + 1} stages, h_N = {stages[-1].h}")
     return sh
 
@@ -380,8 +362,7 @@ def _cmd_geometry(cfg: RunConfig, args) -> str | None:
             "jump_uniformity_deviation": ice.jump_uniformity_deviation(jm),
         }
     _write_csv(cfg.out_dir / "columns.csv",
-               ["schedule_hash", "stage", "cut_value", "count", "weight"], col_rows,
-               cfg.overwrite)
+               ["schedule_hash", "stage", "cut_value", "count", "weight"], col_rows)
     payload: dict = {"schedule_hash": sh, "stages": summary}
     if args.body_base is not None and args.body_depth is not None:
         report = ice.body_report(sch, args.body_base, args.body_depth)
@@ -393,7 +374,7 @@ def _cmd_geometry(cfg: RunConfig, args) -> str | None:
             "lower_bound": report.lower_bound,
             "exact_fraction": report.exact_fraction,
         }
-    _write_json(cfg.out_dir / "geometry.json", payload, cfg.overwrite)
+    _write_json(cfg.out_dir / "geometry.json", payload)
     return sh
 
 
@@ -405,10 +386,9 @@ def _cmd_correlate(cfg: RunConfig, args) -> str | None:
     if args.stage is not None:
         stages = [args.stage]
     else:
-        stages = [n for n in range(sch.depth + 1) if heights[n] <= MAX_CLI_HEIGHT or cfg.force]
+        stages = [n for n in range(sch.depth + 1) if heights[n] <= MAX_SYMBOLS or cfg.force]
     top = max(stages)
-    _check_height(sch, top, cfg.force)
-    built = words_mod.build_word(sch, top, force=True)
+    built = words_mod.build_word(sch, top, force=cfg.force)
 
     rows = []
     for n in stages:
@@ -417,7 +397,7 @@ def _cmd_correlate(cfg: RunConfig, args) -> str | None:
         for t, c in enumerate(series.values):
             rows.append((sh, n, t, c.real, c.imag))
     _write_csv(cfg.out_dir / "correlation.csv",
-               ["schedule_hash", "stage", "t", "re", "im"], rows, cfg.overwrite)
+               ["schedule_hash", "stage", "t", "re", "im"], rows)
 
     if args.check_recursion:
         res_rows, worst = [], 0.0
@@ -436,7 +416,7 @@ def _cmd_correlate(cfg: RunConfig, args) -> str | None:
                 worst = max(worst, residual)
                 res_rows.append((sh, n, s, residual))
         _write_csv(cfg.out_dir / "recursion.csv",
-                   ["schedule_hash", "stage", "s", "residual"], res_rows, cfg.overwrite)
+                   ["schedule_hash", "stage", "s", "residual"], res_rows)
         print(f"recursion residual <= {worst:.3e}")
     return sh
 
@@ -445,23 +425,21 @@ def _cmd_decay(cfg: RunConfig, args) -> str | None:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
-    _check_height(sch, args.to_stage, cfg.force)
     profile = corr.decay_profile(
-        sch, labels, args.from_stage, args.to_stage, statistic=args.statistic, force=True
+        sch, labels, args.from_stage, args.to_stage, statistic=args.statistic, force=cfg.force
     )
     rows = [
         (sh, s.n, s.h, s.max, s.median, s.rms, s.variance) for s in profile.stages
     ]
     _write_csv(cfg.out_dir / "decay.csv",
-               ["schedule_hash", "stage", "h", "max", "median", "rms", "variance"],
-               rows, cfg.overwrite)
+               ["schedule_hash", "stage", "h", "max", "median", "rms", "variance"], rows)
     _write_json(cfg.out_dir / "decay.json", {
         "schedule_hash": sh,
         "slope": profile.slope,
         "statistic": profile.statistic,
         "variance_ratios": list(profile.variance_ratios),
         "predicted_ratios": list(profile.predicted_ratios),
-    }, cfg.overwrite)
+    })
     print(f"decay slope {profile.slope:+.4f} ({profile.statistic})")
     return sh
 
@@ -470,8 +448,7 @@ def _cmd_simplicity(cfg: RunConfig, args) -> str | None:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
-    _check_height(sch, args.diag_depth, cfg.force)
-    rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=True)
+    rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=cfg.force)
     payload = {
         "schedule_hash": sh,
         "n": rep.n,
@@ -493,13 +470,12 @@ def _cmd_simplicity(cfg: RunConfig, args) -> str | None:
             "uv_norm_gap": rep.uv_norm_gap,
         },
     }
-    _write_json(cfg.out_dir / "simplicity.json", payload, cfg.overwrite)
+    _write_json(cfg.out_dir / "simplicity.json", payload)
     _write_csv(cfg.out_dir / "simplicity.csv",
                ["schedule_hash", "n", "depth", "f2", "g2", "fg_diff2", "u2", "v2",
                 "abs_uv", "abs_fv"],
                [(sh, rep.n, rep.depth, rep.f2, rep.g2, rep.fg_diff2, rep.u2, rep.v2,
-                 abs(rep.uv), abs(rep.fv))],
-               cfg.overwrite)
+                 abs(rep.uv), abs(rep.fv))])
     print(
         f"|f-g|^2/|f|^2 = {rep.fg_ratio:.4f}, |g|^2/|f|^2 = {rep.g_ratio:.4f}, "
         f"norm gap = {rep.uv_norm_gap:.3e}"
@@ -510,9 +486,9 @@ def _cmd_simplicity(cfg: RunConfig, args) -> str | None:
 def _grid_from_args(args, force: bool) -> spx.Grid:
     if args.line:
         a, b, m = float(args.line[0]), float(args.line[1]), int(args.line[2])
-        _check_grid(m, force)
+        refuse_above("grid points", m, MAX_GRID_POINTS, force)
         return spx.LineGrid(a, b, m)
-    _check_grid(args.grid_size, force)
+    refuse_above("grid points", args.grid_size, MAX_GRID_POINTS, force)
     return spx.CircleGrid(args.grid_size)
 
 
@@ -536,8 +512,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
             rows.append(("", n, args.eps, metrics.sup_deviation, metrics.mean_deviation,
                          metrics.rms_square_deviation))
         _write_csv(cfg.out_dir / "flat.csv",
-                   ["schedule_hash", "n", "eps", "sup_dev", "mean_dev", "rms_sq_dev"],
-                   rows, cfg.overwrite)
+                   ["schedule_hash", "n", "eps", "sup_dev", "mean_dev", "rms_sq_dev"], rows)
         print(f"flatness sup deviations: {[r[3] for r in rows]}")
         return None
 
@@ -550,8 +525,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
             if args.merit_stages
             else list(range(sch.depth + 1))
         )
-        _check_height(sch, max(stages), cfg.force)
-        built = words_mod.build_word(sch, max(stages), force=True)
+        built = words_mod.build_word(sch, max(stages), force=cfg.force)
         rows = []
         for n in stages:
             f = corr.lift(labels, built[n], n)
@@ -560,7 +534,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
                 raise ConfigurationError("merit mode needs real +-1 labels")
             rows.append((sh, n, built[n].h, spx.merit_factor(signs)))
         _write_csv(cfg.out_dir / "merit.csv",
-                   ["schedule_hash", "stage", "h", "merit_factor"], rows, cfg.overwrite)
+                   ["schedule_hash", "stage", "h", "merit_factor"], rows)
         return sh
 
     # riesz mode
@@ -568,7 +542,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
     grid = _grid_from_args(args, cfg.force)
     last = args.last if args.last is not None else sch.depth - 1
     product = spx.riesz_partial_product(
-        sch, labels, args.base, last, grid, zero_mean=args.zero_mean
+        sch, labels, args.base, last, grid, zero_mean=args.zero_mean, force=cfg.force
     )
     if isinstance(grid, spx.CircleGrid):
         axis = grid.angles()
@@ -580,8 +554,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
         for i in range(axis.size)
     ]
     _write_csv(cfg.out_dir / "spectrum.csv",
-               ["schedule_hash", "index", "point", "abs_p", "product", "weight"],
-               rows, cfg.overwrite)
+               ["schedule_hash", "index", "point", "abs_p", "product", "weight"], rows)
     payload: dict = {
         "schedule_hash": sh,
         "n0": product.n0,
@@ -590,14 +563,14 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
     }
     if args.check_oracle:
         direct = spx.direct_word_spectrum(
-            sch, labels, last + 1, grid, args.base, zero_mean=args.zero_mean, force=True
+            sch, labels, last + 1, grid, args.base, zero_mean=args.zero_mean, force=cfg.force
         )
         mp = product.values / max(product.values.mean(), 1e-300)
         md = direct / max(direct.mean(), 1e-300)
         l1 = float(np.mean(np.abs(mp - md)))
         payload["oracle_l1"] = l1
         print(f"riesz oracle L1 distance = {l1:.3e}")
-    _write_json(cfg.out_dir / "spectrum.json", payload, cfg.overwrite)
+    _write_json(cfg.out_dir / "spectrum.json", payload)
     return sh
 
 
@@ -616,13 +589,12 @@ def _cmd_rank(cfg: RunConfig, args) -> str | None:
         beta = rank_mod.beta_morse(r)
         payload["beta_morse"] = float(beta)
         payload["beta_gap"] = abs(float(cert.area) - float(beta))
-    _write_json(cfg.out_dir / "rank.json", payload, cfg.overwrite)
+    _write_json(cfg.out_dir / "rank.json", payload)
     _write_csv(cfg.out_dir / "rank.csv",
                ["schedule_hash", "stage", "h", "cut_lo", "cut_hi", "level_lo", "level_hi",
                 "weight", "area"],
                [(sh, args.stage, cert.h, cert.cut_lo, cert.cut_hi, cert.level_lo,
-                 cert.level_hi, float(cert.weight), float(cert.area))],
-               cfg.overwrite)
+                 cert.level_hi, float(cert.weight), float(cert.area))])
     print(f"rectangle area {float(cert.area):.6f}")
     return sh
 
@@ -652,12 +624,12 @@ def _cmd_ensemble(cfg: RunConfig, args) -> str | None:
             chunks = list(pool.map(run_jump, seeds))
         rows = [row for chunk in sorted(chunks, key=lambda c: c[0][0]) for row in chunk]
         _write_csv(cfg.out_dir / "ensemble.csv",
-                   ["seed", "schedule_hash", "q", "jump_deviation"], rows, cfg.overwrite)
+                   ["seed", "schedule_hash", "q", "jump_deviation"], rows)
         medians = {
             str(q): float(np.median([r[3] for r in rows if r[2] == q])) for q in qs
         }
         _write_json(cfg.out_dir / "ensemble.json",
-                    {"task": "jumps", "h": args.h, "medians": medians}, cfg.overwrite)
+                    {"task": "jumps", "h": args.h, "medians": medians})
         print(f"jump deviation medians: {medians}")
         return None
 
@@ -677,10 +649,10 @@ def _cmd_ensemble(cfg: RunConfig, args) -> str | None:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = sorted(pool.map(run_decay, seeds))
         _write_csv(cfg.out_dir / "ensemble.csv",
-                   ["seed", "schedule_hash", "slope"], results, cfg.overwrite)
+                   ["seed", "schedule_hash", "slope"], results)
         median_slope = float(np.median([r[2] for r in results]))
         _write_json(cfg.out_dir / "ensemble.json",
-                    {"task": "decay", "median_slope": median_slope}, cfg.overwrite)
+                    {"task": "decay", "median_slope": median_slope})
         print(f"median decay slope {median_slope:+.4f}")
         return None
 
@@ -700,13 +672,12 @@ def _cmd_ensemble(cfg: RunConfig, args) -> str | None:
         results = sorted(pool.map(run_simplicity, seeds))
     _write_csv(cfg.out_dir / "ensemble.csv",
                ["seed", "schedule_hash", "fg_ratio", "g_ratio", "uv_ratio", "fv_ratio",
-                "uv_norm_gap"],
-               results, cfg.overwrite)
+                "uv_norm_gap"], results)
     _write_json(cfg.out_dir / "ensemble.json", {
         "task": "simplicity",
         "median_fg_ratio": float(np.median([r[2] for r in results])),
         "median_norm_gap": float(np.median([r[6] for r in results])),
-    }, cfg.overwrite)
+    })
     return None
 
 
@@ -730,23 +701,27 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:  # argparse reports usage problems with code 2
         return int(exc.code or 0)
     out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "./icelab-out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     cfg = RunConfig(
         command=args.command,
-        out_dir=out_dir,
+        out_dir=staging,
         seed=args.seed,
         threads=max(1, args.threads),
         force=args.force,
-        overwrite=args.overwrite,
     )
     try:
         schedule_hash = _COMMANDS[args.command](cfg, args)
+        _publish(staging, out_dir, args.overwrite)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceRefusal as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    _write_manifest(cfg, argv, schedule_hash)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    _write_manifest(out_dir, cfg.command, argv, schedule_hash)
     return 0
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import ProjectionChain, project_all, project_positions
 from .errors import ConfigurationError
-from .words import MAX_MATERIAL_SYMBOLS, Schedule, Word, build_word
+from .words import Schedule, Word, build_word
 
 #: Zero-mean lift tolerance: |sum of values| <= ZERO_MEAN_TOL * h.
 ZERO_MEAN_TOL = 1e-12
@@ -221,7 +221,6 @@ def decay_profile(
     *,
     window: tuple[float, float] = (0.25, 0.75),
     statistic: str = "median",
-    max_symbols: int = MAX_MATERIAL_SYMBOLS,
     force: bool = False,
 ) -> DecayProfile:
     """Correlation decay across stages ``n_lo .. n_hi`` (inclusive).
@@ -243,7 +242,7 @@ def decay_profile(
     if not 0.0 <= lo_frac < hi_frac <= 1.0:
         raise ConfigurationError("window fractions must satisfy 0 <= lo < hi <= 1")
 
-    words = build_word(schedule, n_hi, max_symbols=max_symbols, force=force)
+    words = build_word(schedule, n_hi, force=force)
     rows = []
     for n in range(n_lo, n_hi + 1):
         f = lift(labels, words[n], n, zero_mean=True)
@@ -373,10 +372,10 @@ def _check_far_half(schedule: Schedule, n: int, depth: int) -> int:
 
 
 def _far_half_base_function(
-    schedule: Schedule, labels: Mapping[str, complex], n: int
+    schedule: Schedule, labels: Mapping[str, complex], n: int, force: bool = False
 ) -> np.ndarray:
     """Zero-mean lift of ``labels`` on ``W_n``: the values ``f_(n)`` of the diagnostic."""
-    words = build_word(schedule, n, force=True)
+    words = build_word(schedule, n, force=force)
     return lift(labels, words[n], n, zero_mean=True).values
 
 
@@ -386,7 +385,6 @@ def simplicity_diagnostic(
     n: int,
     depth: int,
     *,
-    max_symbols: int = MAX_MATERIAL_SYMBOLS,
     force: bool = False,
 ) -> SimplicityReport:
     """Far-half diagnostic of stage ``n`` on the depth-``depth`` truncation.
@@ -397,7 +395,8 @@ def simplicity_diagnostic(
     ``u = v = 0``).
     """
     h = _check_far_half(schedule, n, depth)
-    fn = _far_half_base_function(schedule, labels, n)
+    pc = ProjectionChain.build(schedule, depth, force=force)
+    fn = _far_half_base_function(schedule, labels, n, force)
     f2_level = float(np.mean(np.abs(fn) ** 2))
 
     if depth == n:
@@ -407,7 +406,6 @@ def simplicity_diagnostic(
             u2=0.0, v2=0.0, uv=0j, fv=0j,
         )
 
-    pc = ProjectionChain.build(schedule, depth, max_symbols=max_symbols, force=force)
     h_N = pc.heights[depth]
     x_n = project_all(pc, n)
     f = fn[x_n]

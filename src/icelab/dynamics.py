@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceRefusal
-from .words import MAX_MATERIAL_SYMBOLS, Schedule, Word, build_word, concat_stage
+from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
+from .words import Schedule, Word, build_word, concat_stage
 
 #: Reserved projection value for spacer positions.
 SPACER_MARK = -1
@@ -66,7 +66,7 @@ class ProjectionChain:
     Holds no coordinate arrays: ``project_all`` builds them from the schedule
     on each call by the concatenated route, and ``project`` / ``step`` read
     single points through the arithmetic route.  ``build`` refuses truncations
-    whose height reaches ``max_symbols`` unless forced.
+    whose height exceeds ``MAX_SYMBOLS`` unless forced.
     """
 
     schedule: Schedule
@@ -80,7 +80,6 @@ class ProjectionChain:
         schedule: Schedule,
         depth: int | None = None,
         *,
-        max_symbols: int = MAX_MATERIAL_SYMBOLS,
         force: bool = False,
     ) -> "ProjectionChain":
         if depth is None:
@@ -88,11 +87,7 @@ class ProjectionChain:
         if not 0 <= depth <= schedule.depth:
             raise ConfigurationError(f"depth {depth} outside [0, {schedule.depth}]")
         heights = schedule.heights()[: depth + 1]
-        if heights[-1] >= max_symbols and not force:
-            raise ResourceRefusal(
-                f"coordinates for h_N = {heights[-1]} exceed the "
-                f"{max_symbols}-symbol guardrail"
-            )
+        refuse_above(f"h_{depth} (coordinates)", heights[-1], MAX_SYMBOLS, force)
         return cls(schedule=schedule, depth=depth, heights=heights)
 
     def word(self, m: int) -> Word:

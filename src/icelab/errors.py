@@ -1,12 +1,30 @@
-"""Shared exception types.
+"""Shared exception types, the size limits, and the one rule that applies them.
 
 Two failure families are distinguished because the command line maps them to
 different exit codes: configuration problems (bad parameters, inconsistent
 modes, violated preconditions) and resource refusals (requests whose cost
-would exceed the configured guardrails).
+would exceed a size limit).
+
+Every size limit lives here, and every guard applies it through
+``refuse_above`` where its cost is incurred: a size strictly above its limit
+is refused, a size equal to it is admitted.  ``MAX_SYMBOLS`` and
+``MAX_GRID_POINTS`` are lifted by ``force=True`` (``--force`` on the command
+line); ``MAX_SWEEP_CUTS`` and ``MAX_BODY_SEGMENTS`` are hard caps.
 """
 
 from __future__ import annotations
+
+#: Words and coordinate arrays: positions of the materialised truncation.
+MAX_SYMBOLS = 10_000_000
+
+#: Points of a spectral evaluation grid.
+MAX_GRID_POINTS = 2**22
+
+#: Distinct cuts of the rectangle sweep, which builds m x m matrices (hard cap).
+MAX_SWEEP_CUTS = 65536
+
+#: Segments of the body-report cut simulation (hard cap).
+MAX_BODY_SEGMENTS = 20_000_000
 
 
 class ConfigurationError(ValueError):
@@ -14,9 +32,20 @@ class ConfigurationError(ValueError):
 
 
 class ResourceRefusal(RuntimeError):
-    """The request was refused because it exceeds a size guardrail.
+    """The request was refused because it exceeds a size limit.
 
-    Raised instead of attempting work that would materialise words or grids
-    beyond the configured limits; pass ``force=True`` (or ``--force`` on the
-    command line) to override deliberately.
+    Raised by ``refuse_above`` instead of attempting the work; a limit that
+    can be lifted is overridden deliberately with ``force=True`` (or
+    ``--force`` on the command line).
     """
+
+
+def refuse_above(what: str, size: int, limit: int, force: bool | None = None) -> None:
+    """Raise ``ResourceRefusal`` when ``size > limit`` and ``force`` is not set.
+
+    Guards of a limit that ``--force`` lifts pass their ``force`` flag (True
+    or False); hard caps leave it ``None``, which nothing lifts.
+    """
+    if size > limit and not force:
+        hint = "" if force is None else "; pass --force to proceed"
+        raise ResourceRefusal(f"{what} = {size} > {limit}{hint}")

@@ -18,11 +18,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceRefusal
+from .errors import MAX_BODY_SEGMENTS, ConfigurationError, refuse_above
 from .words import Schedule, Stage
-
-#: Segment-marking simulations refuse beyond this many segments.
-MAX_BODY_SEGMENTS = 20_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +77,25 @@ def from_stage(schedule: Schedule, n: int, *, allow_spacers: bool = False) -> Ic
 def uniformity_deviation(ib: Iceberg) -> float:
     """L1 distance between the column weights and the uniform law on ``Z_h``.
 
-    Exact rational arithmetic; ranges over ``[0, 2)``.  Zero iff every cut
-    class carries weight exactly ``1/h``.
+    Exact: ranges over ``[0, 2)``, zero iff every cut class carries weight
+    exactly ``1/h``.
     """
-    dev = Fraction(0)
-    present = 0
-    for _, c in ib.counts:
-        dev += abs(Fraction(c, ib.q) - Fraction(1, ib.h))
-        present += 1
-    dev += Fraction(ib.h - present, ib.h)
-    return float(dev)
+    counts = np.array([c for _, c in ib.counts], dtype=np.int64)
+    return _l1_from_uniform(counts, np.full(counts.size, ib.q, dtype=np.int64), ib.h, ib.q)
+
+
+def _l1_from_uniform(c: np.ndarray, rows: np.ndarray, h: int, q: int) -> float:
+    """``sum_a (r_a/q) * sum_{b in Z_h} |c_ab/r_a - 1/h|``, correctly rounded.
+
+    ``c`` holds the nonzero cell counts and ``rows`` the sum ``r_a`` of each
+    cell's row; the rows sum to ``q``.  Over the common denominator ``q*h``
+    the terms ``c*h - r`` of a row (absent cells have ``c = 0``) sum to zero,
+    so the L1 sum is twice their positive part.  ``c*h >= r`` is tested as
+    ``c >= ceil(r/h)`` and the products are taken in Python integers, so the
+    value stays exact when ``q*h`` exceeds int64.
+    """
+    ge = c >= -(-rows // h)
+    return 2 * (h * int(c[ge].sum()) - int(rows[ge].sum())) / (q * h)
 
 
 def poincare_permutation(st: Stage) -> np.ndarray:
@@ -144,18 +150,13 @@ def jump_uniformity_deviation(jm: JumpMatrix) -> float:
     """Source-weighted L1 distance of the jump rows from uniform.
 
     ``sum_a (row_a / q) * sum_b |N[a][b]/row_a - 1/h|`` with empty rows
-    skipped; exact rational arithmetic, value in ``[0, 2)``.
+    skipped; exact, value in ``[0, 2)``.
     """
-    rows = jm.row_sums()
-    by_row: dict[int, list[int]] = {a: [] for a in rows}
-    for a, _, c in jm.cells:
-        by_row[a].append(c)
-    dev = Fraction(0)
-    for a, row in rows.items():
-        inner = sum(abs(Fraction(c, row) - Fraction(1, jm.h)) for c in by_row[a])
-        inner += Fraction(jm.h - len(by_row[a]), jm.h)
-        dev += Fraction(row, jm.q) * inner
-    return float(dev)
+    cells = np.array(jm.cells, dtype=np.int64)
+    sources, row_of = np.unique(cells[:, 0], return_inverse=True)
+    row_sums = np.zeros(sources.size, dtype=np.int64)
+    np.add.at(row_sums, row_of, cells[:, 2])
+    return _l1_from_uniform(cells[:, 2], row_sums[row_of], jm.h, jm.q)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +242,7 @@ def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
                 new_segs.extend(segs[i + 1:])
                 new_segs.extend(segs[:i])
                 new_segs.append((off, False))
-        if len(new_segs) > MAX_BODY_SEGMENTS:
-            raise ResourceRefusal(
-                f"body simulation needs {len(new_segs)} segments; guardrail is {MAX_BODY_SEGMENTS}"
-            )
+        refuse_above("segments of the body simulation", len(new_segs), MAX_BODY_SEGMENTS)
         segs = new_segs
 
     intact = sum(1 for L, alive in segs if alive and L == h_n)

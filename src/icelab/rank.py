@@ -19,11 +19,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConfigurationError
+from .errors import MAX_SWEEP_CUTS, ConfigurationError, refuse_above
 from .iceberg import Iceberg
-
-#: The rectangle sweep refuses icebergs with more distinct cuts than this.
-MAX_SWEEP_CUTS = 65536
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,7 @@ def best_subtower_rectangle(ib: Iceberg) -> RectangleCertificate:
         raise ConfigurationError("rectangle certificates need a cyclic iceberg")
     ks, cs = _cut_classes(ib)
     m = ks.size
-    if m > MAX_SWEEP_CUTS:
-        raise ConfigurationError(f"{m} distinct cuts exceed the sweep cap {MAX_SWEEP_CUTS}")
+    refuse_above("distinct cuts of the rectangle sweep", m, MAX_SWEEP_CUTS)
     prefix = np.concatenate(([0], np.cumsum(cs)))
     wsum = prefix[None, 1:] - prefix[:-1, None]  # [i, j] -> counts in window i..j
     spread = ks[None, :] - ks[:, None]

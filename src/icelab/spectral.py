@@ -24,10 +24,7 @@ import numpy as np
 
 from .correlation import lift
 from .errors import ConfigurationError
-from .words import MAX_MATERIAL_SYMBOLS, Schedule, build_word
-
-#: Grids above this many points are refused by the command line unless forced.
-MAX_GRID_POINTS = 2**22
+from .words import Schedule, build_word
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +260,7 @@ def riesz_partial_product(
     grid: Grid,
     *,
     zero_mean: bool = False,
-    max_symbols: int = MAX_MATERIAL_SYMBOLS,
+    force: bool = False,
 ) -> RieszProduct:
     """Partial Riesz product of a rank-one schedule.
 
@@ -284,7 +281,7 @@ def riesz_partial_product(
                 "unsupported for iceberg stages"
             )
 
-    base_word = build_word(schedule, n0, max_symbols=max_symbols, force=True)[-1]
+    base_word = build_word(schedule, n0, force=force)[-1]
     coeffs = lift(labels, base_word, n0, zero_mean=zero_mean).values
     h0 = base_word.h
     if isinstance(grid, CircleGrid):
@@ -320,7 +317,6 @@ def direct_word_spectrum(
     n0: int = 0,
     *,
     zero_mean: bool = False,
-    max_symbols: int = MAX_MATERIAL_SYMBOLS,
     force: bool = False,
 ) -> np.ndarray:
     """Normalized squared transform of the stage-``level`` lift (oracle route).
@@ -329,7 +325,7 @@ def direct_word_spectrum(
     product over stages ``n0 .. level-1`` — the direct counterpart of the
     partial Riesz product with factors ``n0 .. level-1``.
     """
-    word = build_word(schedule, level, max_symbols=max_symbols, force=force)[-1]
+    word = build_word(schedule, level, force=force)[-1]
     coeffs = lift(labels, word, level, zero_mean=zero_mean).values
     if isinstance(grid, CircleGrid):
         amp = _eval_integer_circle(np.arange(word.h, dtype=np.int64), coeffs, grid)

@@ -21,10 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceRefusal
-
-#: Words at or above this many symbols are refused unless explicitly forced.
-MAX_MATERIAL_SYMBOLS = 10_000_000
+from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
 
 #: Default bound for the running product of finite-measure ratios
 #: ``h_{n+1} / (q_n * h_n)``; schedules exceeding it fail validation.
@@ -265,23 +262,18 @@ def build_word(
     schedule: Schedule,
     depth: int | None = None,
     *,
-    max_symbols: int = MAX_MATERIAL_SYMBOLS,
     force: bool = False,
 ) -> list[Word]:
     """Materialise ``W_0 .. W_depth``; returns the full list of words.
 
-    Refuses (``ResourceRefusal``) when the final height reaches
-    ``max_symbols``, unless ``force`` is set.
+    Refuses (``ResourceRefusal``) when the final height exceeds
+    ``MAX_SYMBOLS``, unless ``force`` is set.
     """
     if depth is None:
         depth = schedule.depth
     if not 0 <= depth <= schedule.depth:
         raise ConfigurationError(f"depth {depth} outside [0, {schedule.depth}]")
-    h_final = schedule.heights()[depth]
-    if h_final >= max_symbols and not force:
-        raise ResourceRefusal(
-            f"word of {h_final} symbols exceeds the {max_symbols}-symbol guardrail"
-        )
+    refuse_above(f"h_{depth} (word symbols)", schedule.heights()[depth], MAX_SYMBOLS, force)
     spacer = schedule.alphabet.spacer_index
     if spacer is None and not all(st.pure for st in schedule.stages[:depth]):
         raise ConfigurationError("stage requests spacers but alphabet has no spacer symbol")

@@ -196,6 +196,27 @@ def test_height_guardrail_exits_3(tmp_path):
     assert code == 3
 
 
+def test_riesz_oracle_over_the_symbol_limit_exits_3(tmp_path):
+    # h_14 = 11,957,421: the product alone builds only W_0, the oracle builds W_14.
+    argv = [
+        "spectrum", "--mode", "riesz", "--family", "staircase", "--qs", ",".join(["3"] * 14),
+        "--seed-word", "0", "--alphabet", "01", "--spacer-symbol", "1", "--labels", "0=1",
+        "--grid-size", "1024",
+    ]
+    assert cli.run(argv + ["--check-oracle", "--out", str(tmp_path / "oracle")]) == 3
+    assert list((tmp_path / "oracle").iterdir()) == []
+    assert cli.run(argv + ["--out", str(tmp_path / "product")]) == 0
+
+
+def test_rank_over_the_sweep_cap_exits_3(tmp_path):
+    # 140,000 rotations drawn from [0, 131072) leave about 86,000 distinct cuts.
+    code = cli.run([
+        "rank", "--family", "random", "--qs", "140000", "--seed", "0",
+        "--seed-word", "01" * 65536, "--alphabet", "01", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 3
+
+
 def test_random_family_requires_seed(tmp_path):
     code = cli.run([
         "build", "--family", "random", "--qs", "4,4",
@@ -212,6 +233,22 @@ def test_overwrite_refusal(cat_file, tmp_path):
     assert cli.run(argv) == 2
     assert (out / "columns.csv").read_bytes() == before
     assert cli.run(argv + ["--overwrite"]) == 0
+
+
+@pytest.mark.parametrize("argv, existing", [
+    (["build", "--family", "morse", "--r", "2", "--depth", "3", "--seed-word", "01",
+      "--alphabet", "01"], "schedule.json"),
+    (["decay", "--family", "random", "--qs", "16,16", "--seed", "3", "--seed-word", "0101",
+      "--alphabet", "01", "--labels", "0=1,1=-1", "--from-stage", "0", "--to-stage", "2"],
+     "decay.json"),
+])
+def test_failed_run_leaves_no_outputs(argv, existing, tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / existing).write_text("keep\n", encoding="utf-8")
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert [p.name for p in out.iterdir()] == [existing]
+    assert (out / existing).read_text(encoding="utf-8") == "keep\n"
 
 
 def test_outdir_env_default(cat_file, tmp_path, monkeypatch):

@@ -1,0 +1,72 @@
+"""The resource guard: every size limit and its refusal rule live in ``errors``."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import icelab as il
+from icelab.errors import MAX_SYMBOLS, ResourceRefusal, refuse_above
+
+SRC = Path(il.__file__).parent
+
+
+def test_refuse_above_admits_the_limit_and_refuses_one_more():
+    refuse_above("size", 10, 10)
+    refuse_above("size", 10, 10, force=False)
+    with pytest.raises(ResourceRefusal, match="pass --force"):
+        refuse_above("size", 11, 10, force=False)
+    refuse_above("size", 11, 10, force=True)
+    # A hard cap (no force flag) does not offer --force.
+    with pytest.raises(ResourceRefusal) as exc:
+        refuse_above("size", 11, 10)
+    assert "--force" not in str(exc.value)
+
+
+def _tower(last_spacer: int) -> il.Schedule:
+    """h_6 = 10**7 + last_spacer: six stages of ten copies over a ten-symbol seed."""
+    alphabet = il.Alphabet(("0", "1"), "1")
+    stages = [il.Stage(10, (0,) * 10)] * 5
+    stages.append(il.Stage(10, (0,) * 10, (last_spacer,) + (0,) * 9))
+    return il.Schedule(alphabet, il.word_from_text(alphabet, "0" * 10), tuple(stages))
+
+
+def test_library_guards_admit_exactly_max_symbols():
+    assert il.ProjectionChain.build(_tower(0)).heights[-1] == MAX_SYMBOLS
+    over = _tower(1)
+    with pytest.raises(ResourceRefusal):
+        il.ProjectionChain.build(over)
+    with pytest.raises(ResourceRefusal):
+        il.build_word(over)
+
+
+def _module_calls(predicate) -> list[tuple[str, str]]:
+    """``(module, enclosing function)`` of every call in ``icelab`` matching ``predicate``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and predicate(node):
+                    found.append((path.stem, func.name))
+    return found
+
+
+def test_resource_refusals_are_raised_only_by_the_shared_guard():
+    def constructs_refusal(call: ast.Call) -> bool:
+        return isinstance(call.func, ast.Name) and call.func.id == "ResourceRefusal"
+
+    assert _module_calls(constructs_refusal) == [("errors", "refuse_above")]
+
+
+def test_only_the_chain_word_forces_a_build():
+    # ProjectionChain.word builds W_m <= W_depth, which ProjectionChain.build checked.
+    def forces(call: ast.Call) -> bool:
+        return any(kw.arg == "force" and isinstance(kw.value, ast.Constant)
+                   and kw.value.value is True for kw in call.keywords)
+
+    assert _module_calls(forces) == [("dynamics", "word")]

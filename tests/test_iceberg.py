@@ -187,3 +187,36 @@ def test_histogram_invariants(h, q, seed):
     assert sum(c for _, _, c in jm.cells) == q
     jdev = il.jump_uniformity_deviation(jm)
     assert 0.0 <= jdev < 2.0
+
+
+def _fraction_uniformity(ib: il.Iceberg) -> float:
+    """Per-item ``Fraction`` formula of the uniformity deviation (the oracle)."""
+    dev = sum(abs(Fraction(c, ib.q) - Fraction(1, ib.h)) for _, c in ib.counts)
+    return float(dev + Fraction(ib.h - len(ib.counts), ib.h))
+
+
+def _fraction_jump_uniformity(jm: il.JumpMatrix) -> float:
+    """Per-item ``Fraction`` formula of the jump uniformity deviation (the oracle)."""
+    dev = Fraction(0)
+    for a, row in jm.row_sums().items():
+        cs = [c for a2, _, c in jm.cells if a2 == a]
+        inner = sum(abs(Fraction(c, row) - Fraction(1, jm.h)) for c in cs)
+        dev += Fraction(row, jm.q) * (inner + Fraction(jm.h - len(cs), jm.h))
+    return float(dev)
+
+
+@given(
+    h=st.one_of(st.integers(1, 64), st.integers(1, 2**62)),
+    q=st.integers(1, 120),
+    spread=st.integers(1, 2**62),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_deviations_match_fraction_oracle(h, q, spread, seed):
+    # Rotations drawn from [0, min(h, spread)) cover both sparse and crowded columns.
+    rots = np.random.default_rng(seed).integers(0, min(h, spread), q)
+    vals, cnts = np.unique(rots, return_counts=True)
+    ib = il.Iceberg(h=h, q=q, counts=tuple((int(k), int(c)) for k, c in zip(vals, cnts)))
+    jm = il.jump_matrix(il.Stage(q=q, rotations=tuple(int(a) for a in rots)), h)
+    assert il.uniformity_deviation(ib) == _fraction_uniformity(ib)
+    assert il.jump_uniformity_deviation(jm) == _fraction_jump_uniformity(jm)
