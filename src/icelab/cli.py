@@ -11,9 +11,9 @@ Every run writes a ``manifest.json`` (inputs, schedule hash, versions,
 timestamp) next to its payloads; payload CSVs are deterministic for a fixed
 (config, seed) pair — byte-identical across runs — and every schedule-derived
 row carries the schedule hash.  A command writes its payloads into a staging
-directory inside ``--out``; they are moved into place only when the command
-succeeds, so a failed run leaves no outputs.  Exit codes: 0 success,
-2 validation error, 3 resource refusal.
+directory inside ``--out``; they are moved into place, and its summary line
+printed, only when the command succeeds, so a failed run leaves no outputs.
+Exit codes: 0 success, 2 validation error, 3 resource refusal.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,7 +56,6 @@ class RunConfig:
 
     command: str
     out_dir: Path
-    seed: int | None
     threads: int
     force: bool
 
@@ -65,23 +65,21 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    """Deterministic cell formatting: shortest round-trip floats."""
-    if isinstance(value, np.integer):
-        value = int(value)
-    elif isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
+    """Write ``header`` and ``rows`` in one ``writerows`` call.
 
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    Cells must be exactly ``int``, ``float`` or ``str``: the csv module writes
+    a float with ``repr`` (shortest round trip), but a numpy scalar such as
+    ``np.float64`` (a ``float`` subclass) would appear as ``np.float64(...)``.
+    Every column is homogeneous, so checking the first row suffices.
+    """
+    if rows and any(type(v) not in (int, float, str) for v in rows[0]):
+        kinds = ", ".join(type(v).__name__ for v in rows[0])
+        raise TypeError(f"{path.name}: cells must be int, float or str, got ({kinds})")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _jsonable(value):
@@ -314,7 +312,7 @@ def _labels_or_error(args) -> dict[str, complex]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_build(cfg: RunConfig, args) -> str | None:
+def _cmd_build(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     depth = args.depth if args.depth is not None else sch.depth
     sh = words_mod.schedule_hash(sch)
@@ -338,14 +336,13 @@ def _cmd_build(cfg: RunConfig, args) -> str | None:
             reg = np.full(pc.heights[depth], depth, dtype=np.int64)
             for n in range(depth - 1, -1, -1):
                 reg[dyn._plain_steps(dyn.project_all(pc, n), pc.heights[n])] = n
-            jump_rows = [(sh, int(p), int(reg[p])) for p in np.nonzero(reg > 0)[0]]
-            _write_csv(cfg.out_dir / "jumps.csv",
-                       ["schedule_hash", "position", "regular_index"], jump_rows)
-    print(f"built {depth + 1} stages, h_N = {stages[-1].h}")
-    return sh
+            pos = np.flatnonzero(reg > 0)
+            _write_csv(cfg.out_dir / "jumps.csv", ["schedule_hash", "position", "regular_index"],
+                       list(zip(repeat(sh, pos.size), pos.tolist(), reg[pos].tolist())))
+    return sh, f"built {depth + 1} stages, h_N = {stages[-1].h}"
 
 
-def _cmd_geometry(cfg: RunConfig, args) -> str | None:
+def _cmd_geometry(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
     col_rows, summary = [], {}
@@ -375,10 +372,10 @@ def _cmd_geometry(cfg: RunConfig, args) -> str | None:
             "exact_fraction": report.exact_fraction,
         }
     _write_json(cfg.out_dir / "geometry.json", payload)
-    return sh
+    return sh, None
 
 
-def _cmd_correlate(cfg: RunConfig, args) -> str | None:
+def _cmd_correlate(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
@@ -393,12 +390,13 @@ def _cmd_correlate(cfg: RunConfig, args) -> str | None:
     rows = []
     for n in stages:
         f = corr.lift(labels, built[n], n, zero_mean=args.zero_mean)
-        series = corr.cyclic_correlation(f)
-        for t, c in enumerate(series.values):
-            rows.append((sh, n, t, c.real, c.imag))
+        v = corr.cyclic_correlation(f).values
+        k = v.size
+        rows += zip(repeat(sh, k), repeat(n, k), range(k), v.real.tolist(), v.imag.tolist())
     _write_csv(cfg.out_dir / "correlation.csv",
                ["schedule_hash", "stage", "t", "re", "im"], rows)
 
+    summary = None
     if args.check_recursion:
         res_rows, worst = [], 0.0
         for n in range(min(top, sch.depth)):
@@ -412,16 +410,16 @@ def _cmd_correlate(cfg: RunConfig, args) -> str | None:
             lhs = corr.correlation_at_lags(f_hi, lags=[s * heights[n] for s in shifts])
             for s, left in zip(shifts, lhs):
                 right = corr.recursion_rhs(series, st, s)
-                residual = abs(left - right)
+                residual = float(abs(left - right))
                 worst = max(worst, residual)
                 res_rows.append((sh, n, s, residual))
         _write_csv(cfg.out_dir / "recursion.csv",
                    ["schedule_hash", "stage", "s", "residual"], res_rows)
-        print(f"recursion residual <= {worst:.3e}")
-    return sh
+        summary = f"recursion residual <= {worst:.3e}"
+    return sh, summary
 
 
-def _cmd_decay(cfg: RunConfig, args) -> str | None:
+def _cmd_decay(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
@@ -440,11 +438,10 @@ def _cmd_decay(cfg: RunConfig, args) -> str | None:
         "variance_ratios": list(profile.variance_ratios),
         "predicted_ratios": list(profile.predicted_ratios),
     })
-    print(f"decay slope {profile.slope:+.4f} ({profile.statistic})")
-    return sh
+    return sh, f"decay slope {profile.slope:+.4f} ({profile.statistic})"
 
 
-def _cmd_simplicity(cfg: RunConfig, args) -> str | None:
+def _cmd_simplicity(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
@@ -476,11 +473,10 @@ def _cmd_simplicity(cfg: RunConfig, args) -> str | None:
                 "abs_uv", "abs_fv"],
                [(sh, rep.n, rep.depth, rep.f2, rep.g2, rep.fg_diff2, rep.u2, rep.v2,
                  abs(rep.uv), abs(rep.fv))])
-    print(
+    return sh, (
         f"|f-g|^2/|f|^2 = {rep.fg_ratio:.4f}, |g|^2/|f|^2 = {rep.g_ratio:.4f}, "
         f"norm gap = {rep.uv_norm_gap:.3e}"
     )
-    return sh
 
 
 def _grid_from_args(args, force: bool) -> spx.Grid:
@@ -492,7 +488,7 @@ def _grid_from_args(args, force: bool) -> spx.Grid:
     return spx.CircleGrid(args.grid_size)
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
+def _cmd_spectrum(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     if args.mode == "flat":
         if not args.exp_n:
             raise ConfigurationError("flat mode needs --exp-n")
@@ -513,8 +509,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
                          metrics.rms_square_deviation))
         _write_csv(cfg.out_dir / "flat.csv",
                    ["schedule_hash", "n", "eps", "sup_dev", "mean_dev", "rms_sq_dev"], rows)
-        print(f"flatness sup deviations: {[r[3] for r in rows]}")
-        return None
+        return None, f"flatness sup deviations: {[r[3] for r in rows]}"
 
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
@@ -535,24 +530,25 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
             rows.append((sh, n, built[n].h, spx.merit_factor(signs)))
         _write_csv(cfg.out_dir / "merit.csv",
                    ["schedule_hash", "stage", "h", "merit_factor"], rows)
-        return sh
+        return sh, None
 
     # riesz mode
     labels = _labels_or_error(args)
     grid = _grid_from_args(args, cfg.force)
     last = args.last if args.last is not None else sch.depth - 1
+    direct = None
+    if args.check_oracle:
+        # The oracle builds the deeper word: its size guard must refuse before any work.
+        direct = spx.direct_word_spectrum(
+            sch, labels, last + 1, grid, args.base, zero_mean=args.zero_mean, force=cfg.force
+        )
     product = spx.riesz_partial_product(
         sch, labels, args.base, last, grid, zero_mean=args.zero_mean, force=cfg.force
     )
-    if isinstance(grid, spx.CircleGrid):
-        axis = grid.angles()
-    else:
-        axis = grid.points()
-    rows = [
-        (sh, i, float(axis[i]), float(np.sqrt(product.values[i])), float(product.values[i]),
-         float(product.weight[i]))
-        for i in range(axis.size)
-    ]
+    axis = grid.angles() if isinstance(grid, spx.CircleGrid) else grid.points()
+    rows = list(zip(repeat(sh, axis.size), range(axis.size), axis.tolist(),
+                    np.sqrt(product.values).tolist(), product.values.tolist(),
+                    product.weight.tolist()))
     _write_csv(cfg.out_dir / "spectrum.csv",
                ["schedule_hash", "index", "point", "abs_p", "product", "weight"], rows)
     payload: dict = {
@@ -561,20 +557,18 @@ def _cmd_spectrum(cfg: RunConfig, args) -> str | None:
         "last": product.last,
         "masses": list(product.masses),
     }
-    if args.check_oracle:
-        direct = spx.direct_word_spectrum(
-            sch, labels, last + 1, grid, args.base, zero_mean=args.zero_mean, force=cfg.force
-        )
+    summary = None
+    if direct is not None:
         mp = product.values / max(product.values.mean(), 1e-300)
         md = direct / max(direct.mean(), 1e-300)
         l1 = float(np.mean(np.abs(mp - md)))
         payload["oracle_l1"] = l1
-        print(f"riesz oracle L1 distance = {l1:.3e}")
+        summary = f"riesz oracle L1 distance = {l1:.3e}"
     _write_json(cfg.out_dir / "spectrum.json", payload)
-    return sh
+    return sh, summary
 
 
-def _cmd_rank(cfg: RunConfig, args) -> str | None:
+def _cmd_rank(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
     ib = ice.from_stage(sch, args.stage)
@@ -595,11 +589,10 @@ def _cmd_rank(cfg: RunConfig, args) -> str | None:
                 "weight", "area"],
                [(sh, args.stage, cert.h, cert.cut_lo, cert.cut_hi, cert.level_lo,
                  cert.level_hi, float(cert.weight), float(cert.area))])
-    print(f"rectangle area {float(cert.area):.6f}")
-    return sh
+    return sh, f"rectangle area {float(cert.area):.6f}"
 
 
-def _cmd_ensemble(cfg: RunConfig, args) -> str | None:
+def _cmd_ensemble(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     seeds = [args.base_seed + i for i in range(args.seeds)]
     if args.seeds < 1:
         raise ConfigurationError("ensemble needs --seeds >= 1")
@@ -630,8 +623,7 @@ def _cmd_ensemble(cfg: RunConfig, args) -> str | None:
         }
         _write_json(cfg.out_dir / "ensemble.json",
                     {"task": "jumps", "h": args.h, "medians": medians})
-        print(f"jump deviation medians: {medians}")
-        return None
+        return None, f"jump deviation medians: {medians}"
 
     if args.task == "decay":
         labels = _labels_or_error(args)
@@ -653,8 +645,7 @@ def _cmd_ensemble(cfg: RunConfig, args) -> str | None:
         median_slope = float(np.median([r[2] for r in results]))
         _write_json(cfg.out_dir / "ensemble.json",
                     {"task": "decay", "median_slope": median_slope})
-        print(f"median decay slope {median_slope:+.4f}")
-        return None
+        return None, f"median decay slope {median_slope:+.4f}"
 
     # simplicity task
     labels = _labels_or_error(args)
@@ -678,9 +669,11 @@ def _cmd_ensemble(cfg: RunConfig, args) -> str | None:
         "median_fg_ratio": float(np.median([r[2] for r in results])),
         "median_norm_gap": float(np.median([r[6] for r in results])),
     })
-    return None
+    return None, None
 
 
+# Each command returns its schedule hash (for the manifest) and its summary line;
+# run() prints the line only once the outputs are published.
 _COMMANDS = {
     "build": _cmd_build,
     "geometry": _cmd_geometry,
@@ -706,12 +699,11 @@ def run(argv: Sequence[str]) -> int:
     cfg = RunConfig(
         command=args.command,
         out_dir=staging,
-        seed=args.seed,
         threads=max(1, args.threads),
         force=args.force,
     )
     try:
-        schedule_hash = _COMMANDS[args.command](cfg, args)
+        schedule_hash, summary = _COMMANDS[args.command](cfg, args)
         _publish(staging, out_dir, args.overwrite)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -722,6 +714,8 @@ def run(argv: Sequence[str]) -> int:
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     _write_manifest(out_dir, cfg.command, argv, schedule_hash)
+    if summary is not None:
+        print(summary)
     return 0
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import MAX_SWEEP_CUTS, ConfigurationError, refuse_above
 from .iceberg import Iceberg
@@ -195,6 +194,9 @@ def critical_beta() -> float:
     Evaluates to 8/9 (both sides equal 5/9 there); solved by bracketed root
     finding to 1e-14.
     """
+    # Imported here, not at module level: scipy.optimize dominates import time.
+    from scipy.optimize import brentq
+
     def residual(b: float) -> float:
         return (1.0 - b / 2.0) - (1.0 + b - np.sqrt(2.0 * b))
 

@@ -368,8 +368,10 @@ def flatness_metrics(pg: PolynomialGrid) -> FlatnessMetrics:
 def merit_factor(signs: Sequence[float]) -> float:
     """Merit factor ``N^2 / (2 sum_{k>=1} c_k^2)`` of a +-1 word.
 
-    ``c_k`` are the aperiodic autocorrelations; a vanishing denominator (a
-    perfect sequence) reports ``inf``.
+    ``c_k`` are the aperiodic autocorrelations, read off a zero-padded FFT
+    (length ``>= 2N - 1``, so nothing wraps) and rounded: they are integers,
+    and the transform's error is far below 1/2 for any word the symbol limit
+    admits.  A vanishing denominator (a perfect sequence) reports ``inf``.
     """
     s = np.asarray(signs, dtype=np.float64)
     if s.ndim != 1 or s.size < 2:
@@ -377,7 +379,9 @@ def merit_factor(signs: Sequence[float]) -> float:
     if np.any((s != 1.0) & (s != -1.0)):
         raise ConfigurationError("merit factor needs entries exactly +-1")
     n = s.size
-    tail = np.correlate(s, s, mode="full")[n:]  # c_1 .. c_{N-1}
+    size = 1 << (2 * n - 2).bit_length()
+    power = np.abs(np.fft.rfft(s, size)) ** 2
+    tail = np.rint(np.fft.irfft(power, size)[1:n])  # c_1 .. c_{N-1}
     denom = 2.0 * float(np.sum(tail**2))
     if denom == 0.0:
         return float("inf")

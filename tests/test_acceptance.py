@@ -8,6 +8,8 @@ report.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -292,3 +294,106 @@ def test_criterion_12(tmp_path):
             })
         assert runs[0].keys() == runs[1].keys()
         assert runs[0] == runs[1], f"command {argv[0]}: CSV payloads differ between runs"
+
+
+# ---------------------------------------------------------------------------
+# 12, golden bytes — one small run per CSV-writing command, every payload but
+# the timestamped manifest pinned by SHA-256, so a change of cell formatting,
+# quoting, row order or numerics fails here
+# ---------------------------------------------------------------------------
+
+
+CUBE_LABELS = "0=1,1=-0.5+0.8660254037844386j,2=-0.5-0.8660254037844386j"
+QUARTER_LABELS = "0=1,1=1j,2=-1,3=-1j"
+GOLDEN_RUNS = {
+    "build": ["build", "--family", "morse", "--r", "2", "--depth", "5", "--seed-word", ',"',
+              "--alphabet", ',"', "--jump-trace", "--coding-start", "3", "--coding-length", "40",
+              "--coding-level", "1"],
+    "geometry": ["geometry", "--family", "random", "--qs", "6,16", "--seed", "5", "--seed-word",
+                 "0123", "--alphabet", "0123", "--body-base", "0", "--body-depth", "2"],
+    "correlate": ["correlate", "--family", "random", "--qs", "4,4,8", "--seed", "3", "--seed-word",
+                  "01", "--alphabet", "01", "--labels", "0=1,1=-1", "--check-recursion"],
+    "decay": ["decay", "--family", "random", "--qs", "16,16,8", "--seed", "7", "--seed-word",
+              "0123", "--alphabet", "0123", "--labels", QUARTER_LABELS, "--from-stage", "0",
+              "--to-stage", "3"],
+    "simplicity": ["simplicity", "--family", "random", "--qs", "9,27,4", "--seed", "2",
+                   "--seed-word", "012", "--alphabet", "012", "--labels", CUBE_LABELS,
+                   "--base", "1", "--diag-depth", "3"],
+    "spectrum-riesz": ["spectrum", "--mode", "riesz", "--family", "staircase", "--qs", "3,3,3",
+                       "--seed-word", "0", "--alphabet", "01", "--spacer-symbol", "1",
+                       "--labels", "0=1", "--grid-size", "256", "--check-oracle"],
+    "spectrum-flat": ["spectrum", "--mode", "flat", "--exp-n", "2,5", "--line", "1", "2", "101"],
+    "spectrum-merit": ["spectrum", "--mode", "merit", "--family", "morse", "--r", "2",
+                       "--depth", "6", "--seed-word", "01", "--alphabet", "01",
+                       "--labels", "0=1,1=-1"],
+    "rank": ["rank", "--family", "morse", "--r", "3", "--depth", "1", "--seed-word", "012" * 9,
+             "--alphabet", "012"],
+    "ensemble-jumps": ["ensemble", "--task", "jumps", "--seeds", "3", "--h", "16",
+                       "--q-list", "16,32", "--threads", "2"],
+    "ensemble-decay": ["ensemble", "--task", "decay", "--seeds", "3", "--qs", "16,16",
+                       "--seed-word", "0123", "--alphabet", "0123", "--labels", QUARTER_LABELS,
+                       "--from-stage", "0", "--to-stage", "2", "--threads", "2"],
+    "ensemble-simplicity": ["ensemble", "--task", "simplicity", "--seeds", "3", "--qs", "9,27,4",
+                            "--labels", CUBE_LABELS, "--base", "1", "--diag-depth", "3",
+                            "--threads", "2"],
+}
+GOLDEN_SHA256 = {
+    "build": {
+        "coding.txt": "7e8b5ae7e09453fc3dbebed12f3f6eb42a1c27b74bd004638a6ee5cd6bbc465c",
+        "jumps.csv": "9affe2f6b83e89e953d9e58cdb2df3ae45c944165d6979e8530ed34770ac6191",
+        "schedule.json": "73c2f5b3c5bd16ced5b841a6ebf8caae46e9a4d3eea7091a90bc44720bb79eaa",
+        "words.csv": "4c05ff315ce4850d28f3ba26c00fbdd454bae588c7719a4a6eda63d5e52f1b9f",
+    },
+    "geometry": {
+        "columns.csv": "f972bde13d722cc852a3c191658e7941f0caa8ac8f040efc91f1bcc5c3cf51b2",
+        "geometry.json": "027c49e3e8372b10046d11ad3ffa63016cbdeaf54eef4bc0f9368ba48f1c2fd5",
+    },
+    "correlate": {
+        "correlation.csv": "8131bd7bc26303fabe80de6cd27c45c789764e5a136724b5a0bc95d5f2101209",
+        "recursion.csv": "7499230269d5dc9c3d9bbbe47d493b165a7129bcc120282f9b406f8f38882faf",
+    },
+    "decay": {
+        "decay.csv": "67e5e702f958f2c13551a172306213f4dae753718e363f7196fd43fe572bc085",
+        "decay.json": "e79da4fcac375f1f3be07a6e7719186bb94670e0a69ce87c2779a2608dcd065e",
+    },
+    "simplicity": {
+        "simplicity.csv": "bd8702131ee443eb217847c3a86baa3c1e807f6dd41a31c1e5203a226217930c",
+        "simplicity.json": "d1852f8efb198ff3278205c2a71279bb3aa6bd02827dce46956fa5d2a14140b6",
+    },
+    "spectrum-riesz": {
+        "spectrum.csv": "3d9c9cfcb3806034b76c901ad0b828f1e108366426ca7caa4f74aa7260d92b51",
+        "spectrum.json": "3cc5302d2ca08693189b728452690551a8f5f9b9ef4fd7ae1786d79104494772",
+    },
+    "spectrum-flat": {
+        "flat.csv": "2997e95ffcf30f448b4626863332374e5e75e9741a75dc5973bd1bdbaa6c8d9d",
+    },
+    "spectrum-merit": {
+        "merit.csv": "a402cc13a1b6c4440fce4885401ca52a5c603a4c0c20e919d33eb4e9d0d1a3e7",
+    },
+    "rank": {
+        "rank.csv": "e3727a05aee219383c4084b2624ad344df7a3c5b3b8227c82237fccab0485579",
+        "rank.json": "c649fcedd75f0ccb2b266fe416c86308a3c8091278c7bcc89ecef9c0e44596fb",
+    },
+    "ensemble-jumps": {
+        "ensemble.csv": "53d022c6e7e9d0cac254b16080451b8114764f8449037665ae175abbff1d6613",
+        "ensemble.json": "b66594d59cef7ed08cb48440df6c86239bd3e5f78845d19f7eeb45e19a55b7a9",
+    },
+    "ensemble-decay": {
+        "ensemble.csv": "5b8c357011977ea58a02d9a36a4558034076747806c7f3870942e019eb2f9b73",
+        "ensemble.json": "62f30aae1f45125ac06e3d4b057de35c9a2b1ab6ba879fe2ff9f3ce8a09be552",
+    },
+    "ensemble-simplicity": {
+        "ensemble.csv": "de83ee860623e9cdda06e722cddba1cb8f1c10ac30a68ed349cad4782ac15c12",
+        "ensemble.json": "f6728e6bf875627dc62e35ecd482ef130ffb2070040ae5e256ce759e22dbf971",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_payload_bytes(name, tmp_path):
+    assert cli.run(GOLDEN_RUNS[name] + ["--out", str(tmp_path)]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir()) if p.name != "manifest.json"
+    }
+    assert got == GOLDEN_SHA256[name]

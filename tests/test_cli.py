@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from icelab import cli, save_schedule
+from icelab import spectral as spx
 
 
 def read_csv(path):
@@ -196,16 +203,26 @@ def test_height_guardrail_exits_3(tmp_path):
     assert code == 3
 
 
-def test_riesz_oracle_over_the_symbol_limit_exits_3(tmp_path):
+def test_riesz_oracle_over_the_symbol_limit_exits_3(tmp_path, monkeypatch):
     # h_14 = 11,957,421: the product alone builds only W_0, the oracle builds W_14.
     argv = [
         "spectrum", "--mode", "riesz", "--family", "staircase", "--qs", ",".join(["3"] * 14),
         "--seed-word", "0", "--alphabet", "01", "--spacer-symbol", "1", "--labels", "0=1",
         "--grid-size", "1024",
     ]
+    calls = []
+    product = spx.riesz_partial_product
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(spx, "riesz_partial_product", spy)
     assert cli.run(argv + ["--check-oracle", "--out", str(tmp_path / "oracle")]) == 3
     assert list((tmp_path / "oracle").iterdir()) == []
+    assert calls == [], "the product ran before the oracle's size guard refused"
     assert cli.run(argv + ["--out", str(tmp_path / "product")]) == 0
+    assert len(calls) == 1
 
 
 def test_rank_over_the_sweep_cap_exits_3(tmp_path):
@@ -242,13 +259,14 @@ def test_overwrite_refusal(cat_file, tmp_path):
       "--alphabet", "01", "--labels", "0=1,1=-1", "--from-stage", "0", "--to-stage", "2"],
      "decay.json"),
 ])
-def test_failed_run_leaves_no_outputs(argv, existing, tmp_path):
+def test_failed_run_leaves_no_outputs(argv, existing, tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
     (out / existing).write_text("keep\n", encoding="utf-8")
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert [p.name for p in out.iterdir()] == [existing]
     assert (out / existing).read_text(encoding="utf-8") == "keep\n"
+    assert capsys.readouterr().out == "", "a failed run printed its summary line"
 
 
 def test_outdir_env_default(cat_file, tmp_path, monkeypatch):
@@ -256,3 +274,62 @@ def test_outdir_env_default(cat_file, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))
     assert cli.run(["geometry", "--schedule", str(cat_file)]) == 0
     assert (target / "geometry.json").exists()
+
+
+def test_summary_line_printed_after_success(tmp_path, capsys):
+    code = cli.run([
+        "build", "--family", "morse", "--r", "2", "--depth", "3", "--seed-word", "01",
+        "--alphabet", "01", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == "built 4 stages, h_N = 16\n"
+
+
+# ---------------------------------------------------------------------------
+# serialisation and start-up
+# ---------------------------------------------------------------------------
+
+
+def _fmt(value) -> str:
+    """The writer's former per-cell formatting, kept here as the oracle."""
+    if isinstance(value, np.integer):
+        value = int(value)
+    elif isinstance(value, np.floating):
+        value = float(value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def test_write_csv_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(12)
+    floats = (rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)).tolist()
+    rows = [
+        ("sh", 0, -0.0, float("inf"), float("-inf"), float("nan")),
+        ('a,"b"', -3, 5e-324, 1e16, 0.1, 2.0**53 + 2),
+        ("", 2**70, -1e-300, 1.7976931348623157e308, 1 / 3, 123456789.0),
+    ] + [("x", i, v, -v, v * 1e-10, v * 1e10) for i, v in enumerate(floats)]
+    header = ["schedule_hash", "n", "a", "b", "c", "d"]
+    cli._write_csv(tmp_path / "t.csv", header, rows)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == expected.getvalue()
+
+
+@pytest.mark.parametrize("cell", [np.float64(0.5), np.int64(3), True],
+                         ids=["float64", "int64", "bool"])
+def test_write_csv_refuses_non_native_cells(cell, tmp_path):
+    with pytest.raises(TypeError):
+        cli._write_csv(tmp_path / "t.csv", ["a", "b"], [("sh", cell)])
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys, icelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -218,6 +218,21 @@ def test_merit_factor_rejects_non_signs():
         il.merit_factor(np.array([1.0, 0.5]))
 
 
+def _direct_merit(s: np.ndarray) -> float:
+    """O(N^2) merit factor through ``np.correlate``, kept here as the oracle."""
+    n = s.size
+    tail = np.correlate(s, s, mode="full")[n:]
+    denom = 2.0 * float(np.sum(tail**2))
+    return float("inf") if denom == 0.0 else n * n / denom
+
+
+def test_merit_factor_fft_equals_direct():
+    rng = np.random.default_rng(5)
+    for n in [*range(2, 130), 1023, 1024, 1025, 4097]:
+        for s in (rng.choice([-1.0, 1.0], n), np.ones(n), np.resize([1.0, -1.0], n)):
+            assert il.merit_factor(s) == _direct_merit(s), n
+
+
 def test_merit_factor_morse_words():
     sch = il.morse_schedule(2, 6, il.word_from_text(il.BINARY, "01"))
     words = il.build_word(sch)
