@@ -45,7 +45,6 @@ from .iceberg import (
     uniformity_deviation,
 )
 from .dynamics import (
-    FinitePoint,
     ProjectionChain,
     SPACER_MARK,
     StepResult,
@@ -81,6 +80,7 @@ from .spectral import (
     LineGrid,
     PolynomialGrid,
     RieszProduct,
+    check_riesz_stages,
     direct_word_spectrum,
     eval_polynomial,
     exp_frequency_set,
@@ -116,7 +116,7 @@ __all__ = [
     "jump_matrix", "jump_uniformity_deviation",
     "body_lower_bound_counts", "body_report",
     # dynamics
-    "SPACER_MARK", "ProjectionChain", "FinitePoint", "StepResult",
+    "SPACER_MARK", "ProjectionChain", "StepResult",
     "project_positions", "project", "project_all", "step", "inverse_step",
     "jump_positions", "orbit_coding", "coverage_statistic", "symbols_range",
     # correlation
@@ -128,7 +128,7 @@ __all__ = [
     "CircleGrid", "LineGrid", "FrequencySet", "PolynomialGrid", "RieszProduct",
     "FlatnessMetrics",
     "stage_frequencies", "exp_frequency_set", "eval_polynomial",
-    "riesz_partial_product", "direct_word_spectrum", "flatness_metrics",
+    "check_riesz_stages", "riesz_partial_product", "direct_word_spectrum", "flatness_metrics",
     "merit_factor",
     # rank
     "RectangleCertificate", "best_subtower_rectangle", "brute_force_rectangle",

@@ -26,7 +26,6 @@ import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -45,19 +44,6 @@ from .errors import MAX_GRID_POINTS, MAX_SYMBOLS, ConfigurationError, ResourceRe
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
-
-
-@dataclass
-class RunConfig:
-    """Shared run-level options extracted from the command line.
-
-    ``out_dir`` is the command's staging directory inside ``--out``.
-    """
-
-    command: str
-    out_dir: Path
-    threads: int
-    force: bool
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +146,9 @@ def _seed_word_from_args(args, default_text: str, spacer: str | None) -> words_m
     text = args.seed_word if args.seed_word is not None else default_text
     if args.alphabet:
         symbols = tuple(args.alphabet)
-        spacer_symbol = args.spacer_symbol if args.spacer_symbol else spacer
     else:
         symbols = tuple(sorted(set(text) | (set(spacer) if spacer else set())))
-        spacer_symbol = args.spacer_symbol if args.spacer_symbol else spacer
-    alphabet = words_mod.Alphabet(symbols, spacer_symbol)
+    alphabet = words_mod.Alphabet(symbols, args.spacer_symbol or spacer)
     return words_mod.word_from_text(alphabet, text)
 
 
@@ -312,37 +296,37 @@ def _labels_or_error(args) -> dict[str, complex]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_build(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     depth = args.depth if args.depth is not None else sch.depth
     sh = words_mod.schedule_hash(sch)
-    stages = words_mod.build_word(sch, depth, force=cfg.force)
+    stages = words_mod.build_word(sch, depth, force=args.force)
     rows = [(sh, n, w.h, w.text) for n, w in enumerate(stages)]
-    _write_csv(cfg.out_dir / "words.csv", ["schedule_hash", "stage", "h", "word"], rows)
-    words_mod.save_schedule(sch, cfg.out_dir / "schedule.json")
+    _write_csv(out_dir / "words.csv", ["schedule_hash", "stage", "h", "word"], rows)
+    words_mod.save_schedule(sch, out_dir / "schedule.json")
 
     wants_coding = any(
         v is not None for v in (args.coding_start, args.coding_length, args.coding_level)
     )
     if wants_coding or args.jump_trace:
-        pc = dyn.ProjectionChain.build(sch, depth, force=cfg.force)
+        pc = dyn.ProjectionChain.build(sch, depth, force=args.force)
         if wants_coding:
             start = args.coding_start or 0
             length = args.coding_length or pc.heights[depth]
             level = args.coding_level if args.coding_level is not None else 0
             coding = dyn.orbit_coding(pc, start, length, level)
-            (cfg.out_dir / "coding.txt").write_text(coding.text + "\n", encoding="utf-8")
+            (out_dir / "coding.txt").write_text(coding.text + "\n", encoding="utf-8")
         if args.jump_trace:
             reg = np.full(pc.heights[depth], depth, dtype=np.int64)
             for n in range(depth - 1, -1, -1):
                 reg[dyn._plain_steps(dyn.project_all(pc, n), pc.heights[n])] = n
             pos = np.flatnonzero(reg > 0)
-            _write_csv(cfg.out_dir / "jumps.csv", ["schedule_hash", "position", "regular_index"],
+            _write_csv(out_dir / "jumps.csv", ["schedule_hash", "position", "regular_index"],
                        list(zip(repeat(sh, pos.size), pos.tolist(), reg[pos].tolist())))
     return sh, f"built {depth + 1} stages, h_N = {stages[-1].h}"
 
 
-def _cmd_geometry(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _cmd_geometry(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
     col_rows, summary = [], {}
@@ -358,7 +342,7 @@ def _cmd_geometry(cfg: RunConfig, args) -> tuple[str | None, str | None]:
             "uniformity_deviation": ice.uniformity_deviation(ib),
             "jump_uniformity_deviation": ice.jump_uniformity_deviation(jm),
         }
-    _write_csv(cfg.out_dir / "columns.csv",
+    _write_csv(out_dir / "columns.csv",
                ["schedule_hash", "stage", "cut_value", "count", "weight"], col_rows)
     payload: dict = {"schedule_hash": sh, "stages": summary}
     if args.body_base is not None and args.body_depth is not None:
@@ -371,11 +355,11 @@ def _cmd_geometry(cfg: RunConfig, args) -> tuple[str | None, str | None]:
             "lower_bound": report.lower_bound,
             "exact_fraction": report.exact_fraction,
         }
-    _write_json(cfg.out_dir / "geometry.json", payload)
+    _write_json(out_dir / "geometry.json", payload)
     return sh, None
 
 
-def _cmd_correlate(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
@@ -383,9 +367,9 @@ def _cmd_correlate(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     if args.stage is not None:
         stages = [args.stage]
     else:
-        stages = [n for n in range(sch.depth + 1) if heights[n] <= MAX_SYMBOLS or cfg.force]
+        stages = [n for n in range(sch.depth + 1) if heights[n] <= MAX_SYMBOLS or args.force]
     top = max(stages)
-    built = words_mod.build_word(sch, top, force=cfg.force)
+    built = words_mod.build_word(sch, top, force=args.force)
 
     rows = []
     for n in stages:
@@ -393,7 +377,7 @@ def _cmd_correlate(cfg: RunConfig, args) -> tuple[str | None, str | None]:
         v = corr.cyclic_correlation(f).values
         k = v.size
         rows += zip(repeat(sh, k), repeat(n, k), range(k), v.real.tolist(), v.imag.tolist())
-    _write_csv(cfg.out_dir / "correlation.csv",
+    _write_csv(out_dir / "correlation.csv",
                ["schedule_hash", "stage", "t", "re", "im"], rows)
 
     summary = None
@@ -413,25 +397,25 @@ def _cmd_correlate(cfg: RunConfig, args) -> tuple[str | None, str | None]:
                 residual = float(abs(left - right))
                 worst = max(worst, residual)
                 res_rows.append((sh, n, s, residual))
-        _write_csv(cfg.out_dir / "recursion.csv",
+        _write_csv(out_dir / "recursion.csv",
                    ["schedule_hash", "stage", "s", "residual"], res_rows)
         summary = f"recursion residual <= {worst:.3e}"
     return sh, summary
 
 
-def _cmd_decay(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _cmd_decay(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
     profile = corr.decay_profile(
-        sch, labels, args.from_stage, args.to_stage, statistic=args.statistic, force=cfg.force
+        sch, labels, args.from_stage, args.to_stage, statistic=args.statistic, force=args.force
     )
     rows = [
         (sh, s.n, s.h, s.max, s.median, s.rms, s.variance) for s in profile.stages
     ]
-    _write_csv(cfg.out_dir / "decay.csv",
+    _write_csv(out_dir / "decay.csv",
                ["schedule_hash", "stage", "h", "max", "median", "rms", "variance"], rows)
-    _write_json(cfg.out_dir / "decay.json", {
+    _write_json(out_dir / "decay.json", {
         "schedule_hash": sh,
         "slope": profile.slope,
         "statistic": profile.statistic,
@@ -441,11 +425,11 @@ def _cmd_decay(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     return sh, f"decay slope {profile.slope:+.4f} ({profile.statistic})"
 
 
-def _cmd_simplicity(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _cmd_simplicity(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     labels = _labels_or_error(args)
     sh = words_mod.schedule_hash(sch)
-    rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=cfg.force)
+    rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=args.force)
     payload = {
         "schedule_hash": sh,
         "n": rep.n,
@@ -467,8 +451,8 @@ def _cmd_simplicity(cfg: RunConfig, args) -> tuple[str | None, str | None]:
             "uv_norm_gap": rep.uv_norm_gap,
         },
     }
-    _write_json(cfg.out_dir / "simplicity.json", payload)
-    _write_csv(cfg.out_dir / "simplicity.csv",
+    _write_json(out_dir / "simplicity.json", payload)
+    _write_csv(out_dir / "simplicity.csv",
                ["schedule_hash", "n", "depth", "f2", "g2", "fg_diff2", "u2", "v2",
                 "abs_uv", "abs_fv"],
                [(sh, rep.n, rep.depth, rep.f2, rep.g2, rep.fg_diff2, rep.u2, rep.v2,
@@ -488,17 +472,11 @@ def _grid_from_args(args, force: bool) -> spx.Grid:
     return spx.CircleGrid(args.grid_size)
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
     if args.mode == "flat":
         if not args.exp_n:
             raise ConfigurationError("flat mode needs --exp-n")
-        grid = (
-            _grid_from_args(args, cfg.force)
-            if args.line
-            else spx.LineGrid(1.0, 2.0, 10001)
-        )
-        if isinstance(grid, spx.CircleGrid):
-            raise ConfigurationError("flat mode needs a line grid")
+        grid = _grid_from_args(args, args.force) if args.line else spx.LineGrid(1.0, 2.0, 10001)
         rows = []
         for tok in args.exp_n.split(","):
             n = int(tok)
@@ -507,7 +485,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> tuple[str | None, str | None]:
             metrics = spx.flatness_metrics(pg)
             rows.append(("", n, args.eps, metrics.sup_deviation, metrics.mean_deviation,
                          metrics.rms_square_deviation))
-        _write_csv(cfg.out_dir / "flat.csv",
+        _write_csv(out_dir / "flat.csv",
                    ["schedule_hash", "n", "eps", "sup_dev", "mean_dev", "rms_sq_dev"], rows)
         return None, f"flatness sup deviations: {[r[3] for r in rows]}"
 
@@ -520,7 +498,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> tuple[str | None, str | None]:
             if args.merit_stages
             else list(range(sch.depth + 1))
         )
-        built = words_mod.build_word(sch, max(stages), force=cfg.force)
+        built = words_mod.build_word(sch, max(stages), force=args.force)
         rows = []
         for n in stages:
             f = corr.lift(labels, built[n], n)
@@ -528,28 +506,29 @@ def _cmd_spectrum(cfg: RunConfig, args) -> tuple[str | None, str | None]:
             if np.any(np.abs(f.values.imag) > 0):
                 raise ConfigurationError("merit mode needs real +-1 labels")
             rows.append((sh, n, built[n].h, spx.merit_factor(signs)))
-        _write_csv(cfg.out_dir / "merit.csv",
+        _write_csv(out_dir / "merit.csv",
                    ["schedule_hash", "stage", "h", "merit_factor"], rows)
         return sh, None
 
     # riesz mode
     labels = _labels_or_error(args)
-    grid = _grid_from_args(args, cfg.force)
+    grid = _grid_from_args(args, args.force)
     last = args.last if args.last is not None else sch.depth - 1
+    spx.check_riesz_stages(sch, args.base, last)
     direct = None
     if args.check_oracle:
         # The oracle builds the deeper word: its size guard must refuse before any work.
         direct = spx.direct_word_spectrum(
-            sch, labels, last + 1, grid, args.base, zero_mean=args.zero_mean, force=cfg.force
+            sch, labels, last + 1, grid, args.base, zero_mean=args.zero_mean, force=args.force
         )
     product = spx.riesz_partial_product(
-        sch, labels, args.base, last, grid, zero_mean=args.zero_mean, force=cfg.force
+        sch, labels, args.base, last, grid, zero_mean=args.zero_mean, force=args.force
     )
     axis = grid.angles() if isinstance(grid, spx.CircleGrid) else grid.points()
     rows = list(zip(repeat(sh, axis.size), range(axis.size), axis.tolist(),
                     np.sqrt(product.values).tolist(), product.values.tolist(),
                     product.weight.tolist()))
-    _write_csv(cfg.out_dir / "spectrum.csv",
+    _write_csv(out_dir / "spectrum.csv",
                ["schedule_hash", "index", "point", "abs_p", "product", "weight"], rows)
     payload: dict = {
         "schedule_hash": sh,
@@ -564,11 +543,11 @@ def _cmd_spectrum(cfg: RunConfig, args) -> tuple[str | None, str | None]:
         l1 = float(np.mean(np.abs(mp - md)))
         payload["oracle_l1"] = l1
         summary = f"riesz oracle L1 distance = {l1:.3e}"
-    _write_json(cfg.out_dir / "spectrum.json", payload)
+    _write_json(out_dir / "spectrum.json", payload)
     return sh, summary
 
 
-def _cmd_rank(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _cmd_rank(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
     ib = ice.from_stage(sch, args.stage)
@@ -583,8 +562,8 @@ def _cmd_rank(cfg: RunConfig, args) -> tuple[str | None, str | None]:
         beta = rank_mod.beta_morse(r)
         payload["beta_morse"] = float(beta)
         payload["beta_gap"] = abs(float(cert.area) - float(beta))
-    _write_json(cfg.out_dir / "rank.json", payload)
-    _write_csv(cfg.out_dir / "rank.csv",
+    _write_json(out_dir / "rank.json", payload)
+    _write_csv(out_dir / "rank.csv",
                ["schedule_hash", "stage", "h", "cut_lo", "cut_hi", "level_lo", "level_hi",
                 "weight", "area"],
                [(sh, args.stage, cert.h, cert.cut_lo, cert.cut_hi, cert.level_lo,
@@ -592,7 +571,13 @@ def _cmd_rank(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     return sh, f"rectangle area {float(cert.area):.6f}"
 
 
-def _cmd_ensemble(cfg: RunConfig, args) -> tuple[str | None, str | None]:
+def _fan_out(task, seeds: list[int], threads: int) -> list:
+    """``task(seed)`` for every seed on a pool of ``threads`` workers, in seed order."""
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        return list(pool.map(task, seeds))
+
+
+def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
     seeds = [args.base_seed + i for i in range(args.seeds)]
     if args.seeds < 1:
         raise ConfigurationError("ensemble needs --seeds >= 1")
@@ -613,15 +598,13 @@ def _cmd_ensemble(cfg: RunConfig, args) -> tuple[str | None, str | None]:
                 out.append((seed, "", q, dev))
             return out
 
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(run_jump, seeds))
-        rows = [row for chunk in sorted(chunks, key=lambda c: c[0][0]) for row in chunk]
-        _write_csv(cfg.out_dir / "ensemble.csv",
+        rows = [row for chunk in _fan_out(run_jump, seeds, args.threads) for row in chunk]
+        _write_csv(out_dir / "ensemble.csv",
                    ["seed", "schedule_hash", "q", "jump_deviation"], rows)
         medians = {
             str(q): float(np.median([r[3] for r in rows if r[2] == q])) for q in qs
         }
-        _write_json(cfg.out_dir / "ensemble.json",
+        _write_json(out_dir / "ensemble.json",
                     {"task": "jumps", "h": args.h, "medians": medians})
         return None, f"jump deviation medians: {medians}"
 
@@ -634,16 +617,15 @@ def _cmd_ensemble(cfg: RunConfig, args) -> tuple[str | None, str | None]:
         def run_decay(seed: int) -> tuple:
             sch = words_mod.random_schedule(qs, seed, _seed_word_from_args(args, "01", None))
             profile = corr.decay_profile(
-                sch, labels, args.from_stage, args.to_stage, force=cfg.force
+                sch, labels, args.from_stage, args.to_stage, force=args.force
             )
             return (seed, words_mod.schedule_hash(sch), profile.slope)
 
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = sorted(pool.map(run_decay, seeds))
-        _write_csv(cfg.out_dir / "ensemble.csv",
+        results = _fan_out(run_decay, seeds, args.threads)
+        _write_csv(out_dir / "ensemble.csv",
                    ["seed", "schedule_hash", "slope"], results)
         median_slope = float(np.median([r[2] for r in results]))
-        _write_json(cfg.out_dir / "ensemble.json",
+        _write_json(out_dir / "ensemble.json",
                     {"task": "decay", "median_slope": median_slope})
         return None, f"median decay slope {median_slope:+.4f}"
 
@@ -655,16 +637,15 @@ def _cmd_ensemble(cfg: RunConfig, args) -> tuple[str | None, str | None]:
 
     def run_simplicity(seed: int) -> tuple:
         sch = words_mod.random_schedule(qs, seed, _seed_word_from_args(args, "012", None))
-        rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=cfg.force)
+        rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=args.force)
         return (seed, words_mod.schedule_hash(sch), rep.fg_ratio, rep.g_ratio,
                 rep.uv_ratio, rep.fv_ratio, rep.uv_norm_gap)
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = sorted(pool.map(run_simplicity, seeds))
-    _write_csv(cfg.out_dir / "ensemble.csv",
+    results = _fan_out(run_simplicity, seeds, args.threads)
+    _write_csv(out_dir / "ensemble.csv",
                ["seed", "schedule_hash", "fg_ratio", "g_ratio", "uv_ratio", "fv_ratio",
                 "uv_norm_gap"], results)
-    _write_json(cfg.out_dir / "ensemble.json", {
+    _write_json(out_dir / "ensemble.json", {
         "task": "simplicity",
         "median_fg_ratio": float(np.median([r[2] for r in results])),
         "median_norm_gap": float(np.median([r[6] for r in results])),
@@ -672,8 +653,10 @@ def _cmd_ensemble(cfg: RunConfig, args) -> tuple[str | None, str | None]:
     return None, None
 
 
-# Each command returns its schedule hash (for the manifest) and its summary line;
-# run() prints the line only once the outputs are published.
+# Each command writes into the staging directory it is given, reads its options
+# (--force, --threads, ...) from the parsed arguments, and returns its schedule
+# hash (for the manifest) and its summary line; run() prints the line only once
+# the outputs are published.
 _COMMANDS = {
     "build": _cmd_build,
     "geometry": _cmd_geometry,
@@ -696,14 +679,8 @@ def run(argv: Sequence[str]) -> int:
     out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "./icelab-out")
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
-    cfg = RunConfig(
-        command=args.command,
-        out_dir=staging,
-        threads=max(1, args.threads),
-        force=args.force,
-    )
     try:
-        schedule_hash, summary = _COMMANDS[args.command](cfg, args)
+        schedule_hash, summary = _COMMANDS[args.command](staging, args)
         _publish(staging, out_dir, args.overwrite)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -713,7 +690,7 @@ def run(argv: Sequence[str]) -> int:
         return 3
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    _write_manifest(out_dir, cfg.command, argv, schedule_hash)
+    _write_manifest(out_dir, args.command, argv, schedule_hash)
     if summary is not None:
         print(summary)
     return 0

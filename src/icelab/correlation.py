@@ -126,21 +126,24 @@ def cyclic_correlation(
 ) -> CorrelationSeries:
     """Full correlation series of two level functions at the same stage.
 
-    The transform route computes ``ifft(fft(f) * conj(fft(g))) / h``; the
-    direct route evaluates the defining O(h^2) sum and serves as the oracle
-    (the two agree to 1e-10 relative).
+    The transform route computes ``ifft(fft(f) * conj(fft(g))) / h``, with
+    one forward transform for an autocorrelation; the direct route evaluates
+    the defining O(h^2) sum and serves as the oracle (the two agree to 1e-10
+    relative).
     """
-    if g is None:
-        g = f
-    if f.n != g.n or f.h != g.h:
+    other = f if g is None else g
+    if f.n != other.n or f.h != other.h:
         raise ConfigurationError("correlation needs two functions at the same stage")
     h = f.h
     if method == "fft":
-        cross = np.fft.fft(f.values) * np.conj(np.fft.fft(g.values))
+        # One forward transform when g is f.  The product is formed in place:
+        # an out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
+        cross = np.fft.fft(f.values)
+        cross *= np.conj(cross if g is None else np.fft.fft(g.values))
         vals = np.fft.ifft(cross) / h
     elif method == "direct":
         vals = np.array(
-            [np.vdot(np.roll(g.values, t), f.values) for t in range(h)],
+            [np.vdot(np.roll(other.values, t), f.values) for t in range(h)],
             dtype=np.complex128,
         ) / h
     else:
@@ -219,7 +222,6 @@ def decay_profile(
     n_lo: int,
     n_hi: int,
     *,
-    window: tuple[float, float] = (0.25, 0.75),
     statistic: str = "median",
     force: bool = False,
 ) -> DecayProfile:
@@ -238,9 +240,6 @@ def decay_profile(
             raise ConfigurationError("decay profiles require pure stages")
     if statistic not in ("max", "median", "rms"):
         raise ConfigurationError(f"unknown statistic {statistic!r}")
-    lo_frac, hi_frac = window
-    if not 0.0 <= lo_frac < hi_frac <= 1.0:
-        raise ConfigurationError("window fractions must satisfy 0 <= lo < hi <= 1")
 
     words = build_word(schedule, n_hi, force=force)
     rows = []
@@ -248,7 +247,7 @@ def decay_profile(
         f = lift(labels, words[n], n, zero_mean=True)
         series = cyclic_correlation(f).values
         h = f.h
-        sel = np.abs(series[int(h * lo_frac): int(h * hi_frac) + 1])
+        sel = np.abs(series[h // 4: 3 * h // 4 + 1])
         rows.append(
             StageDecay(
                 n=n,

@@ -98,14 +98,6 @@ class ProjectionChain:
 
 
 @dataclass(frozen=True)
-class FinitePoint:
-    """A point of the depth-``level`` truncation: an index of ``Z_{h_level}``."""
-
-    level: int
-    index: int
-
-
-@dataclass(frozen=True)
 class StepResult:
     """Successor of a point with the per-level jump flags.
 
@@ -150,21 +142,18 @@ def _letters(schedule: Schedule, coords: np.ndarray) -> np.ndarray:
     return seed[coords]
 
 
-def project(pc: ProjectionChain, x: "int | FinitePoint", n: int) -> int:
-    """Level-``n`` coordinate of ``x`` (an index of ``Z_{h_depth}`` by default).
+def project(pc: ProjectionChain, x: int, n: int) -> int:
+    """Level-``n`` coordinate of ``x``, an index of ``Z_{h_depth}``.
 
     Returns ``SPACER_MARK`` for positions sitting inside a spacer run at or
     above level ``n``.  Letter consistency for pure schedules: the letter of
     ``W_N`` at ``x`` equals the letter of ``W_n`` at ``project(x, n)``.
     """
-    level = pc.depth
-    if isinstance(x, FinitePoint):
-        level, x = x.level, x.index
-    if not 0 <= n <= level <= pc.depth:
-        raise ConfigurationError(f"need 0 <= n <= level <= depth, got n={n}, level={level}")
-    if not 0 <= x < pc.heights[level]:
-        raise ConfigurationError(f"index {x} outside Z_{pc.heights[level]}")
-    return int(project_positions(pc.schedule, np.array([int(x)]), level, n)[0])
+    if not 0 <= n <= pc.depth:
+        raise ConfigurationError(f"need 0 <= n <= depth = {pc.depth}, got n={n}")
+    if not 0 <= x < pc.heights[pc.depth]:
+        raise ConfigurationError(f"index {x} outside Z_{pc.heights[pc.depth]}")
+    return int(project_positions(pc.schedule, np.array([int(x)]), pc.depth, n)[0])
 
 
 def project_all(pc: ProjectionChain, n: int, level: int | None = None) -> np.ndarray:

@@ -10,6 +10,12 @@ Every size limit lives here, and every guard applies it through
 is refused, a size equal to it is admitted.  ``MAX_SYMBOLS`` and
 ``MAX_GRID_POINTS`` are lifted by ``force=True`` (``--force`` on the command
 line); ``MAX_SWEEP_CUTS`` and ``MAX_BODY_SEGMENTS`` are hard caps.
+
+The merit factor needs no limit of its own: the word it scores is built by
+``build_word``, which refuses it above ``MAX_SYMBOLS`` before any work, and
+its zero-padded transform adds only a constant factor (a length below
+``4N`` for a word of length ``N``), so a separate limit would guard nothing
+new.
 """
 
 from __future__ import annotations

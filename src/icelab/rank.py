@@ -189,15 +189,10 @@ def spmult_lemma_rhs(m: int, a: float) -> float:
 
 
 def critical_beta() -> float:
-    """Root of ``1 - beta/2 = 1 + beta - sqrt(2 beta)`` in ``(0, 1]``.
+    """Root of ``1 - beta/2 = 1 + beta - sqrt(2 beta)`` in ``(0, 1]``: 8/9.
 
-    Evaluates to 8/9 (both sides equal 5/9 there); solved by bracketed root
-    finding to 1e-14.
+    The equation is ``sqrt(2 beta) = 3 beta / 2``; squaring gives
+    ``2 beta = 9 beta^2 / 4``, whose positive root is ``beta = 8/9`` (both
+    sides equal 5/9 there).
     """
-    # Imported here, not at module level: scipy.optimize dominates import time.
-    from scipy.optimize import brentq
-
-    def residual(b: float) -> float:
-        return (1.0 - b / 2.0) - (1.0 + b - np.sqrt(2.0 * b))
-
-    return float(brentq(residual, 0.5, 1.0, xtol=1e-14, rtol=8.9e-16))
+    return 8 / 9

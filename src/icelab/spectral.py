@@ -177,6 +177,17 @@ def _eval_line(freqs: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.
     return out
 
 
+def _evaluate(freqs: np.ndarray, coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """``sum_w c_w z^w`` at every grid point: folded on circles, pointwise on lines.
+
+    The one place that chooses between the two evaluators; integer frequencies
+    are evaluated as floats on line grids.
+    """
+    if isinstance(grid, CircleGrid):
+        return _eval_integer_circle(freqs, coeffs, grid)
+    return _eval_line(np.asarray(freqs, dtype=np.float64), coeffs, grid.points())
+
+
 def eval_polynomial(
     source: "FrequencySet | Sequence[complex]",
     grid: Grid,
@@ -216,14 +227,10 @@ def eval_polynomial(
                 raise ConfigurationError("class L requires coefficients exactly +-1")
         freqs = np.arange(coeffs.size, dtype=np.int64)
 
-    q = coeffs.size
-    if isinstance(grid, CircleGrid):
-        if class_tag == "M_R":
-            raise ConfigurationError("class M_R is evaluated on line grids only")
-        vals = _eval_integer_circle(freqs, coeffs, grid)
-    else:
-        vals = _eval_line(np.asarray(freqs, dtype=np.float64), coeffs, grid.points())
-    return PolynomialGrid(grid=grid, values=vals / math.sqrt(q))
+    if class_tag == "M_R" and isinstance(grid, CircleGrid):
+        raise ConfigurationError("class M_R is evaluated on line grids only")
+    vals = _evaluate(freqs, coeffs, grid)
+    return PolynomialGrid(grid=grid, values=vals / math.sqrt(coeffs.size))
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +259,26 @@ class RieszProduct:
         return self.last - self.n0 + 1
 
 
+def check_riesz_stages(schedule: Schedule, n0: int, last: int) -> None:
+    """Preconditions of the Riesz factorisation with factors ``n0 .. last``.
+
+    ``0 <= n0 <= depth``, ``n0 - 1 <= last <= depth - 1``, and every factor
+    stage has all rotations zero: stages with genuine rotations are refused,
+    as the factorisation is not claimed for them.  Costs nothing beyond the
+    schedule, so callers run it before any word is built.
+    """
+    if not 0 <= n0 <= schedule.depth:
+        raise ConfigurationError(f"base stage {n0} outside [0, {schedule.depth}]")
+    if not n0 - 1 <= last <= schedule.depth - 1:
+        raise ConfigurationError(f"last stage {last} outside [{n0 - 1}, {schedule.depth - 1}]")
+    for n in range(n0, last + 1):
+        if np.any(schedule.rotations_mod(n) != 0):
+            raise ConfigurationError(
+                f"stage {n} has nonzero rotations; the Riesz factorisation is "
+                "unsupported for iceberg stages"
+            )
+
+
 def riesz_partial_product(
     schedule: Schedule,
     labels: Mapping[str, complex],
@@ -265,43 +292,20 @@ def riesz_partial_product(
     """Partial Riesz product of a rank-one schedule.
 
     Stage factors ``n0 .. last`` (inclusive; ``last = n0 - 1`` returns the
-    weight alone) must have all rotations zero — stages with genuine rotations
-    are refused, as the factorisation is not claimed for them.  The word-level
+    weight alone) must pass ``check_riesz_stages``.  The weight is the direct
+    word spectrum at level ``n0``, ``|f-hat|^2 / h_{n0}``.  The word-level
     identity: the product times the weight equals the normalized squared
     transform of the stage-``last+1`` lift, exactly.
     """
-    if not 0 <= n0 <= schedule.depth:
-        raise ConfigurationError(f"base stage {n0} outside [0, {schedule.depth}]")
-    if not n0 - 1 <= last <= schedule.depth - 1:
-        raise ConfigurationError(f"last stage {last} outside [{n0 - 1}, {schedule.depth - 1}]")
-    for n in range(n0, last + 1):
-        if np.any(schedule.rotations_mod(n) != 0):
-            raise ConfigurationError(
-                f"stage {n} has nonzero rotations; the Riesz factorisation is "
-                "unsupported for iceberg stages"
-            )
-
-    base_word = build_word(schedule, n0, force=force)[-1]
-    coeffs = lift(labels, base_word, n0, zero_mean=zero_mean).values
-    h0 = base_word.h
-    if isinstance(grid, CircleGrid):
-        amp = _eval_integer_circle(np.arange(h0, dtype=np.int64), coeffs, grid)
-    else:
-        amp = _eval_line(np.arange(h0, dtype=np.float64), coeffs, grid.points())
-    weight = np.abs(amp) ** 2 / h0
-
+    check_riesz_stages(schedule, n0, last)
+    weight = direct_word_spectrum(
+        schedule, labels, n0, grid, n0, zero_mean=zero_mean, force=force
+    )
     values = weight.copy()
     masses = [float(values.mean())]
     for n in range(n0, last + 1):
-        # Stage frequencies are integers; fold-evaluate on circles and
-        # evaluate the same integer frequencies pointwise on line grids.
         fs = stage_frequencies(schedule, n)
-        if isinstance(grid, CircleGrid):
-            vals = _eval_integer_circle(fs.frequencies, np.ones(fs.q, np.complex128), grid)
-        else:
-            vals = _eval_line(
-                fs.frequencies.astype(np.float64), np.ones(fs.q, np.complex128), grid.points()
-            )
+        vals = _evaluate(fs.frequencies, np.ones(fs.q, np.complex128), grid)
         values = values * (np.abs(vals) ** 2 / fs.q)
         masses.append(float(values.mean()))
     return RieszProduct(
@@ -327,10 +331,7 @@ def direct_word_spectrum(
     """
     word = build_word(schedule, level, force=force)[-1]
     coeffs = lift(labels, word, level, zero_mean=zero_mean).values
-    if isinstance(grid, CircleGrid):
-        amp = _eval_integer_circle(np.arange(word.h, dtype=np.int64), coeffs, grid)
-    else:
-        amp = _eval_line(np.arange(word.h, dtype=np.float64), coeffs, grid.points())
+    amp = _evaluate(np.arange(word.h, dtype=np.int64), coeffs, grid)
     norm = schedule.height(n0)
     for n in range(n0, level):
         norm *= schedule.stages[n].q

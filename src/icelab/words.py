@@ -203,25 +203,6 @@ class Schedule:
         lens = np.asarray([h + s for s in st.spacers], dtype=np.int64)
         return np.concatenate(([0], np.cumsum(lens)))
 
-    def is_pure(self) -> bool:
-        return all(st.pure for st in self.stages)
-
-    def finite_measure_partial_products(self) -> list[float]:
-        """Running products of ``h_{n+1} / (q_n * h_n)`` (the measure blow-up)."""
-        out, prod = [], 1.0
-        hs = self.heights()
-        for n, st in enumerate(self.stages):
-            prod *= hs[n + 1] / (st.q * hs[n])
-            out.append(prod)
-        return out
-
-    def validate_measure_cap(self, cap: float = DEFAULT_MEASURE_CAP) -> None:
-        prods = self.finite_measure_partial_products()
-        if prods and max(prods) >= cap:
-            raise ConfigurationError(
-                f"finite-measure partial products reach {max(prods):.3g} >= cap {cap:g}"
-            )
-
 
 # ---------------------------------------------------------------------------
 # Word operations
@@ -407,15 +388,13 @@ def rank_one_schedule(
                 f" > cap {measure_cap}; thin the spacers or raise measure_cap"
             )
         h = h_next
-    sch = Schedule(
+    return Schedule(
         seed_word.alphabet,
         seed_word,
         tuple(stages),
         family_tag=kind,
         rng_seed=None if seed is None else int(seed),
     )
-    sch.validate_measure_cap(measure_cap)
-    return sch
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,10 @@ GOLDEN_RUNS = {
     "spectrum-riesz": ["spectrum", "--mode", "riesz", "--family", "staircase", "--qs", "3,3,3",
                        "--seed-word", "0", "--alphabet", "01", "--spacer-symbol", "1",
                        "--labels", "0=1", "--grid-size", "256", "--check-oracle"],
+    "spectrum-riesz-line": ["spectrum", "--mode", "riesz", "--family", "staircase",
+                            "--qs", "3,4,3", "--seed-word", "0110", "--alphabet", "012",
+                            "--spacer-symbol", "2", "--labels", "0=1,1=-1", "--base", "1",
+                            "--line", "0.5", "3", "257", "--check-oracle"],
     "spectrum-flat": ["spectrum", "--mode", "flat", "--exp-n", "2,5", "--line", "1", "2", "101"],
     "spectrum-merit": ["spectrum", "--mode", "merit", "--family", "morse", "--r", "2",
                        "--depth", "6", "--seed-word", "01", "--alphabet", "01",
@@ -363,6 +367,10 @@ GOLDEN_SHA256 = {
     "spectrum-riesz": {
         "spectrum.csv": "3d9c9cfcb3806034b76c901ad0b828f1e108366426ca7caa4f74aa7260d92b51",
         "spectrum.json": "3cc5302d2ca08693189b728452690551a8f5f9b9ef4fd7ae1786d79104494772",
+    },
+    "spectrum-riesz-line": {
+        "spectrum.csv": "37667c8cd7e256e4f224b077004ade24f5c47458dd40f66e9e6dc49d962734ac",
+        "spectrum.json": "83e86ecf99d1754fb25dff9903caa326ed36b853a524f2a4869d55dd221097e1",
     },
     "spectrum-flat": {
         "flat.csv": "2997e95ffcf30f448b4626863332374e5e75e9741a75dc5973bd1bdbaa6c8d9d",

@@ -225,6 +225,29 @@ def test_riesz_oracle_over_the_symbol_limit_exits_3(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_riesz_rotated_schedule_exits_2_before_the_oracle(tmp_path, monkeypatch):
+    # Every stage of a random schedule is rotated, so the factorisation is refused.
+    calls = []
+    monkeypatch.setattr(spx, "direct_word_spectrum", lambda *a, **k: calls.append(a))
+    code = cli.run([
+        "spectrum", "--mode", "riesz", "--family", "random", "--qs", "16,16,16,32",
+        "--seed", "3", "--labels", "0=1,1=-1", "--grid-size", "1024", "--check-oracle",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert calls == [], "the oracle ran before the rotation check refused"
+    assert list((tmp_path / "o").iterdir()) == []
+
+
+def test_thread_pool_is_opened_in_one_place():
+    from test_errors import _module_calls
+
+    def opens_pool(call) -> bool:
+        return getattr(call.func, "id", None) == "ThreadPoolExecutor"
+
+    assert _module_calls(opens_pool) == [("cli", "_fan_out")]
+
+
 def test_rank_over_the_sweep_cap_exits_3(tmp_path):
     # 140,000 rotations drawn from [0, 131072) leave about 86,000 distinct cuts.
     code = cli.run([
@@ -328,7 +351,8 @@ def test_write_csv_refuses_non_native_cells(cell, tmp_path):
 
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = "import sys, icelab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, icelab, icelab.cli; icelab.critical_beta(); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120)
     assert res.returncode == 0, res.stderr

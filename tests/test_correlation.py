@@ -73,6 +73,19 @@ def test_fft_matches_direct(cat_words, cat_labels):
     assert np.max(np.abs(via_fft - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("h", [2**14, 2**15, 2**16])
+def test_fft_route_bitwise_equals_two_transform_product(h):
+    # Reference: the two-transform product.  An out-of-place ``F * conj(F)``
+    # with one transform differs from it in the last bit from h = 16384 on.
+    rng = np.random.default_rng(h)
+    f, g = (il.LevelFunction(n=0, values=rng.standard_normal(h) + 1j * rng.standard_normal(h))
+            for _ in range(2))
+    for other in (f, g):
+        ref = np.fft.ifft(np.fft.fft(f.values) * np.conj(np.fft.fft(other.values))) / h
+        got = il.cyclic_correlation(f, None if other is f else other).values
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_delta_correlation():
     w = il.word_from_text(il.DNA, "CAT")
     f = il.lift({"C": 1, "A": 0, "T": 0}, w, 0)

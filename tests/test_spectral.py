@@ -156,6 +156,15 @@ def test_riesz_rejects_rotations(cat_schedule, cat_labels):
         il.riesz_partial_product(cat_schedule, cat_labels, 0, 1, grid)
 
 
+def test_evaluators_are_chosen_in_one_place():
+    from test_errors import _module_calls
+
+    def evaluates(call) -> bool:
+        return getattr(call.func, "id", None) in ("_eval_integer_circle", "_eval_line")
+
+    assert _module_calls(evaluates) == [("spectral", "_evaluate")] * 2
+
+
 def test_riesz_dirichlet_square_closed_form():
     # All-zero spacers make each factor a squared Dirichlet kernel.
     w0 = il.word_from_text(il.BINARY_SPACER, "0")
