@@ -8,9 +8,9 @@ products, flatness, merit factors), ``rank`` (rectangle certificates), and
 ``ensemble`` (seed fan-out for decay/jumps/simplicity).
 
 Every run writes a ``manifest.json`` (inputs, schedule hash, versions,
-timestamp) next to its payloads; payload CSVs are deterministic for a fixed
-(config, seed) pair — byte-identical across runs — and every schedule-derived
-row carries the schedule hash.  A command writes its payloads into a staging
+timestamp, peak RSS) next to its payloads; payload CSVs are deterministic for
+a fixed (config, seed) pair — byte-identical across runs — and every
+schedule-derived row carries the schedule hash.  A command writes its payloads into a staging
 directory inside ``--out``; they are moved into place, and its summary line
 printed, only when the command succeeds, so a failed run leaves no outputs.
 Exit codes: 0 success, 2 validation error, 3 resource refusal.
@@ -92,6 +92,28 @@ def _publish(staging: Path, out_dir: Path, overwrite: bool) -> None:
         os.replace(staging / name, out_dir / name)
 
 
+def _peak_rss_mb() -> float | None:
+    """Peak resident set of this process in MB, or None where none is readable.
+
+    On Linux this is ``VmHWM``, which starts afresh when the command's
+    interpreter is exec'd (``ru_maxrss`` there starts from the peak of the
+    process that spawned it).  Elsewhere it is ``ru_maxrss``: bytes on macOS,
+    kB on the other Unixes; Windows has no ``resource`` module.
+    """
+    if sys.platform == "linux":
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 1)
+        return None
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (2**20 if sys.platform == "darwin" else 1024), 1)
+
+
 def _write_manifest(out_dir: Path, command: str, argv: Sequence[str],
                     schedule_hash: str | None) -> None:
     manifest = {
@@ -104,6 +126,7 @@ def _write_manifest(out_dir: Path, command: str, argv: Sequence[str],
             "numpy": np.__version__,
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     # The manifest is rewritten freely: determinism guarantees cover payloads.
     with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="") as fh:

@@ -84,14 +84,14 @@ def lift(
     if spacer is not None:
         table[spacer] = 0.0
         labelled[spacer] = True
-    present = np.unique(word.symbols)
+    present = np.flatnonzero(np.bincount(word.symbols, minlength=len(alpha.symbols)))
     missing = [alpha.symbols[i] for i in present if not labelled[i]]
     if missing:
         raise ConfigurationError(f"labels missing for symbols {missing!r}")
     values = table[word.symbols]
     if zero_mean:
         if spacer is None:
-            values = values - values.mean()
+            values -= values.mean()
         else:
             mask = word.symbols != spacer
             if mask.any():
@@ -140,7 +140,10 @@ def cyclic_correlation(
         # an out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
         cross = np.fft.fft(f.values)
         cross *= np.conj(cross if g is None else np.fft.fft(g.values))
-        vals = np.fft.ifft(cross) / h
+        # Inverting into ``cross`` (``out=`` needs numpy >= 2.0) keeps one
+        # length-h result alive; the values are bitwise those of ``ifft(cross) / h``.
+        vals = np.fft.ifft(cross, out=cross)
+        vals /= h
     elif method == "direct":
         vals = np.array(
             [np.vdot(np.roll(other.values, t), f.values) for t in range(h)],
@@ -299,12 +302,19 @@ def signed_levels(schedule: Schedule, n: int) -> np.ndarray:
 
 
 def _signed_chart(schedule: Schedule, n: int, x_n1: np.ndarray) -> np.ndarray:
-    """Signed chart levels of the ``W_{n+1}`` coordinates ``x_n1`` (pure stage ``n``)."""
+    """Signed chart levels ``t + a - h*[a >= 1]`` of the ``W_{n+1}`` coordinates
+    ``x_n1`` (pure stage ``n``), written over ``x_n1``, which is returned.
+
+    In-place integer steps keep one extra array of the input's length alive.
+    """
     h = schedule.height(n)
-    rots = schedule.rotations_mod(n)
-    t = x_n1 % h
-    a = rots[x_n1 // h]
-    return t + a - h * (a >= 1)
+    a = np.floor_divide(x_n1, h)
+    # Every copy index is in range, so "clip" never clips; unlike the default
+    # "raise" it writes into ``out`` without a buffered copy.
+    schedule.rotations_mod(n).take(a, out=a, mode="clip")
+    t = np.remainder(x_n1, h, out=x_n1)
+    t += a
+    return np.subtract(t, h, out=t, where=a >= 1)
 
 
 @dataclass(frozen=True)
@@ -408,33 +418,41 @@ def simplicity_diagnostic(
     h_N = pc.heights[depth]
     x_n = project_all(pc, n)
     f = fn[x_n]
+    bases = np.flatnonzero(x_n == 0)
+    del x_n
 
     # Reconstruction from base returns: g = sum_{|j| <= w} f_(n)(j) T^j b_n,
     # scattered from the base positions {p : x_n(p) = 0}.
     w = (h - 1) // 2
-    bases = np.nonzero(x_n == 0)[0]
     g = np.zeros(h_N, dtype=np.complex128)
     for j in range(-w, w + 1):
         g[(bases + j) % h_N] += fn[j % h]
 
     # Far half: positions whose signed chart level falls outside [-w, w].
-    signed = _signed_chart(schedule, n, project_all(pc, n + 1))
-    far = np.abs(signed) > w
-
-    u = np.where(far, f, 0.0)
-    v = g - f + u
+    far = np.abs(_signed_chart(schedule, n, project_all(pc, n + 1))) > w
 
     def avg(x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.vdot(y, x) / h_N)
 
+    # At most three complex arrays of length h_N are alive at once: each sum
+    # is taken as soon as its operands exist, and v = (g - f) + u is formed
+    # in g (that order of operations, so every bit matches).
+    f2 = avg(f, f).real
+    g2 = avg(g, g).real
+    d = f - g
+    fg_diff2 = avg(d, d).real
+    del d
+    u = np.where(far, f, 0.0)
+    v = np.subtract(g, f, out=g)
+    v += u
     return SimplicityReport(
         n=n,
         depth=depth,
         h_n=h,
         h_N=h_N,
-        f2=avg(f, f).real,
-        g2=avg(g, g).real,
-        fg_diff2=avg(f - g, f - g).real,
+        f2=f2,
+        g2=g2,
+        fg_diff2=fg_diff2,
         u2=avg(u, u).real,
         v2=avg(v, v).real,
         uv=avg(u, v),

@@ -227,16 +227,21 @@ def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None) -> np.ndarray:
     are reduced mod ``len(arr)`` here, at application time.  Words are this
     loop on symbol arrays with the spacer symbol as fill; level-``n``
     coordinates are this loop on ``arange(h_n)`` with the dynamics' spacer
-    mark as fill.
+    mark as fill.  Each copy and run is written straight into the result.
     """
     h = arr.size
-    parts: list[np.ndarray] = []
+    out = np.empty(stage.q * h + stage.total_spacers, dtype=arr.dtype)
+    pos = 0
     for y in range(stage.q):
-        parts.append(np.roll(arr, -(stage.rotations[y] % h)))
+        a = stage.rotations[y] % h
+        out[pos: pos + h - a] = arr[a:]
+        out[pos + h - a: pos + h] = arr[:a]
+        pos += h
         s = stage.spacers[y]
         if s:
-            parts.append(np.full(s, fill, dtype=arr.dtype))
-    return np.concatenate(parts)
+            out[pos: pos + s] = fill
+            pos += s
+    return out
 
 
 def build_word(

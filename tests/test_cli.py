@@ -357,3 +357,67 @@ def test_cli_import_loads_no_scipy():
                          timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Peak memory
+# ---------------------------------------------------------------------------
+
+
+# Both tests read kB-valued ru_maxrss from ``os.wait4`` and the manifest's
+# Linux source, so they run on Linux only.  Linux starts a process's
+# ru_maxrss from the peak of the process that spawned it, so the measured
+# interpreter is spawned from a small launcher, which may first hold a
+# touched ballast of ``sys.argv[2]`` MB.
+_LAUNCHER = """import os, subprocess, sys
+ballast = bytearray(b"\\1") * (int(sys.argv[2]) << 20)
+proc = subprocess.Popen([sys.executable, "-c", sys.argv[1]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="Linux peak-RSS units")
+
+
+def _peak_rss_bytes(code: str, ballast_mb: int = 0) -> int:
+    """ru_maxrss of a fresh interpreter running ``code``, read from ``os.wait4``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _LAUNCHER, code, str(ballast_mb)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    exit_code, maxrss = map(int, res.stdout.split())
+    assert exit_code == 0
+    return maxrss * 1024
+
+
+@linux_only
+def test_manifest_records_peak_rss(tmp_path):
+    argv = ["build", "--family", "morse", "--r", "2", "--depth", "12",
+            "--seed-word", "01", "--alphabet", "01"]
+    code = "from icelab.cli import run; import sys; sys.exit(run({!r}))"
+    out = tmp_path / "o"
+    peak = _peak_rss_bytes(code.format(argv + ["--out", str(out)])) / 2**20
+    recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["peak_rss_mb"]
+    # Written just before the process exits, so close to its final peak.
+    assert 0.5 * peak < recorded <= peak + 1
+    # Launched by a process holding 256 MB, the command still records its own
+    # peak, not its launcher's.
+    out = tmp_path / "b"
+    _peak_rss_bytes(code.format(argv + ["--out", str(out)]), ballast_mb=256)
+    ballasted = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["peak_rss_mb"]
+    assert ballasted <= peak + 1
+
+
+@linux_only
+def test_simplicity_peak_rss_per_symbol(tmp_path):
+    # h_N = 2,204,496.  The diagnostic keeps f, g and u (16 B each per
+    # symbol) plus small masks: about 52 B per symbol above a bare import.
+    # The bound sits below the 123 B that an all-out-of-place diagnostic takes.
+    argv = ["simplicity", "--family", "random", "--qs", "9,729,16,7", "--seed", "5",
+            "--seed-word", "012", "--alphabet", "012",
+            "--labels", "0=1,1=-0.5+0.8660254037844386j,2=-0.5-0.8660254037844386j",
+            "--base", "1", "--diag-depth", "4", "--out", str(tmp_path / "o")]
+    bare = _peak_rss_bytes("import icelab.cli")
+    run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    per_symbol = (run - bare) / (3 * 9 * 729 * 16 * 7)
+    assert per_symbol < 80, f"{per_symbol:.1f} B per symbol"

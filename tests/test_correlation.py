@@ -73,7 +73,7 @@ def test_fft_matches_direct(cat_words, cat_labels):
     assert np.max(np.abs(via_fft - direct)) < 1e-12
 
 
-@pytest.mark.parametrize("h", [2**14, 2**15, 2**16])
+@pytest.mark.parametrize("h", [2**14, 2**15, 2**16, 3**9, 10007])
 def test_fft_route_bitwise_equals_two_transform_product(h):
     # Reference: the two-transform product.  An out-of-place ``F * conj(F)``
     # with one transform differs from it in the last bit from h = 16384 on.
@@ -245,6 +245,81 @@ def test_signed_levels_partition(cat_schedule):
             col = signed[y * h: (y + 1) * h]
             assert len(np.unique(col)) == h
             assert col.max() - col.min() == h - 1
+
+
+def _reference_chart(schedule, n, x_n1):
+    # The chart's defining formula, out of place.
+    h = schedule.heights()[n]
+    t = x_n1 % h
+    a = schedule.rotations_mod(n)[x_n1 // h]
+    return t + a - h * (a >= 1)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    qs=st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=3),
+    n=st.integers(min_value=0, max_value=1),
+)
+@settings(max_examples=40, deadline=None)
+def test_signed_chart_equals_formula(trit_word, seed, qs, n):
+    sch = il.random_schedule(qs, seed, trit_word)
+    x = np.arange(sch.heights()[n + 1], dtype=np.int64)
+    assert np.array_equal(il.signed_levels(sch, n), _reference_chart(sch, n, x))
+    # Arbitrary coordinate subsets, as the window sums pass them.
+    picks = np.random.default_rng(seed).integers(0, x.size, 50)
+    got = il.correlation._signed_chart(sch, n, picks.copy())
+    assert np.array_equal(got, _reference_chart(sch, n, picks))
+
+
+def _roll_concat(arr, stages):
+    # Pure stages applied by np.roll and np.concatenate.
+    for stage in stages:
+        arr = np.concatenate([np.roll(arr, -(a % arr.size)) for a in stage.rotations])
+    return arr
+
+
+def _reference_simplicity(schedule, labels, n, depth):
+    """The diagnostic as first written, every intermediate array out of place,
+    over words and coordinates built by ``_roll_concat``."""
+    h = schedule.heights()[n]
+    h_N = schedule.heights()[depth]
+    table = np.array([complex(labels[c]) for c in schedule.alphabet.symbols])
+    fn = table[_roll_concat(schedule.seed_word.symbols, schedule.stages[:n])]
+    fn = fn - fn.mean()
+
+    x_n = _roll_concat(np.arange(h, dtype=np.int64), schedule.stages[n:depth])
+    f = fn[x_n]
+    w = (h - 1) // 2
+    bases = np.nonzero(x_n == 0)[0]
+    g = np.zeros(h_N, dtype=np.complex128)
+    for j in range(-w, w + 1):
+        g[(bases + j) % h_N] += fn[j % h]
+    x_n1 = _roll_concat(np.arange(schedule.heights()[n + 1], dtype=np.int64),
+                        schedule.stages[n + 1:depth])
+    far = np.abs(_reference_chart(schedule, n, x_n1)) > w
+    u = np.where(far, f, 0.0)
+    v = g - f + u
+
+    def avg(x, y):
+        return complex(np.vdot(y, x) / h_N)
+
+    return (avg(f, f).real, avg(g, g).real, avg(f - g, f - g).real,
+            avg(u, u).real, avg(v, v).real, avg(u, v), avg(f, v))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n, qs", [(1, [9, 27, 5, 4]), (2, [9, 27, 5, 4, 9]),
+                                   (1, [9, 81, 7, 9])])
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_simplicity_bitwise_equals_reference(trit_word, trit_labels, seed, n, qs, extra):
+    # Equal to the last bit (repr tells -0.0 from 0.0) at depths n+1 .. n+3;
+    # the [9, 27, 5, 4, 9] cases at depth 5 and [9, 81, 7, 9] at depth 4
+    # reach h_N >= 2**17.
+    sch = il.random_schedule(qs, seed, trit_word)
+    rep = il.simplicity_diagnostic(sch, trit_labels, n, n + extra)
+    got = (rep.f2, rep.g2, rep.fg_diff2, rep.u2, rep.v2, rep.uv, rep.fv)
+    ref = _reference_simplicity(sch, trit_labels, n, n + extra)
+    assert [repr(x) for x in got] == [repr(x) for x in ref]
 
 
 def test_simplicity_degenerate_depth(trit_word, trit_labels):

@@ -281,3 +281,26 @@ def test_letter_consistency(seed, qs, text):
         for y, a in enumerate(st_.rotations):
             for t in range(h):
                 assert words[n + 1].symbols[y * h + t] == words[n].symbols[(t + a) % h]
+
+
+@given(
+    data=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+    copies=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=4)),
+        min_size=1, max_size=6,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_concat_stage_equals_roll_and_concatenate(data, copies):
+    # Reference: one np.roll per copy and np.full per fill run, concatenated.
+    stage = il.Stage(len(copies), tuple(a for a, _ in copies), tuple(s for _, s in copies))
+    for arr, fill in ((np.asarray(data, dtype=np.int32), 3),
+                      (np.asarray(data, dtype=np.int64), il.SPACER_MARK)):
+        parts = []
+        for a, s in copies:
+            parts.append(np.roll(arr, -(a % arr.size)))
+            if s:
+                parts.append(np.full(s, fill, dtype=arr.dtype))
+        got = il.words.concat_stage(arr, stage, fill)
+        assert got.dtype == arr.dtype
+        assert np.array_equal(got, np.concatenate(parts))
