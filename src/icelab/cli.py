@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 validation error, 3 resource refusal.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shutil
@@ -51,21 +50,53 @@ OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
-    """Write ``header`` and ``rows`` in one ``writerows`` call.
+#: Rows formatted per ``_csv_lines`` call.  A chunk's cell strings live next
+#: to the whole row list: 65,536-row chunks raised ``correlate``'s peak RSS
+#: by a fifth, 4,096-row chunks by about 1 %.
+_CSV_CHUNK = 4096
 
-    Cells must be exactly ``int``, ``float`` or ``str``: the csv module writes
-    a float with ``repr`` (shortest round trip), but a numpy scalar such as
-    ``np.float64`` (a ``float`` subclass) would appear as ``np.float64(...)``.
-    Every column is homogeneous, so checking the first row suffices.
+
+def _quote_text(col: tuple[str, ...], alone: bool):
+    """The cells of one text column, quoted as ``csv.writer`` quotes them.
+
+    A cell is quoted only if it holds ``,``, ``"`` or ``\\n`` (not ``\\r``),
+    with inner quotes doubled; an empty cell that is a row's only cell is
+    written ``""``.  Each distinct value is quoted once.
+    """
+    quoted = {}
+    for v in set(col):
+        if "," in v or '"' in v or "\n" in v or (alone and not v):
+            quoted[v] = '"' + v.replace('"', '""') + '"'
+        else:
+            quoted[v] = v
+    return map(quoted.__getitem__, col)
+
+
+def _csv_lines(rows: list[tuple], text: list[bool]) -> str:
+    """``rows`` as csv lines, formatted a column at a time; numbers by ``str``."""
+    alone = len(text) == 1
+    cells = [_quote_text(col, alone) if is_text else map(str, col)
+             for col, is_text in zip(zip(*rows), text)]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
+    """Write ``header`` and ``rows`` with the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
+
+    Cells must be exactly ``int``, ``float`` or ``str``: a float is written
+    with ``str``, which is ``repr`` (shortest round trip), but a numpy scalar
+    such as ``np.float64`` (a ``float`` subclass) would appear as
+    ``np.float64(...)``.  Every column is homogeneous, so checking the first
+    row suffices, and the first row also says which columns are text.
     """
     if rows and any(type(v) not in (int, float, str) for v in rows[0]):
         kinds = ", ".join(type(v).__name__ for v in rows[0])
         raise TypeError(f"{path.name}: cells must be int, float or str, got ({kinds})")
+    text = [type(v) is str for v in rows[0]] if rows else []
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_lines([tuple(header)], [True] * len(header)))
+        for lo in range(0, len(rows), _CSV_CHUNK):
+            fh.write(_csv_lines(rows[lo:lo + _CSV_CHUNK], text))
 
 
 def _jsonable(value):
@@ -335,7 +366,7 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
         pc = dyn.ProjectionChain.build(sch, depth, force=args.force)
         if wants_coding:
             start = args.coding_start or 0
-            length = args.coding_length or pc.heights[depth]
+            length = args.coding_length if args.coding_length is not None else pc.heights[depth]
             level = args.coding_level if args.coding_level is not None else 0
             coding = dyn.orbit_coding(pc, start, length, level)
             (out_dir / "coding.txt").write_text(coding.text + "\n", encoding="utf-8")

@@ -98,7 +98,11 @@ class Word:
         return self.h
 
     def __repr__(self) -> str:  # keep reprs short for long words
-        body = self.text if self.h <= 40 else self.text[:37] + "..."
+        if self.h <= 40:
+            body = self.text
+        else:  # text[:37] from the first 37 symbols, unless empty symbols leave it short
+            head = "".join(self.alphabet.symbols[i] for i in self.symbols[:37])
+            body = (head if len(head) >= 37 else self.text)[:37] + "..."
         return f"Word({body!r}, h={self.h})"
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icelab import cli, save_schedule
 from icelab import spectral as spx
@@ -299,6 +300,16 @@ def test_outdir_env_default(cat_file, tmp_path, monkeypatch):
     assert (target / "geometry.json").exists()
 
 
+def test_build_coding_length_zero_exits_2(tmp_path):
+    out = tmp_path / "o"
+    code = cli.run([
+        "build", "--family", "morse", "--r", "2", "--depth", "4", "--seed-word", "01",
+        "--alphabet", "01", "--coding-length", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert list(out.iterdir()) == []
+
+
 def test_summary_line_printed_after_success(tmp_path, capsys):
     code = cli.run([
         "build", "--family", "morse", "--r", "2", "--depth", "3", "--seed-word", "01",
@@ -347,6 +358,53 @@ def test_write_csv_matches_per_cell_formatting(tmp_path):
 def test_write_csv_refuses_non_native_cells(cell, tmp_path):
     with pytest.raises(TypeError):
         cli._write_csv(tmp_path / "t.csv", ["a", "b"], [("sh", cell)])
+
+
+_TEXT_CELLS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "\u00e9", "a"]),
+                      max_size=5)
+_COLUMN_CELLS = {
+    "int": st.one_of(st.integers(), st.just(2**70)),
+    "float": st.one_of(st.floats(), st.sampled_from([
+        -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e16, 2.0**53 + 2,
+        -1e-300, 1.7976931348623157e308, 1 / 3, 123456789.0,
+    ])),
+    "text": _TEXT_CELLS,
+}
+_CHUNK = cli._CSV_CHUNK
+
+
+def _csv_module_bytes(header, rows) -> bytes:
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return expected.getvalue().encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       kinds=st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1, max_size=4),
+       n_rows=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]))
+def test_write_csv_matches_csv_module(data, kinds, n_rows, tmp_path_factory):
+    header = data.draw(st.lists(_TEXT_CELLS, min_size=len(kinds), max_size=len(kinds)))
+    pool = data.draw(st.lists(st.tuples(*(_COLUMN_CELLS[k] for k in kinds)),
+                              min_size=1, max_size=30))
+    # Cycling a pool of distinct rows makes a dropped or repeated row at a
+    # chunk boundary change the bytes.
+    rows = [pool[i % len(pool)] for i in range(n_rows)]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_csv(path, header, rows)
+    assert path.read_bytes() == _csv_module_bytes(header, rows)
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["word"], [("a",), ("",), ("b",)]),
+    ([""], [("",)] * (_CHUNK + 1)),
+    (["a", "b"], [("", ""), ("\r", "x\ry")]),
+])
+def test_write_csv_single_empty_cell_and_carriage_return(header, rows, tmp_path):
+    cli._write_csv(tmp_path / "t.csv", header, rows)
+    assert (tmp_path / "t.csv").read_bytes() == _csv_module_bytes(header, rows)
 
 
 def test_cli_import_loads_no_scipy():

@@ -39,6 +39,16 @@ def test_rotate_rejects_out_of_range():
         il.rotate(w, -1)
 
 
+@pytest.mark.parametrize("symbols", [("0", "1"), ("ab", "c"), ("", "x", "yz")],
+                         ids=["single", "multi", "with-empty"])
+@pytest.mark.parametrize("h", [1, 37, 40, 41, 200])
+def test_word_repr_unchanged(symbols, h):
+    rng = np.random.default_rng(h)
+    w = il.Word(il.Alphabet(symbols), rng.integers(0, len(symbols), h))
+    body = w.text if w.h <= 40 else w.text[:37] + "..."
+    assert repr(w) == f"Word({body!r}, h={h})"
+
+
 def test_cat_stage_one(cat_schedule, cat_words):
     assert cat_words[1].text == CAT_W1
     assert cat_words[1].h == 18
