@@ -11,10 +11,8 @@ reports: combinatorial lower bound and exact marking).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -225,14 +223,17 @@ def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
     # q_n intact copies; every deeper stage splices rotated views of the list.
     segs: list[tuple[int, bool]] = [(h_n, True)] * schedule.stages[n].q
     for m in range(n + 1, n + r):
-        h_m = heights[m]
+        lengths = np.fromiter((L for L, _ in segs), dtype=np.int64, count=len(segs))
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
         rots = schedule.rotations_mod(m)
-        bounds = list(accumulate((L for L, _ in segs), initial=0))
+        idx = np.searchsorted(bounds, rots, side="right") - 1
+        offs = rots - bounds[idx]
+        # Each rotation contributes every segment, plus one more when its cut
+        # lands strictly inside a segment: the size is known before building.
+        size = rots.size * len(segs) + int(np.count_nonzero(offs))
+        refuse_above("segments of the body simulation", size, MAX_BODY_SEGMENTS)
         new_segs: list[tuple[int, bool]] = []
-        for beta in rots:
-            beta = int(beta)
-            i = bisect_right(bounds, beta) - 1
-            off = beta - bounds[i]
+        for i, off in zip(idx.tolist(), offs.tolist()):
             if off == 0:
                 new_segs.extend(segs[i:])
                 new_segs.extend(segs[:i])
@@ -242,7 +243,6 @@ def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
                 new_segs.extend(segs[i + 1:])
                 new_segs.extend(segs[:i])
                 new_segs.append((off, False))
-        refuse_above("segments of the body simulation", len(new_segs), MAX_BODY_SEGMENTS)
         segs = new_segs
 
     intact = sum(1 for L, alive in segs if alive and L == h_n)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
 
-#: Default bound for the running product of finite-measure ratios
+#: Bound for the running product of finite-measure ratios
 #: ``h_{n+1} / (q_n * h_n)``; schedules exceeding it fail validation.
 DEFAULT_MEASURE_CAP = 1000.0
 
@@ -349,7 +349,6 @@ def rank_one_schedule(
     seed_word: Word | None = None,
     seed: int | None = None,
     ratio: int = 4,
-    measure_cap: float = DEFAULT_MEASURE_CAP,
 ) -> Schedule:
     """Rank-one spacer families: all rotations zero, structure in the spacers.
 
@@ -360,7 +359,7 @@ def rank_one_schedule(
 
     The seed defaults to the single-letter word ``0`` over the binary alphabet
     with spacer symbol ``1``.  The finite-measure partial products are
-    validated against ``measure_cap``.
+    validated against ``DEFAULT_MEASURE_CAP``.
     """
     if seed_word is None:
         seed_word = word_from_text(BINARY_SPACER, "0")
@@ -391,10 +390,10 @@ def rank_one_schedule(
         stages.append(Stage(q=q, rotations=(0,) * q, spacers=spc))
         h_next = q * h + sum(spc)
         running *= h_next / (q * h)
-        if running > measure_cap:
+        if running > DEFAULT_MEASURE_CAP:
             raise ConfigurationError(
                 f"spacer mass after stage {n} inflates the measure by {running:.3g}"
-                f" > cap {measure_cap}; thin the spacers or raise measure_cap"
+                f" > cap {DEFAULT_MEASURE_CAP}; thin the spacers"
             )
         h = h_next
     return Schedule(

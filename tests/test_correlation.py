@@ -73,6 +73,19 @@ def test_fft_matches_direct(cat_words, cat_labels):
     assert np.max(np.abs(via_fft - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("h", [7, 64, 243, 1000])
+def test_direct_route_bitwise_equals_defining_sum(h):
+    # The direct route is ``correlation_at_lags`` at every lag; reference:
+    # the defining sum as one array divided by h.
+    rng = np.random.default_rng(h)
+    f, g = (il.LevelFunction(n=0, values=rng.standard_normal(h) + 1j * rng.standard_normal(h))
+            for _ in range(2))
+    for other in (f, g):
+        ref = np.array([np.vdot(np.roll(other.values, t), f.values) for t in range(h)]) / h
+        got = il.cyclic_correlation(f, None if other is f else other, method="direct").values
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("h", [2**14, 2**15, 2**16, 3**9, 10007])
 def test_fft_route_bitwise_equals_two_transform_product(h):
     # Reference: the two-transform product.  An out-of-place ``F * conj(F)``
@@ -322,6 +335,21 @@ def test_simplicity_bitwise_equals_reference(trit_word, trit_labels, seed, n, qs
     assert [repr(x) for x in got] == [repr(x) for x in ref]
 
 
+def test_simplicity_projects_once(trit_word, trit_labels, monkeypatch):
+    # One coordinate array: the signed chart of the level-(n+1) coordinates.
+    calls = []
+    real = il.correlation.project_all
+
+    def counting(pc, n, *args):
+        calls.append(n)
+        return real(pc, n, *args)
+
+    monkeypatch.setattr(il.correlation, "project_all", counting)
+    sch = il.random_schedule([9, 27, 5, 4], 1, trit_word)
+    il.simplicity_diagnostic(sch, trit_labels, 1, 4)
+    assert calls == [2]
+
+
 def test_simplicity_degenerate_depth(trit_word, trit_labels):
     sch = il.random_schedule([9], 2, trit_word)
     rep = il.simplicity_diagnostic(sch, trit_labels, 0, 0)
@@ -374,6 +402,20 @@ def test_severed_copy_imbalance_matches_three_blocks(trit_word, trit_labels, see
     assert predicted == pytest.approx(measured, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n, qs, depth", [(1, [9, 27, 5, 4, 3], 4), (1, [9, 27, 5, 4, 3], 5),
+                                          (2, [9, 27, 5, 4, 3], 5), (1, [9, 81, 7, 9], 4)])
+def test_severed_copy_imbalance_telescopes(trit_word, trit_labels, seed, n, qs, depth):
+    # Depths n+3 and n+4: stages above n+1 sever copies of W_{n+1} and
+    # deeper words too, and the junction windows telescope level by level.
+    sch = il.random_schedule(qs, seed, trit_word)
+    rep = il.simplicity_diagnostic(sch, trit_labels, n, depth)
+    measured = (rep.u2 - rep.v2) * rep.h_N
+    predicted = il.severed_copy_imbalance(sch, trit_labels, n, depth)
+    assert abs(measured) >= 1.0
+    assert abs(predicted - measured) <= 1e-9 * max(1.0, abs(measured))
+
+
 def test_severed_copy_imbalance_zero_when_intact(trit_word, trit_labels):
     # Stage-2 rotations on multiples of h_1: no copy is severed, the law
     # predicts no gap and the diagnostic balances at depth n + 2.
@@ -390,8 +432,8 @@ def test_severed_copy_imbalance_zero_one_stage_up(trit_word, trit_labels):
 
 def test_severed_copy_imbalance_preconditions(trit_word, trit_labels):
     deep = il.random_schedule([9, 27, 3, 3], 3, trit_word)
-    with pytest.raises(ConfigurationError, match="depth <= n"):
-        il.severed_copy_imbalance(deep, trit_labels, 1, 4)
+    with pytest.raises(ConfigurationError, match="n <= depth <= 4"):
+        il.severed_copy_imbalance(deep, trit_labels, 1, 5)
     spaced = il.Schedule(
         il.BINARY_SPACER,
         il.word_from_text(il.BINARY_SPACER, "001"),

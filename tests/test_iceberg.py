@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import icelab as il
-from icelab.errors import ConfigurationError
+from icelab.errors import ConfigurationError, ResourceRefusal
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +156,22 @@ def test_body_exact_ge_lower_random():
         sch = il.random_schedule(qs, int(rng.integers(0, 2**31)), w0)
         rep = il.body_report(sch, 0, depth)
         assert rep.exact_fraction >= rep.lower_bound - 1e-12
+
+
+def test_body_refuses_segments_before_building(monkeypatch):
+    # The third stage would splice 4,443,895 segments; the refusal comes from
+    # the computed count, before any of them is built (the list took 38 MB).
+    monkeypatch.setattr(il.iceberg, "MAX_BODY_SEGMENTS", 2000)
+    w0 = il.word_from_text(il.Alphabet(tuple("0123")), "0123" * 4)
+    sch = il.random_schedule([16, 64, 4096], 5, w0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceRefusal, match="simulation = 4443895 > 2000$"):
+            il.body_report(sch, 0, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_body_requires_pure_stages():

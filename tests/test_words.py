@@ -168,9 +168,9 @@ def test_ornstein_requires_seed():
 
 
 def test_measure_cap_enforced():
-    # Spacer mass must stay summable under the default cap.
-    with pytest.raises(ConfigurationError):
-        il.rank_one_schedule("ornstein", [2] * 400, seed=1, ratio=1, measure_cap=2.0)
+    # Spacer mass must stay summable under the cap.
+    with pytest.raises(ConfigurationError, match="> cap 1000"):
+        il.rank_one_schedule("ornstein", [2] * 400, seed=1, ratio=1)
 
 
 # ---------------------------------------------------------------------------
