@@ -56,14 +56,19 @@ class LevelFunction:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 or vals.size == 0:
             raise ConfigurationError("level function needs a non-empty 1-d value vector")
-        if self.zero_mean and abs(vals.sum()) > ZERO_MEAN_TOL * vals.size:
-            raise ConfigurationError("zero_mean flag set but values do not sum to zero")
+        if self.zero_mean:
+            _check_zero_mean(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
     def h(self) -> int:
         return int(self.values.size)
+
+
+def _check_zero_mean(values: np.ndarray) -> None:
+    if abs(values.sum()) > ZERO_MEAN_TOL * values.size:
+        raise ConfigurationError("zero_mean flag set but values do not sum to zero")
 
 
 def lift(
@@ -75,6 +80,11 @@ def lift(
     positions are forced to 0.  With ``zero_mean`` the mean over non-spacer
     positions is subtracted there (spacers stay 0, the total sum becomes 0).
     """
+    return LevelFunction(n=n, values=_lifted_values(labels, word, zero_mean), zero_mean=zero_mean)
+
+
+def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool) -> np.ndarray:
+    """The values ``lift`` wraps, as a fresh writable array the caller owns."""
     alpha = word.alphabet
     spacer = alpha.spacer_index
     table = np.zeros(len(alpha.symbols), dtype=np.complex128)
@@ -98,7 +108,7 @@ def lift(
             mask = word.symbols != spacer
             if mask.any():
                 values = np.where(mask, values - values[mask].mean(), 0.0)
-    return LevelFunction(n=n, values=values, zero_mean=zero_mean)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +141,43 @@ def cyclic_correlation(
     The transform route computes ``ifft(fft(f) * conj(fft(g))) / h``, with
     one forward transform for an autocorrelation; the direct route is
     ``correlation_at_lags`` at every lag, the defining O(h^2) sum, and serves
-    as the oracle (the two agree to 1e-10 relative).
+    as the oracle (the two agree to 1e-10 relative).  An autocorrelation
+    transforms a copy of ``f.values`` in place, so ``f`` is never
+    overwritten; ``decay_profile`` hands the same route a lift it owns and
+    skips the copy.
     """
     if method == "direct":
         return CorrelationSeries(n=f.n, values=correlation_at_lags(f, g, range(f.h)))
     if method != "fft":
         raise ConfigurationError(f"unknown correlation method {method!r}")
-    other = f if g is None else g
-    if f.n != other.n or f.h != other.h:
+    if g is None:
+        return CorrelationSeries(n=f.n, values=_autocorrelate_owned(f.values.copy()))
+    if f.n != g.n or f.h != g.h:
         raise ConfigurationError("correlation needs two functions at the same stage")
-    # One forward transform when g is f.  The product is formed in place:
-    # an out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
     cross = np.fft.fft(f.values)
-    cross *= np.conj(cross if g is None else np.fft.fft(g.values))
+    cross *= np.conj(np.fft.fft(g.values))
     # Inverting into ``cross`` (``out=`` needs numpy >= 2.0) keeps one
     # length-h result alive; the values are bitwise those of ``ifft(cross) / h``.
     vals = np.fft.ifft(cross, out=cross)
     vals /= f.h
     return CorrelationSeries(n=f.n, values=vals)
+
+
+def _autocorrelate_owned(buf: np.ndarray) -> np.ndarray:
+    """``ifft(|fft(buf)|^2) / h`` computed in ``buf``, which is returned.
+
+    ``buf`` must be a writable complex128 vector the caller owns: each stage
+    (forward transform, product with its conjugate, inverse transform,
+    scaling) overwrites it, so no second length-h result is ever alive.  The
+    values are bitwise those of the two-transform ``ifft(fft(buf) *
+    conj(fft(buf))) / h``; the product must stay in place, because an
+    out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
+    """
+    np.fft.fft(buf, out=buf)
+    buf *= np.conj(buf)
+    np.fft.ifft(buf, out=buf)
+    buf /= buf.size
+    return buf
 
 
 def correlation_at_lags(
@@ -230,6 +259,12 @@ def decay_profile(
     Labels are lifted with mean subtraction (a no-op when they are already
     zero-mean).  Requires a pure schedule and at least three stages for the
     least-squares fit of ``log statistic`` against ``log h_n``.
+
+    Each stage's lift is a buffer this function owns: it is checked to be
+    zero-mean as ``LevelFunction`` would check it, then transformed in place
+    into the correlation series, and ``W_n`` is dropped once it is lifted.
+    So at most one length-``h_n`` complex array (plus the FFT's own
+    workspace) is alive at a time.
     """
     if n_hi - n_lo + 1 < 3:
         raise ConfigurationError("decay fit needs at least 3 stages")
@@ -244,9 +279,11 @@ def decay_profile(
     words = build_word(schedule, n_hi, force=force)
     rows = []
     for n in range(n_lo, n_hi + 1):
-        f = lift(labels, words[n], n, zero_mean=True)
-        series = cyclic_correlation(f).values
-        h = f.h
+        buf = _lifted_values(labels, words[n], zero_mean=True)
+        words[n] = None  # W_n is not read again once lifted
+        _check_zero_mean(buf)
+        series = _autocorrelate_owned(buf)
+        h = series.size
         sel = np.abs(series[h // 4: 3 * h // 4 + 1])
         rows.append(
             StageDecay(

@@ -479,3 +479,19 @@ def test_simplicity_peak_rss_per_symbol(tmp_path):
     run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     per_symbol = (run - bare) / (3 * 9 * 729 * 16 * 7)
     assert per_symbol < 80, f"{per_symbol:.1f} B per symbol"
+
+
+@linux_only
+def test_decay_peak_rss_per_symbol(tmp_path):
+    # h_N = 2^21.  Each stage's lift (16 B per symbol) is transformed in
+    # place, and numpy's FFT takes about two more complex arrays of scratch
+    # (32 B): 16 + 32 = 48, about 51 B per symbol above a bare import.  The
+    # bound sits below the 71 B taken when the lift, its transform and the
+    # words all stay alive through the forward FFT.
+    argv = ["decay", "--family", "random", "--qs", "64,64,32", "--seed", "5",
+            "--seed-word", "0123" * 4, "--alphabet", "0123", "--labels", "0=1,1=1j,2=-1,3=-1j",
+            "--from-stage", "0", "--to-stage", "3", "--out", str(tmp_path / "o")]
+    bare = _peak_rss_bytes("import icelab.cli")
+    run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    per_symbol = (run - bare) / (16 * 64 * 64 * 32)
+    assert per_symbol < 62, f"{per_symbol:.1f} B per symbol"

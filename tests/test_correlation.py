@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import icelab as il
+from icelab import correlation as corr
 from icelab.errors import ConfigurationError
 
 from conftest import OMEGA, intact_twin
@@ -93,10 +94,19 @@ def test_fft_route_bitwise_equals_two_transform_product(h):
     rng = np.random.default_rng(h)
     f, g = (il.LevelFunction(n=0, values=rng.standard_normal(h) + 1j * rng.standard_normal(h))
             for _ in range(2))
+    before = f.values.tobytes()
     for other in (f, g):
         ref = np.fft.ifft(np.fft.fft(f.values) * np.conj(np.fft.fft(other.values))) / h
         got = il.cyclic_correlation(f, None if other is f else other).values
         assert got.tobytes() == ref.tobytes()
+    # The autocorrelation transformed a copy: f is untouched.
+    assert f.values.tobytes() == before
+    # The in-place route decay_profile uses gives the same bits, in the
+    # buffer it was handed.
+    ref = np.fft.ifft(np.fft.fft(f.values) * np.conj(np.fft.fft(f.values))) / h
+    buf = f.values.copy()
+    assert corr._autocorrelate_owned(buf) is buf
+    assert buf.tobytes() == ref.tobytes()
 
 
 def test_delta_correlation():
@@ -209,6 +219,41 @@ def test_decay_profile_fields(trit_word, trit_labels):
     assert prof.predicted_ratios == (2 / 27, 2 / 27)
     for s in prof.stages:
         assert s.max >= s.median >= 0
+
+
+def test_decay_large_h_matches_two_transform_reference():
+    # h_3 = 2^17, above the h >= 16384 where product routes can differ in the
+    # last bit.  The reference lifts through ``LevelFunction`` and forms the
+    # two-transform product out of place; every reported float must agree to
+    # the last digit of its repr.  Labels are not zero-mean, so the lift's
+    # mean subtraction and the zero-mean check both run.
+    sch = il.random_schedule([32, 32, 32], 11, il.word_from_text(il.DNA, "ACGT"))
+    labels = {"A": 1.0, "C": 0.5j, "G": -0.25, "T": 2 - 1j}
+    prof = il.decay_profile(sch, labels, 0, 3)
+    assert prof.stages[-1].h == 2**17
+    words = il.build_word(sch)
+    stats = []
+    for n, stage in enumerate(prof.stages):
+        f = il.lift(labels, words[n], n, zero_mean=True)
+        h = f.h
+        series = np.fft.ifft(np.fft.fft(f.values) * np.conj(np.fft.fft(f.values))) / h
+        sel = np.abs(series[h // 4: 3 * h // 4 + 1])
+        ref = il.StageDecay(n=n, h=h, max=float(sel.max()), median=float(np.median(sel)),
+                            rms=float(np.sqrt(np.mean(sel**2))), variance=float(np.mean(sel**2)))
+        for field in ("n", "h", "max", "median", "rms", "variance"):
+            assert repr(getattr(stage, field)) == repr(getattr(ref, field)), (n, field)
+        stats.append(ref.median)
+    slope = float(np.polyfit(np.log([s.h for s in prof.stages]), np.log(stats), 1)[0])
+    assert repr(prof.slope) == repr(slope)
+
+
+def test_decay_checks_zero_mean_of_its_lift(monkeypatch, trit_word, trit_labels):
+    # decay_profile transforms a lift it owns rather than a LevelFunction;
+    # the zero-mean check still runs on it (a negative tolerance fails it).
+    monkeypatch.setattr(corr, "ZERO_MEAN_TOL", -1.0)
+    sch = il.random_schedule([9, 9], 5, trit_word)
+    with pytest.raises(ConfigurationError, match="zero_mean"):
+        il.decay_profile(sch, trit_labels, 0, 2)
 
 
 def test_decay_requires_three_stages(trit_word, trit_labels):
