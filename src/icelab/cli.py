@@ -185,13 +185,26 @@ def _parse_labels(text: str) -> dict[str, complex]:
     return labels
 
 
+def _copy_counts(option: str, text: str, force: bool) -> list[int]:
+    """Copies per stage from a comma list, each refused above ``MAX_SYMBOLS`` before any draw.
+
+    A stage of ``q`` copies draws ``q`` rotations and makes a word of at
+    least ``q`` symbols.
+    """
+    try:
+        qs = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{option} {text!r} is not a comma list of integers") from None
+    for q in qs:
+        refuse_above(f"{option} entry (copies per stage)", q, MAX_SYMBOLS, force)
+    return qs
+
+
 def _parse_qs(args) -> list[int]:
     if args.qs:
-        try:
-            return [int(tok) for tok in args.qs.split(",")]
-        except ValueError:
-            raise ConfigurationError(f"--qs {args.qs!r} is not a comma list of integers") from None
+        return _copy_counts("--qs", args.qs, args.force)
     if args.q is not None and args.depth is not None:
+        refuse_above("--q (copies per stage)", args.q, MAX_SYMBOLS, args.force)
         return [args.q] * args.depth
     raise ConfigurationError("family needs --qs or --q with --depth")
 
@@ -639,15 +652,13 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
     if args.task == "jumps":
         if args.h is None or not args.q_list:
             raise ConfigurationError("jumps task needs --h and --q-list")
-        qs = [int(t) for t in args.q_list.split(",")]
+        qs = _copy_counts("--q-list", args.q_list, args.force)
 
         def run_jump(seed: int) -> list[tuple]:
             out = []
             for idx, q in enumerate(qs):
                 rng = np.random.default_rng([seed, idx])
-                st = words_mod.Stage(
-                    q=q, rotations=tuple(int(a) for a in rng.integers(0, args.h, q))
-                )
+                st = words_mod.Stage(q=q, rotations=rng.integers(0, args.h, q).tolist())
                 dev = ice.jump_uniformity_deviation(ice.jump_matrix(st, args.h))
                 out.append((seed, "", q, dev))
             return out

@@ -20,7 +20,9 @@ new.
 
 from __future__ import annotations
 
-#: Words and coordinate arrays: positions of the materialised truncation.
+#: Words and coordinate arrays: positions of the materialised truncation.  The
+#: command line also refuses a stage of more copies (``--qs``, ``--q``,
+#: ``--q-list``) before drawing it: q copies make a word of at least q symbols.
 MAX_SYMBOLS = 10_000_000
 
 #: Points of a spectral evaluation grid.

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import MAX_BODY_SEGMENTS, ConfigurationError, refuse_above
-from .words import Schedule, Stage
+from .words import Schedule, Stage, _count_rank_rows
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +69,7 @@ def from_stage(schedule: Schedule, n: int, *, allow_spacers: bool = False) -> Ic
         )
     h = schedule.height(n)
     vals, cnts = np.unique(schedule.rotations_mod(n), return_counts=True)
-    counts = tuple((int(k), int(c)) for k, c in zip(vals, cnts))
+    counts = tuple(zip(vals.tolist(), cnts.tolist()))
     return Iceberg(h=h, q=st.q, counts=counts, cyclic=st.pure)
 
 
@@ -120,7 +121,7 @@ class JumpMatrix:
     cells: tuple[tuple[int, int, int], ...]  # sorted (a, b, count) triples
 
     def __post_init__(self) -> None:
-        if sum(c for _, _, c in self.cells) != self.q:
+        if sum(map(itemgetter(2), self.cells)) != self.q:
             raise ConfigurationError("jump-matrix cells must sum to q")
 
     def row_sums(self) -> dict[int, int]:
@@ -134,13 +135,18 @@ class JumpMatrix:
 
 
 def jump_matrix(st: Stage, h: int) -> JumpMatrix:
-    """Jump matrix of a stage acting at height ``h``."""
+    """Jump matrix of a stage acting at height ``h``.
+
+    The cut values are replaced by their ranks among the at most ``q``
+    distinct values, so the pairs are counted by one 1-d sort of keys below
+    ``q**2``, whatever ``h`` is.
+    """
     if h < 1:
         raise ConfigurationError("height must be positive")
     al = np.asarray(st.rotations, dtype=np.int64) % h
-    nxt = np.roll(al, -1)
-    pairs, cnts = np.unique(np.stack([al, nxt], axis=1), axis=0, return_counts=True)
-    cells = tuple((int(a), int(b), int(c)) for (a, b), c in zip(pairs, cnts))
+    values, ranks = np.unique(al, return_inverse=True)
+    (a, b), counts = _count_rank_rows((ranks, np.roll(ranks, -1)), values.size)
+    cells = tuple(zip(values[a].tolist(), values[b].tolist(), counts.tolist()))
     return JumpMatrix(h=h, q=st.q, cells=cells)
 
 
@@ -150,11 +156,11 @@ def jump_uniformity_deviation(jm: JumpMatrix) -> float:
     ``sum_a (row_a / q) * sum_b |N[a][b]/row_a - 1/h|`` with empty rows
     skipped; exact, value in ``[0, 2)``.
     """
-    cells = np.array(jm.cells, dtype=np.int64)
-    sources, row_of = np.unique(cells[:, 0], return_inverse=True)
+    a, _, c = (np.array(col, dtype=np.int64) for col in zip(*jm.cells))
+    sources, row_of = np.unique(a, return_inverse=True)
     row_sums = np.zeros(sources.size, dtype=np.int64)
-    np.add.at(row_sums, row_of, cells[:, 2])
-    return _l1_from_uniform(cells[:, 2], row_sums[row_of], jm.h, jm.q)
+    np.add.at(row_sums, row_of, c)
+    return _l1_from_uniform(c, row_sums[row_of], jm.h, jm.q)
 
 
 # ---------------------------------------------------------------------------

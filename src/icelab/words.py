@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -125,6 +127,10 @@ class Stage:
     ``rotations[y]`` is the rotation applied to copy ``y`` (reduced mod the
     current height at application time); ``spacers[y]`` is the number of
     spacer symbols appended after copy ``y``.
+
+    All three fields hold Python ints.  Integers of any kind are accepted
+    (numpy integer scalars and arrays included); a float, a string or any
+    other non-integer is refused, never truncated.
     """
 
     q: int
@@ -132,28 +138,35 @@ class Stage:
     spacers: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.q < 1:
+        try:
+            q = operator.index(self.q)
+            rot = tuple(map(operator.index, self.rotations))
+            spc = tuple(map(operator.index, self.spacers))
+        except TypeError as exc:
+            raise ConfigurationError(f"stage fields must be integers: {exc}") from None
+        if q < 1:
             raise ConfigurationError("stage needs q >= 1")
-        rot = tuple(int(a) for a in self.rotations)
-        spc = tuple(int(s) for s in self.spacers) if self.spacers else (0,) * self.q
-        if len(rot) != self.q:
+        spc = spc or (0,) * q
+        if len(rot) != q:
             raise ConfigurationError("stage needs exactly q rotations")
-        if len(spc) != self.q:
+        if len(spc) != q:
             raise ConfigurationError("stage needs exactly q spacer counts")
-        if any(a < 0 for a in rot):
+        if min(rot) < 0:
             raise ConfigurationError("rotations must be non-negative")
-        if any(s < 0 for s in spc):
+        if min(spc) < 0:
             raise ConfigurationError("spacer counts must be non-negative")
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "spacers", spc)
 
     @property
     def pure(self) -> bool:
         """True when the stage inserts no spacers."""
-        return all(s == 0 for s in self.spacers)
+        return self.total_spacers == 0
 
-    @property
+    @cached_property
     def total_spacers(self) -> int:
+        """Sum of the spacer runs, computed once (the fields are frozen)."""
         return sum(self.spacers)
 
 
@@ -283,13 +296,48 @@ def subword_distribution(word: Word, length: int) -> dict[str, Fraction]:
     if not 1 <= length <= h:
         raise ConfigurationError(f"subword length {length} outside [1, {h}]")
     windows = np.lib.stride_tricks.sliding_window_view(word.symbols, length)
-    uniq, counts = np.unique(windows, axis=0, return_counts=True)
+    columns, counts = _count_rank_rows(windows.T, len(word.alphabet.symbols))
+    symbols = word.alphabet.symbols
     total = h - length + 1
-    out: dict[str, Fraction] = {}
-    for row, c in zip(uniq, counts):
-        key = "".join(word.alphabet.symbols[i] for i in row)
-        out[key] = Fraction(int(c), total)
-    return out
+    rows = zip(*(col.tolist() for col in columns))
+    return {
+        "".join(symbols[i] for i in row): Fraction(c, total)
+        for row, c in zip(rows, counts.tolist())
+    }
+
+
+def _count_rank_rows(
+    ranks: Sequence[np.ndarray], bound: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Distinct rows of rank columns with their counts, in lexicographic order.
+
+    ``ranks`` are equal-length integer columns with entries in ``[0, bound)``.
+    The result is ``np.unique(np.stack(ranks, axis=1), axis=0,
+    return_counts=True)`` with the distinct rows split into columns, at the
+    cost of 1-d sorts: the columns are folded from the left into one key,
+    ``key * bound + rank``, which orders rows as their columns do.  Before
+    each fold after the first, the key is replaced by its rank among the
+    distinct prefixes, so it stays below the number of rows and no folded key
+    reaches ``max(rows, bound) * bound``: int64 holds it whatever values the
+    ranks stand for.
+    """
+    key = np.asarray(ranks[0], dtype=np.int64)
+    prefixes = []  # the distinct folded keys behind each re-ranked prefix
+    for j in range(1, len(ranks)):
+        if j > 1:
+            distinct, key = np.unique(key, return_inverse=True)
+            prefixes.append(distinct)
+        key = key * bound + ranks[j]
+    keys, counts = np.unique(key, return_counts=True)
+    columns = []  # unfolded from the last column back to the first
+    for distinct in reversed(prefixes):
+        columns.append(keys % bound)
+        keys = distinct[keys // bound]
+    if len(ranks) > 1:
+        columns.append(keys % bound)
+        keys = keys // bound
+    columns.append(keys)
+    return columns[::-1], counts
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +383,7 @@ def random_schedule(qs: Sequence[int], seed: int, seed_word: Word) -> Schedule:
             raise ConfigurationError("random stage needs q >= 1")
         rng = np.random.default_rng([int(seed), n])
         rot = rng.integers(0, h, size=int(q))
-        stages.append(Stage(q=int(q), rotations=tuple(int(a) for a in rot)))
+        stages.append(Stage(q=int(q), rotations=rot.tolist()))
         h *= int(q)
     return Schedule(
         seed_word.alphabet, seed_word, tuple(stages), family_tag="random", rng_seed=int(seed)
@@ -421,8 +469,8 @@ def schedule_to_dict(schedule: Schedule) -> dict:
         "stages": [
             {
                 "q": st.q,
-                "rotations": [int(a) for a in st.rotations],
-                "spacers": [int(s) for s in st.spacers],
+                "rotations": list(st.rotations),
+                "spacers": list(st.spacers),
             }
             for st in schedule.stages
         ],
@@ -443,11 +491,7 @@ def schedule_from_dict(data: Mapping) -> Schedule:
         )
         seed = word_from_text(alpha, data["seed_word"])
         stages = tuple(
-            Stage(
-                q=int(st["q"]),
-                rotations=tuple(int(a) for a in st["rotations"]),
-                spacers=tuple(int(s) for s in st.get("spacers", [])),
-            )
+            Stage(q=st["q"], rotations=st["rotations"], spacers=st.get("spacers", ()))
             for st in data["stages"]
         )
         tag = data.get("family_tag", "custom")

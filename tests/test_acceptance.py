@@ -311,6 +311,10 @@ GOLDEN_RUNS = {
               "--coding-level", "1"],
     "geometry": ["geometry", "--family", "random", "--qs", "6,16", "--seed", "5", "--seed-word",
                  "0123", "--alphabet", "0123", "--body-base", "0", "--body-depth", "2"],
+    # Stage 3 cuts a tower of h = 2**34 into 3000 copies, so its 3000 jump
+    # cells hold cut values above 2**32.
+    "geometry-deep": ["geometry", "--family", "random", "--qs", "2048,2048,1024,3000",
+                      "--seed", "11", "--seed-word", "0123", "--alphabet", "0123"],
     "correlate": ["correlate", "--family", "random", "--qs", "4,4,8", "--seed", "3", "--seed-word",
                   "01", "--alphabet", "01", "--labels", "0=1,1=-1", "--check-recursion"],
     "decay": ["decay", "--family", "random", "--qs", "16,16,8", "--seed", "7", "--seed-word",
@@ -351,6 +355,10 @@ GOLDEN_SHA256 = {
     "geometry": {
         "columns.csv": "f972bde13d722cc852a3c191658e7941f0caa8ac8f040efc91f1bcc5c3cf51b2",
         "geometry.json": "027c49e3e8372b10046d11ad3ffa63016cbdeaf54eef4bc0f9368ba48f1c2fd5",
+    },
+    "geometry-deep": {
+        "columns.csv": "4718788e875311f891ebeca8ff09bace0fbb17768cfaafc0c6e48a944dc51772",
+        "geometry.json": "42b98919c7ab11d741b6d00f217b2e66530af3d1b430df44220cfebd431f2f36",
     },
     "correlate": {
         "correlation.csv": "8131bd7bc26303fabe80de6cd27c45c789764e5a136724b5a0bc95d5f2101209",

@@ -293,6 +293,31 @@ def test_failed_run_leaves_no_outputs(argv, existing, tmp_path, capsys):
     assert capsys.readouterr().out == "", "a failed run printed its summary line"
 
 
+def test_schedule_file_with_a_fractional_rotation_exits_2(cat_file, tmp_path):
+    doc = json.loads(cat_file.read_text(encoding="utf-8"))
+    doc["stages"][0]["rotations"][1] = 2.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.run(["geometry", "--schedule", str(bad), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--family", "random", "--qs", "16,10000001", "--seed", "1"],
+    ["build", "--family", "random", "--q", "10000001", "--depth", "1", "--seed", "1"],
+    ["ensemble", "--task", "jumps", "--seeds", "2", "--h", "16", "--q-list", "10000001"],
+], ids=["qs", "q", "q-list"])
+def test_oversized_copy_count_exits_3_before_any_draw(argv, tmp_path, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stage was drawn before the copy-count guard refused")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    out = tmp_path / "o"
+    assert cli.run(argv + ["--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
 def test_outdir_env_default(cat_file, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))

@@ -70,3 +70,13 @@ def test_only_the_chain_word_forces_a_build():
                    and kw.value.value is True for kw in call.keywords)
 
     assert _module_calls(forces) == [("dynamics", "word")]
+
+
+def test_no_row_wise_unique():
+    # Distinct rows are counted on rank-folded 1-d keys (words._count_rank_rows);
+    # np.unique(..., axis=0) sorts whole rows and was the jump matrix's bottleneck.
+    def row_wise_unique(call: ast.Call) -> bool:
+        return (isinstance(call.func, ast.Attribute) and call.func.attr == "unique"
+                and any(kw.arg == "axis" for kw in call.keywords))
+
+    assert _module_calls(row_wise_unique) == []

@@ -98,6 +98,28 @@ def test_jump_deviation_single_copy():
     assert dev == pytest.approx(2 * (1 - 1 / 8))
 
 
+def _row_unique_cells(st_: il.Stage, h: int) -> tuple[tuple[int, int, int], ...]:
+    """Jump cells by a row-wise ``np.unique`` of the (cut, next cut) pairs (the reference)."""
+    al = np.asarray(st_.rotations, dtype=np.int64) % h
+    pairs, cnts = np.unique(np.stack([al, np.roll(al, -1)], axis=1), axis=0, return_counts=True)
+    return tuple((int(a), int(b), int(c)) for (a, b), c in zip(pairs, cnts))
+
+
+@given(
+    h=st.one_of(st.integers(1, 64), st.integers(2**31, 2**40), st.integers(1, 2**40)),
+    q=st.integers(1, 3000),
+    distinct=st.one_of(st.integers(1, 4), st.integers(1, 4000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_jump_matrix_matches_row_unique_reference(h, q, distinct, seed):
+    # Rotations come from a pool of `distinct` values in [0, 2**40), so ties are
+    # common when the pool is small; above h = 2**31.5 a key a*h + b overflows int64.
+    rng = np.random.default_rng(seed)
+    st_ = il.Stage(q, rng.choice(rng.integers(0, 2**40, distinct), q))
+    assert il.jump_matrix(st_, h).cells == _row_unique_cells(st_, h)
+
+
 def test_jump_deviation_decreases_with_q():
     rng = np.random.default_rng(0)
     h = 16

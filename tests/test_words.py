@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,66 @@ def test_subword_distribution_catcat():
 def test_subword_distribution_sums_to_one(cat_words):
     dist = il.subword_distribution(cat_words[1], 2)
     assert sum(dist.values()) == 1
+
+
+def _row_unique_subwords(word: il.Word, length: int) -> dict[str, Fraction]:
+    """Subword frequencies by a row-wise ``np.unique`` of the windows (the reference)."""
+    windows = np.lib.stride_tricks.sliding_window_view(word.symbols, length)
+    uniq, counts = np.unique(windows, axis=0, return_counts=True)
+    total = word.h - length + 1
+    return {"".join(word.alphabet.symbols[i] for i in row): Fraction(int(c), total)
+            for row, c in zip(uniq, counts)}
+
+
+@given(
+    h=st.integers(1, 300),
+    letters=st.sampled_from([2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_subword_distribution_matches_row_unique_reference(h, letters, seed, data):
+    # Two letters make repeated windows common; beyond length 31 the folded
+    # window key of four letters would pass 4**32 and wrap without re-ranking.
+    w = il.Word(il.DNA, np.random.default_rng(seed).integers(0, letters, h))
+    length = data.draw(st.integers(1, h))
+    got = il.subword_distribution(w, length)
+    assert list(got.items()) == list(_row_unique_subwords(w, length).items())
+
+
+# ---------------------------------------------------------------------------
+# Stage fields
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(q=2, rotations=(0.7, 1.2)),
+    dict(q=2, rotations=np.array([0.0, 1.0])),
+    dict(q=2, rotations=("0", "1")),
+    dict(q=2, rotations=(0, 1), spacers=(0.5, 0)),
+    dict(q=2, rotations=(0, 1), spacers="12"),
+    dict(q=2.0, rotations=(0, 1)),
+    dict(q=1, rotations=3),
+], ids=["float-rotations", "float-array", "str-rotations", "float-spacers", "str-spacers",
+        "float-q", "scalar-rotations"])
+def test_stage_refuses_non_integers(kwargs):
+    with pytest.raises(ConfigurationError, match="stage fields must be integers"):
+        il.Stage(**kwargs)
+
+
+def test_stage_accepts_numpy_integer_arrays():
+    st_ = il.Stage(np.int64(2), np.array([0, 1]), np.array([1, 2], dtype=np.uint8))
+    assert st_ == il.Stage(2, (0, 1), (1, 2))
+    assert all(type(v) is int for v in (st_.q,) + st_.rotations + st_.spacers)
+    assert st_.total_spacers == 3 and not st_.pure
+    assert il.Stage(2, np.array([1, 0]), np.zeros(2, dtype=np.int32)).pure
+
+
+def test_schedule_document_refuses_a_fractional_rotation(cat_schedule):
+    doc = json.loads(il.schedule_to_json(cat_schedule))
+    doc["stages"][1]["rotations"][0] = 2.5
+    with pytest.raises(ConfigurationError, match="stage fields must be integers"):
+        il.schedule_from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
