@@ -24,7 +24,9 @@ import os
 import shutil
 import sys
 import tempfile
+import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -80,6 +82,41 @@ def _csv_lines(rows: list[tuple], text: list[bool]) -> str:
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_span(fh, rows: list[tuple], text: list[bool], lo: int, hi: int) -> None:
+    """Rows ``lo:hi`` as UTF-8 csv lines, a chunk at a time; ``hi`` ends a chunk or the rows."""
+    for start in range(lo, hi, _CSV_CHUNK):
+        fh.write(_csv_lines(rows[start:start + _CSV_CHUNK], text).encode("utf-8"))
+
+
+def _fork_span(part, rows: list[tuple], text: list[bool], lo: int, hi: int) -> int:
+    """Fork a worker that writes rows ``lo:hi`` into ``part``; returns its pid.
+
+    The worker leaves only through ``os._exit``, whatever it raises, so it
+    never returns into the command, never publishes and never removes the
+    staging directory.  Its status is 0 once the whole span is in ``part``.
+    """
+    pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        _write_span(part, rows, text, lo, hi)
+        part.flush()
+        status = 0
+    except BaseException:  # the worker's last frame: report, then leave by os._exit
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
     """Write ``header`` and ``rows`` with the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
 
@@ -88,15 +125,39 @@ def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
     such as ``np.float64`` (a ``float`` subclass) would appear as
     ``np.float64(...)``.  Every column is homogeneous, so checking the first
     row suffices, and the first row also says which columns are text.
+
+    Formatting holds the GIL, so the chunks are split into one contiguous
+    span per usable CPU: this process writes the first, a forked worker writes
+    each other one into an anonymous temporary file, and the parts are
+    appended in order.  Every chunk is formatted as it would be alone, so the
+    bytes do not depend on the split.  One chunk, one CPU or no ``os.fork``
+    means one span and no worker.  No pool thread is alive at a fork:
+    ``_fan_out``'s pool has shut down before any command writes.
     """
     if rows and any(type(v) not in (int, float, str) for v in rows[0]):
         kinds = ", ".join(type(v).__name__ for v in rows[0])
         raise TypeError(f"{path.name}: cells must be int, float or str, got ({kinds})")
     text = [type(v) is str for v in rows[0]] if rows else []
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_lines([tuple(header)], [True] * len(header)))
-        for lo in range(0, len(rows), _CSV_CHUNK):
-            fh.write(_csv_lines(rows[lo:lo + _CSV_CHUNK], text))
+    chunks = -(-len(rows) // _CSV_CHUNK)
+    workers = max(1, min(_usable_cpus(), chunks)) if hasattr(os, "fork") else 1
+    cuts = [min(chunks * i // workers * _CSV_CHUNK, len(rows)) for i in range(workers + 1)]
+    with open(path, "wb") as fh, ExitStack() as parts:
+        fh.write(_csv_lines([tuple(header)], [True] * len(header)).encode("utf-8"))
+        fh.flush()
+        children = []
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                part = parts.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                children.append((_fork_span(part, rows, text, lo, hi), part))
+            _write_span(fh, rows, text, cuts[0], cuts[1])
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        for (_, part), status in zip(children, statuses):
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"{path.name}: a csv writer worker exited with status {code}")
+            part.seek(0)
+            shutil.copyfileobj(part, fh)
 
 
 def _jsonable(value):
@@ -185,16 +246,21 @@ def _parse_labels(text: str) -> dict[str, complex]:
     return labels
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    """The integers of a comma list; a token that is not one is a configuration error."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{option} {text!r} is not a comma list of integers") from None
+
+
 def _copy_counts(option: str, text: str, force: bool) -> list[int]:
     """Copies per stage from a comma list, each refused above ``MAX_SYMBOLS`` before any draw.
 
     A stage of ``q`` copies draws ``q`` rotations and makes a word of at
     least ``q`` symbols.
     """
-    try:
-        qs = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigurationError(f"{option} {text!r} is not a comma list of integers") from None
+    qs = _int_list(option, text)
     for q in qs:
         refuse_above(f"{option} entry (copies per stage)", q, MAX_SYMBOLS, force)
     return qs
@@ -545,8 +611,7 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
             raise ConfigurationError("flat mode needs --exp-n")
         grid = _grid_from_args(args, args.force) if args.line else spx.LineGrid(1.0, 2.0, 10001)
         rows = []
-        for tok in args.exp_n.split(","):
-            n = int(tok)
+        for n in _int_list("--exp-n", args.exp_n):
             fs = spx.exp_frequency_set(n, args.eps)
             pg = spx.eval_polynomial(fs, grid, "M_R")
             metrics = spx.flatness_metrics(pg)
@@ -561,7 +626,7 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
     if args.mode == "merit":
         labels = _labels_or_error(args)
         stages = (
-            [int(t) for t in args.merit_stages.split(",")]
+            _int_list("--merit-stages", args.merit_stages)
             if args.merit_stages
             else list(range(sch.depth + 1))
         )

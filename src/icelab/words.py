@@ -19,6 +19,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -374,17 +375,22 @@ def random_schedule(qs: Sequence[int], seed: int, seed_word: Word) -> Schedule:
 
     Deterministic for a given seed: stage ``n`` draws from
     ``numpy.random.default_rng([seed, n])`` so stages are independent and the
-    split is reproducible.
+    split is reproducible.  Rotations are drawn as int64, so every drawn-from
+    height ``h_n`` (all but the top one) must be at most ``2**63``; a taller
+    schedule is refused before any draw.
     """
+    qs = [int(q) for q in qs]
+    if min(qs, default=1) < 1:
+        raise ConfigurationError("random stage needs q >= 1")
+    heights = list(accumulate(qs, operator.mul, initial=seed_word.h))
+    tall = [n for n, h in enumerate(heights[:-1]) if h > 2**63]
+    if tall:
+        raise ConfigurationError(f"random stage {tall[0]} has height {heights[tall[0]]} > 2**63, "
+                                 "but its rotations are drawn as int64")
     stages = []
-    h = seed_word.h
-    for n, q in enumerate(qs):
-        if q < 1:
-            raise ConfigurationError("random stage needs q >= 1")
-        rng = np.random.default_rng([int(seed), n])
-        rot = rng.integers(0, h, size=int(q))
-        stages.append(Stage(q=int(q), rotations=rot.tolist()))
-        h *= int(q)
+    for n, (q, h) in enumerate(zip(qs, heights)):
+        rot = np.random.default_rng([int(seed), n]).integers(0, h, size=q)
+        stages.append(Stage(q=q, rotations=rot.tolist()))
     return Schedule(
         seed_word.alphabet, seed_word, tuple(stages), family_tag="random", rng_seed=int(seed)
     )

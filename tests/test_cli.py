@@ -249,6 +249,17 @@ def test_thread_pool_is_opened_in_one_place():
     assert _module_calls(opens_pool) == [("cli", "_fan_out")]
 
 
+def test_fork_is_called_in_one_place():
+    # The csv writer's workers are the only child processes the library forks.
+    from test_errors import _module_calls
+
+    def forks(call) -> bool:
+        return (getattr(call.func, "attr", None) == "fork"
+                and getattr(call.func.value, "id", None) == "os")
+
+    assert _module_calls(forks) == [("cli", "_fork_span")]
+
+
 def test_rank_over_the_sweep_cap_exits_3(tmp_path):
     # 140,000 rotations drawn from [0, 131072) leave about 86,000 distinct cuts.
     code = cli.run([
@@ -315,6 +326,29 @@ def test_oversized_copy_count_exits_3_before_any_draw(argv, tmp_path, monkeypatc
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     out = tmp_path / "o"
     assert cli.run(argv + ["--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--mode", "merit", "--family", "morse", "--r", "2", "--depth", "3",
+     "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1", "--merit-stages", "x"],
+    ["spectrum", "--mode", "flat", "--exp-n", "x"],
+], ids=["merit-stages", "exp-n"])
+def test_non_integer_stage_list_exits_2(argv, tmp_path):
+    out = tmp_path / "o"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_random_stage_above_int64_exits_2_before_any_draw(tmp_path, monkeypatch):
+    # Stage 63 of --q 2 over a 2-letter seed has height 2^64.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stage was drawn before the height check refused")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    out = tmp_path / "o"
+    argv = ["geometry", "--family", "random", "--q", "2", "--depth", "70", "--seed", "1"]
+    assert cli.run(argv + ["--out", str(out)]) == 2
     assert list(out.iterdir()) == []
 
 
@@ -406,20 +440,65 @@ def _csv_module_bytes(header, rows) -> bytes:
     return expected.getvalue().encode("utf-8")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data(),
        kinds=st.lists(st.sampled_from(sorted(_COLUMN_CELLS)), min_size=1, max_size=4),
-       n_rows=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]))
-def test_write_csv_matches_csv_module(data, kinds, n_rows, tmp_path_factory):
+       n_rows=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+                               3 * _CHUNK + 7]),
+       cpus=st.sampled_from([1, 2, 3]))
+def test_write_csv_matches_csv_module(data, kinds, n_rows, cpus, tmp_path_factory):
     header = data.draw(st.lists(_TEXT_CELLS, min_size=len(kinds), max_size=len(kinds)))
     pool = data.draw(st.lists(st.tuples(*(_COLUMN_CELLS[k] for k in kinds)),
                               min_size=1, max_size=30))
     # Cycling a pool of distinct rows makes a dropped or repeated row at a
-    # chunk boundary change the bytes.
+    # chunk or span boundary change the bytes.  3 * _CHUNK + 7 rows split
+    # into spans of unequal length (2 + 2 or 1 + 1 + 2 chunks).
     rows = [pool[i % len(pool)] for i in range(n_rows)]
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    cli._write_csv(path, header, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_usable_cpus", lambda: cpus)
+        cli._write_csv(path, header, rows)
     assert path.read_bytes() == _csv_module_bytes(header, rows)
+
+
+@pytest.mark.parametrize("cpus, n_rows", [(2, _CHUNK), (3, 1), (1, 3 * _CHUNK + 7)],
+                         ids=["one-chunk", "one-row", "one-cpu"])
+def test_write_csv_without_a_split_never_forks(cpus, n_rows, tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked a writer worker with nothing to split")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    rows = [("sh", i, i / 7) for i in range(n_rows)]
+    cli._write_csv(tmp_path / "t.csv", ["h", "i", "x"], rows)
+    assert (tmp_path / "t.csv").read_bytes() == _csv_module_bytes(["h", "i", "x"], rows)
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+def test_failing_csv_span_fails_the_run(where, tmp_path, monkeypatch):
+    parent, csv_lines = os.getpid(), cli._csv_lines
+
+    def fails_in_one_process(rows, text):
+        # Full data chunks only: the header is formatted before any fork.
+        if (os.getpid() == parent) == (where == "parent") and len(rows) == _CHUNK:
+            raise RuntimeError("span fault")
+        return csv_lines(rows, text)
+
+    monkeypatch.setattr(cli, "_csv_lines", fails_in_one_process)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    rows = [("sh", i, i / 7) for i in range(2 * _CHUNK)]
+    fault = "worker exited with status 1" if where == "worker" else "span fault"
+    with pytest.raises(RuntimeError, match=fault):
+        cli._write_csv(tmp_path / "t.csv", ["h", "i", "x"], rows)
+    # correlation.csv of stage 3 has 2 * 16^3 rows, two chunks.
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError, match=fault):
+        cli.run(["correlate", "--family", "random", "--qs", "16,16,16", "--seed", "1",
+                 "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1",
+                 "--stage", "3", "--out", str(out)])
+    assert list(out.iterdir()) == [], "a failed write left payloads or temporary files"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
 
 @pytest.mark.parametrize("header, rows", [
@@ -489,6 +568,20 @@ def test_manifest_records_peak_rss(tmp_path):
     _peak_rss_bytes(code.format(argv + ["--out", str(out)]), ballast_mb=256)
     ballasted = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["peak_rss_mb"]
     assert ballasted <= peak + 1
+
+
+@linux_only
+def test_csv_writer_workers_stay_within_the_recorded_peak(tmp_path):
+    # correlation.csv has 262,144 rows, so on more than one CPU its formatting
+    # is split across forked workers.  ru_maxrss from os.wait4 also covers the
+    # reaped workers; each holds the command's pages plus one chunk, so the
+    # manifest's own peak stays the run's peak.
+    argv = ["correlate", "--family", "random", "--qs", "16,16,16,32", "--seed", "5",
+            "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1", "--stage", "4",
+            "--out", str(tmp_path / "o")]
+    run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    recorded = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    assert abs(run / 2**20 - recorded["peak_rss_mb"]) <= 5
 
 
 @linux_only

@@ -198,6 +198,16 @@ def test_random_schedule_deterministic():
     assert a.stages == b.stages
 
 
+def test_random_schedule_heights_up_to_int64_range():
+    # Over "01", stage n of q = 2 draws from h_n = 2^(n+1): stage 62 draws
+    # from 2^63, the largest bound an int64 draw takes; stage 63 would need 2^64.
+    w0 = il.word_from_text(il.BINARY, "01")
+    sch = il.random_schedule([2] * 63, 3, w0)
+    assert all(0 <= a < 2**63 for a in sch.stages[62].rotations)
+    with pytest.raises(ConfigurationError, match="stage 63"):
+        il.random_schedule([2] * 64, 3, w0)
+
+
 def test_staircase_schedule():
     sch = il.rank_one_schedule("staircase", [4])
     st = sch.stages[0]
