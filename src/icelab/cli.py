@@ -286,104 +286,102 @@ def _seed_word_from_args(args, default_text: str, spacer: str | None) -> words_m
 
 
 def _schedule_from_args(args) -> words_mod.Schedule:
-    if getattr(args, "schedule", None):
+    if args.schedule:
         return words_mod.load_schedule(args.schedule)
-    family = getattr(args, "family", None)
-    if not family:
+    if not args.family:
         raise ConfigurationError("provide --schedule FILE or --family NAME")
-    if family == "morse":
+    if args.family == "morse":
         if args.r is None or args.depth is None:
             raise ConfigurationError("morse family needs --r and --depth")
         seed_word = _seed_word_from_args(args, "01", None)
         return words_mod.morse_schedule(args.r, args.depth, seed_word)
-    if family == "random":
+    if args.family == "random":
         if args.seed is None:
             raise ConfigurationError("random families need --seed")
         seed_word = _seed_word_from_args(args, "01", None)
         return words_mod.random_schedule(_parse_qs(args), args.seed, seed_word)
-    if family == "staircase":
+    if args.family == "staircase":
         seed_word = _seed_word_from_args(args, "0", "1")
         return words_mod.rank_one_schedule("staircase", _parse_qs(args), seed_word=seed_word)
-    if family == "ornstein":
+    if args.family == "ornstein":
         if args.seed is None:
             raise ConfigurationError("random families need --seed")
         seed_word = _seed_word_from_args(args, "0", "1")
         return words_mod.rank_one_schedule(
             "ornstein", _parse_qs(args), seed_word=seed_word, seed=args.seed, ratio=args.ratio
         )
-    raise ConfigurationError(f"unknown family {family!r}")
-
-
-def _add_schedule_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schedule", help="schedule JSON file")
-    p.add_argument("--family", choices=["morse", "random", "staircase", "ornstein"],
-                   help="generate the schedule from a named family")
-    p.add_argument("--r", type=int, help="morse cut count r")
-    p.add_argument("--depth", type=int, help="number of stages")
-    p.add_argument("--q", type=int, help="copies per stage (with --depth)")
-    p.add_argument("--qs", help="comma list of per-stage copy counts")
-    p.add_argument("--seed-word", dest="seed_word", help="seed word text")
-    p.add_argument("--alphabet", help="alphabet symbols as a string of characters")
-    p.add_argument("--spacer-symbol", dest="spacer_symbol", help="spacer symbol character")
-    p.add_argument("--ratio", type=int, default=4, help="ornstein spacer bound h/ratio")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or ./icelab-out)")
-    p.add_argument("--seed", type=int, help="master random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size for ensembles")
-    p.add_argument("--force", action="store_true", help="lift the symbol and grid-point size limits")
-    p.add_argument("--overwrite", action="store_true", help="allow replacing existing outputs")
-    p.add_argument("--labels", help="label map SYMBOL=VALUE[,SYMBOL=VALUE...]")
-    p.add_argument("--zero-mean", dest="zero_mean", action="store_true",
-                   help="subtract the mean when lifting labels")
+    raise ConfigurationError(f"unknown family {args.family!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``icelab`` parser: each subcommand accepts only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="icelab",
         description="Rotated-word hierarchies: geometry, dynamics, correlations, spectra, rank.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="materialise words; optional codings and jump traces")
-    _add_common(p)
-    _add_schedule_options(p)
+    # Shared options live in parent parsers: ``stage`` holds those _parse_qs and
+    # _seed_word_from_args read, ``schedule`` adds those _schedule_from_args reads.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out",
+                        help=f"output directory (default ${OUTPUT_DIR_ENV} or ./icelab-out)")
+    common.add_argument("--force", action="store_true",
+                        help="lift the symbol and grid-point size limits")
+    common.add_argument("--overwrite", action="store_true",
+                        help="allow replacing existing outputs")
+    stage = argparse.ArgumentParser(add_help=False)
+    stage.add_argument("--depth", type=int, help="number of stages")
+    stage.add_argument("--q", type=int, help="copies per stage (with --depth)")
+    stage.add_argument("--qs", help="comma list of per-stage copy counts")
+    stage.add_argument("--seed-word", dest="seed_word", help="seed word text")
+    stage.add_argument("--alphabet", help="alphabet symbols as a string of characters")
+    stage.add_argument("--spacer-symbol", dest="spacer_symbol", help="spacer symbol character")
+    schedule = argparse.ArgumentParser(add_help=False, parents=[stage])
+    schedule.add_argument("--schedule", help="schedule JSON file")
+    schedule.add_argument("--family", choices=["morse", "random", "staircase", "ornstein"],
+                          help="generate the schedule from a named family")
+    schedule.add_argument("--r", type=int, help="morse cut count r")
+    schedule.add_argument("--seed", type=int, help="random and ornstein families: rng seed")
+    schedule.add_argument("--ratio", type=int, default=4, help="ornstein spacer bound h/ratio")
+    labels = argparse.ArgumentParser(add_help=False)
+    labels.add_argument("--labels", help="label map SYMBOL=VALUE[,SYMBOL=VALUE...]")
+    zero_mean = argparse.ArgumentParser(add_help=False)
+    zero_mean.add_argument("--zero-mean", dest="zero_mean", action="store_true",
+                           help="subtract the mean when lifting labels")
+
+    p = sub.add_parser("build", parents=[common, schedule],
+                       help="materialise words; optional codings and jump traces")
     p.add_argument("--coding-start", type=int, help="orbit coding start position")
     p.add_argument("--coding-length", type=int, help="orbit coding length")
     p.add_argument("--coding-level", type=int, help="orbit coding word level")
     p.add_argument("--jump-trace", action="store_true", help="emit per-position jump trace CSV")
 
-    p = sub.add_parser("geometry", help="iceberg histograms, uniformity, jumps, body reports")
-    _add_common(p)
-    _add_schedule_options(p)
+    p = sub.add_parser("geometry", parents=[common, schedule],
+                       help="iceberg histograms, uniformity, jumps, body reports")
     p.add_argument("--body-base", type=int, help="base stage n for the body report")
     p.add_argument("--body-depth", type=int, help="depth r for the body report")
 
-    p = sub.add_parser("correlate", help="correlation series and the stage recursion check")
-    _add_common(p)
-    _add_schedule_options(p)
+    p = sub.add_parser("correlate", parents=[common, schedule, labels, zero_mean],
+                       help="correlation series and the stage recursion check")
     p.add_argument("--stage", type=int, help="stage to correlate (default: all feasible)")
     p.add_argument("--check-recursion", action="store_true",
                    help="verify the stage recursion identity for all shifts")
 
-    p = sub.add_parser("decay", help="correlation decay profile across stages")
-    _add_common(p)
-    _add_schedule_options(p)
+    p = sub.add_parser("decay", parents=[common, schedule, labels],
+                       help="correlation decay profile across stages")
     p.add_argument("--from-stage", dest="from_stage", type=int, required=True)
     p.add_argument("--to-stage", dest="to_stage", type=int, required=True)
     p.add_argument("--statistic", choices=["max", "median", "rms"], default="median")
 
-    p = sub.add_parser("simplicity", help="far-half diagnostic report")
-    _add_common(p)
-    _add_schedule_options(p)
+    p = sub.add_parser("simplicity", parents=[common, schedule, labels],
+                       help="far-half diagnostic report")
     p.add_argument("--base", type=int, required=True, help="stage n of the diagnostic")
     p.add_argument("--diag-depth", dest="diag_depth", type=int, required=True,
                    help="truncation depth N")
 
-    p = sub.add_parser("spectrum", help="Riesz products, flatness metrics, merit factors")
-    _add_common(p)
-    _add_schedule_options(p)
+    p = sub.add_parser("spectrum", parents=[common, schedule, labels, zero_mean],
+                       help="Riesz products, flatness metrics, merit factors")
     p.add_argument("--mode", choices=["riesz", "flat", "merit"], required=True)
     p.add_argument("--base", type=int, default=0, help="riesz: base stage n0")
     p.add_argument("--last", type=int, help="riesz: last stage factor (default: depth-1)")
@@ -397,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1, help="flat: exponential parameter")
     p.add_argument("--merit-stages", dest="merit_stages", help="merit: comma list of stages")
 
-    p = sub.add_parser("rank", help="rectangle certificate of a stage iceberg")
-    _add_common(p)
-    _add_schedule_options(p)
+    p = sub.add_parser("rank", parents=[common, schedule],
+                       help="rectangle certificate of a stage iceberg")
     p.add_argument("--stage", type=int, default=0, help="stage to certify")
 
-    p = sub.add_parser("ensemble", help="seed fan-out for decay, jumps, or simplicity")
-    _add_common(p)
-    _add_schedule_options(p)
+    # Each seed draws its own random schedule, so no schedule source is taken.
+    p = sub.add_parser("ensemble", parents=[common, stage, labels],
+                       help="seed fan-out for decay, jumps, or simplicity")
+    p.add_argument("--threads", type=int, default=1, help="worker pool size")
     p.add_argument("--task", choices=["decay", "jumps", "simplicity"], required=True)
     p.add_argument("--seeds", type=int, required=True, help="number of seeds")
     p.add_argument("--base-seed", dest="base_seed", type=int, default=0)
@@ -717,6 +715,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
     if args.task == "jumps":
         if args.h is None or not args.q_list:
             raise ConfigurationError("jumps task needs --h and --q-list")
+        words_mod.check_draw_height("jumps task --h", args.h)
         qs = _copy_counts("--q-list", args.q_list, args.force)
 
         def run_jump(seed: int) -> list[tuple]:

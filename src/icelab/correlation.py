@@ -541,8 +541,10 @@ def severed_copy_imbalance(
       without the base lose their pairing, which leaves a gap of order
       ``1/q_n`` of the far mass.
 
-    Each window is read through ``project_positions`` at ``4w`` positions, so
-    the cost is ``O(sum_m q_m * h_n)`` and nothing of size ``h_N`` is built.
+    Each window reads ``4w`` positions through ``project_positions`` (at most
+    ``depth - n - 1`` stages each) and scatters ``g`` from its few bases, so the
+    cost is ``O(sum_m q_m * h_n)`` positions times that depth; nothing of size
+    ``h_N`` is built.
     """
     _check_far_half(schedule, n, depth)
     fn = _far_half_base_function(schedule, labels, n)
@@ -566,9 +568,12 @@ def _window_v_energy(
     pos = (centres[:, None] + np.arange(-2 * w, 2 * w, dtype=np.int64)) % schedule.height(level)
     signed = _signed_chart(schedule, n, project_positions(schedule, pos, level, n + 1))
     core = signed[:, w: 3 * w]
-    base = signed == 0
+    # g is scattered from the bases as in the diagnostic, clipped to the core.
+    rows, cols = np.nonzero(signed == 0)
     g = np.zeros(core.shape, dtype=np.complex128)
     for j in range(-w, w + 1):
-        g += base[:, w - j: 3 * w - j] * fn[j % h]
+        at = cols + (j - w)
+        inside = (at >= 0) & (at < 2 * w)
+        g[rows[inside], at[inside]] += fn[j % h]
     v = g - np.where(np.abs(core) <= w, fn[core], 0.0)
     return float(np.sum(np.abs(v) ** 2))

@@ -28,8 +28,9 @@ MAX_SYMBOLS = 10_000_000
 #: Points of a spectral evaluation grid.
 MAX_GRID_POINTS = 2**22
 
-#: Distinct cuts of the rectangle sweep, which builds m x m matrices (hard cap).
-MAX_SWEEP_CUTS = 65536
+#: Distinct cuts m of the rectangle sweep (hard cap).  The sweep builds m x m
+#: int64 matrices, about 35 bytes per cell at its peak: 2.3 GB at this cap.
+MAX_SWEEP_CUTS = 8192
 
 #: Segments of the body-report cut simulation (hard cap).
 MAX_BODY_SEGMENTS = 20_000_000

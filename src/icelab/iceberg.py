@@ -48,10 +48,6 @@ class Iceberg:
         if any(not 0 <= k < self.h for k, _ in self.counts):
             raise ConfigurationError("cut values must lie in [0, h)")
 
-    @property
-    def column_weight(self) -> dict[int, float]:
-        return {k: c / self.q for k, c in self.counts}
-
     def column_weight_exact(self) -> dict[int, Fraction]:
         return {k: Fraction(c, self.q) for k, c in self.counts}
 
@@ -129,9 +125,6 @@ class JumpMatrix:
         for a, _, c in self.cells:
             rows[a] = rows.get(a, 0) + c
         return rows
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(a, b): c for a, b, c in self.cells}
 
 
 def jump_matrix(st: Stage, h: int) -> JumpMatrix:

@@ -57,14 +57,10 @@ class RectangleCertificate:
 
 
 def _cut_classes(ib: Iceberg) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct cut classes (rotation 0 -> class h) with copy counts."""
-    classes: dict[int, int] = {}
-    for a, c in ib.counts:
-        k = ib.h if a == 0 else a
-        classes[k] = classes.get(k, 0) + c
-    ks = np.array(sorted(classes), dtype=np.int64)
-    cs = np.array([classes[int(k)] for k in ks], dtype=np.int64)
-    return ks, cs
+    """Sorted distinct cut classes (rotation 0 -> class h, moved last) with copy counts."""
+    ks, cs = np.array(ib.counts, dtype=np.int64).reshape(-1, 2).T
+    last = np.argsort(ks == 0, kind="stable")
+    return np.where(ks == 0, ib.h, ks)[last], cs[last]
 
 
 def _certificate(ib: Iceberg, k_lo: int, k_hi: int, weight_count: int) -> RectangleCertificate:

@@ -100,10 +100,6 @@ class FrequencySet:
     def q(self) -> int:
         return int(self.frequencies.size)
 
-    @property
-    def span(self) -> float:
-        return float(self.frequencies[-1] - self.frequencies[0])
-
 
 def stage_frequencies(schedule: Schedule, n: int) -> FrequencySet:
     """Copy start offsets ``w(y) = y*h_n + sum(spacers[:y])`` of stage ``n``.

@@ -370,23 +370,30 @@ def morse_schedule(r: int, depth: int, seed_word: Word) -> Schedule:
     return Schedule(seed_word.alphabet, seed_word, tuple(stages), family_tag="morse")
 
 
+def check_draw_height(what: str, h: int) -> None:
+    """Refuse a height ``h`` outside ``[1, 2**63)``, which int64 draws on ``[0, h)`` need.
+
+    numpy refuses ``h <= 0`` and ``h > 2**63``; at ``h = 2**63`` it draws, but
+    reducing mod ``h`` as int64 (``Schedule.rotations_mod``) overflows.
+    """
+    if not 1 <= h < 2**63:
+        raise ConfigurationError(f"{what}: height {h} is outside [1, 2**63), the int64 draw range")
+
+
 def random_schedule(qs: Sequence[int], seed: int, seed_word: Word) -> Schedule:
     """Pure schedule with i.i.d. uniform rotations on ``[0, h_n)``.
 
     Deterministic for a given seed: stage ``n`` draws from
     ``numpy.random.default_rng([seed, n])`` so stages are independent and the
-    split is reproducible.  Rotations are drawn as int64, so every drawn-from
-    height ``h_n`` (all but the top one) must be at most ``2**63``; a taller
-    schedule is refused before any draw.
+    split is reproducible.  Every drawn-from height ``h_n`` (all but the top
+    one) passes ``check_draw_height`` before any draw.
     """
     qs = [int(q) for q in qs]
     if min(qs, default=1) < 1:
         raise ConfigurationError("random stage needs q >= 1")
     heights = list(accumulate(qs, operator.mul, initial=seed_word.h))
-    tall = [n for n, h in enumerate(heights[:-1]) if h > 2**63]
-    if tall:
-        raise ConfigurationError(f"random stage {tall[0]} has height {heights[tall[0]]} > 2**63, "
-                                 "but its rotations are drawn as int64")
+    for n, h in enumerate(heights[:-1]):
+        check_draw_height(f"random stage {n}", h)
     stages = []
     for n, (q, h) in enumerate(zip(qs, heights)):
         rot = np.random.default_rng([int(seed), n]).integers(0, h, size=q)
@@ -433,12 +440,11 @@ def rank_one_schedule(
                 raise ConfigurationError("ornstein family needs an rng seed")
             if ratio < 1:
                 raise ConfigurationError("ornstein family needs ratio >= 1")
+            check_draw_height(f"ornstein stage {n}", h)  # h_n depends on earlier draws
             alpha_max = h // ratio
             rng = np.random.default_rng([int(seed), n])
             draws = np.sort(rng.integers(0, alpha_max + 1, size=q + 1))
             spc = tuple(int(s) for s in np.diff(draws))
-            if any(s < 0 for s in spc):  # impossible after sorting; guards the rule
-                raise ConfigurationError("spacer rule produced a negative spacer")
         else:
             raise ConfigurationError(f"unknown rank-one family {kind!r}")
         stages.append(Stage(q=q, rotations=(0,) * q, spacers=spc))

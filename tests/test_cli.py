@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icelab import cli, save_schedule
+from icelab import BINARY, cli, random_schedule, save_schedule, word_from_text
+from icelab.errors import MAX_SWEEP_CUTS
 from icelab import spectral as spx
 
 
@@ -183,6 +185,76 @@ def test_ensemble_jumps_sorted(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# options: each subcommand accepts only the options it reads
+# ---------------------------------------------------------------------------
+
+_MORSE = ["--family", "morse", "--r", "2", "--depth", "3", "--seed-word", "01",
+          "--alphabet", "01"]
+_VALID = {
+    "build": ["build", *_MORSE],
+    "geometry": ["geometry", *_MORSE],
+    "correlate": ["correlate", *_MORSE, "--labels", "0=1,1=-1"],
+    "decay": ["decay", "--family", "random", "--qs", "16,16", "--seed", "3",
+              "--seed-word", "0101", "--alphabet", "01", "--labels", "0=1,1=-1",
+              "--from-stage", "0", "--to-stage", "2"],
+    "simplicity": ["simplicity", "--family", "random", "--qs", "9,27,3", "--seed", "3",
+                   "--seed-word", "012", "--alphabet", "012", "--labels", "0=1,1=-1,2=0",
+                   "--base", "1", "--diag-depth", "2"],
+    "spectrum": ["spectrum", "--mode", "merit", *_MORSE, "--labels", "0=1,1=-1"],
+    "rank": ["rank", *_MORSE],
+    "ensemble": ["ensemble", "--task", "jumps", "--seeds", "2", "--h", "16", "--q-list", "4,8"],
+}
+_REMOVED = (
+    [(cmd, ["--threads", "2"]) for cmd in
+     ("build", "geometry", "correlate", "decay", "simplicity", "spectrum", "rank")]
+    + [(cmd, ["--zero-mean"]) for cmd in
+       ("build", "geometry", "decay", "simplicity", "rank", "ensemble")]
+    + [(cmd, ["--labels", "0=1,1=-1"]) for cmd in ("build", "geometry", "rank")]
+    + [("ensemble", opt) for opt in (["--schedule", "sched.json"], ["--family", "random"],
+                                     ["--r", "2"], ["--ratio", "4"], ["--seed", "1"])]
+)
+
+
+@pytest.mark.parametrize("command, option", _REMOVED,
+                         ids=[f"{cmd}{opt[0]}" for cmd, opt in _REMOVED])
+def test_option_a_subcommand_does_not_read_exits_2(command, option, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.run(_VALID[command] + option + ["--out", str(out)]) == 2
+    assert not out.exists() or list(out.iterdir()) == []
+    assert "usage:" in capsys.readouterr().err
+    assert cli.run(_VALID[command] + ["--out", str(out)]) == 0
+
+
+_SCHEDULE = ["--alphabet", "--depth", "--family", "--q", "--qs", "--r", "--ratio", "--schedule",
+             "--seed", "--seed-word", "--spacer-symbol"]
+_ACCEPTED = {
+    "build": ["--coding-length", "--coding-level", "--coding-start", "--jump-trace",
+              *_SCHEDULE],
+    "geometry": ["--body-base", "--body-depth", *_SCHEDULE],
+    "correlate": ["--check-recursion", "--labels", "--stage", "--zero-mean", *_SCHEDULE],
+    "decay": ["--from-stage", "--labels", "--statistic", "--to-stage", *_SCHEDULE],
+    "simplicity": ["--base", "--diag-depth", "--labels", *_SCHEDULE],
+    "spectrum": ["--base", "--check-oracle", "--eps", "--exp-n", "--grid-size", "--labels",
+                 "--last", "--line", "--merit-stages", "--mode", "--zero-mean", *_SCHEDULE],
+    "rank": ["--stage", *_SCHEDULE],
+    "ensemble": ["--alphabet", "--base", "--base-seed", "--depth", "--diag-depth",
+                 "--from-stage", "--h", "--labels", "--q", "--q-list", "--qs", "--seed-word",
+                 "--seeds", "--spacer-symbol", "--task", "--threads", "--to-stage"],
+}
+
+
+def test_each_subcommand_accepts_the_pinned_options():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        name: sorted(opt for action in p._actions for opt in action.option_strings)
+        for name, p in subparsers.choices.items()
+    }
+    common = ["--force", "--help", "--out", "--overwrite", "-h"]
+    assert accepted == {name: sorted(opts + common) for name, opts in _ACCEPTED.items()}
+
+
+# ---------------------------------------------------------------------------
 # exit codes and guardrails
 # ---------------------------------------------------------------------------
 
@@ -269,6 +341,20 @@ def test_rank_over_the_sweep_cap_exits_3(tmp_path):
     assert code == 3
 
 
+def test_rank_above_the_lowered_sweep_cap_exits_3(tmp_path):
+    # 16,384 rotations drawn from [0, 16384) leave 10,277 distinct cuts: above
+    # the 8,192-cut cap.  The dense sweep (about 35 B per m^2 cell) would need
+    # about 3.7 GB here, so the cap is checked before the command runs.
+    sch = random_schedule([16384], 0, word_from_text(BINARY, "01" * 8192))
+    assert np.unique(sch.rotations_mod(0)).size == 10277 > MAX_SWEEP_CUTS
+    code = cli.run([
+        "rank", "--family", "random", "--qs", "16384", "--seed", "0",
+        "--seed-word", "01" * 8192, "--alphabet", "01", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 3
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 def test_random_family_requires_seed(tmp_path):
     code = cli.run([
         "build", "--family", "random", "--qs", "4,4",
@@ -350,6 +436,28 @@ def test_random_stage_above_int64_exits_2_before_any_draw(tmp_path, monkeypatch)
     argv = ["geometry", "--family", "random", "--q", "2", "--depth", "70", "--seed", "1"]
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--family", "ornstein", "--q", "2", "--depth", "70", "--seed", "1"],
+    ["ensemble", "--task", "jumps", "--seeds", "1", "--h", str(10**20), "--q-list", "2"],
+    ["geometry", "--family", "random", "--q", "2", "--depth", "63", "--seed", "1"],
+    ["ensemble", "--task", "jumps", "--seeds", "1", "--h", str(2**63), "--q-list", "2"],
+    ["ensemble", "--task", "jumps", "--seeds", "1", "--h", "0", "--q-list", "2"],
+], ids=["ornstein-depth-70", "jumps-h-1e20", "random-h-2^63", "jumps-h-2^63", "jumps-h-0"])
+def test_draw_height_outside_int64_exits_2(argv, tmp_path, capsys):
+    # Heights an int64 draw on [0, h), or a reduction mod h, cannot take.
+    out = tmp_path / "o"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+    assert "outside [1, 2**63)" in capsys.readouterr().err
+
+
+def test_jumps_at_the_largest_int64_height_exits_0(tmp_path):
+    out = tmp_path / "o"
+    argv = ["ensemble", "--task", "jumps", "--seeds", "1", "--h", str(2**63 - 1), "--q-list", "2"]
+    assert cli.run(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "ensemble.json").read_text())["h"] == 2**63 - 1
 
 
 def test_outdir_env_default(cat_file, tmp_path, monkeypatch):

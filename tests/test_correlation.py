@@ -461,6 +461,35 @@ def test_severed_copy_imbalance_telescopes(trit_word, trit_labels, seed, n, qs, 
     assert abs(predicted - measured) <= 1e-9 * max(1.0, abs(measured))
 
 
+def _sliding_window_v_energy(schedule, fn, n, level, centres) -> float:
+    """Reference window sums: g by 2w + 1 shifted slices of the base mask."""
+    h = fn.size
+    w = (h - 1) // 2
+    pos = (centres[:, None] + np.arange(-2 * w, 2 * w)) % schedule.height(level)
+    signed = il.signed_levels(schedule, n)[il.project_positions(schedule, pos, level, n + 1)]
+    core = signed[:, w: 3 * w]
+    base = signed == 0
+    g = np.zeros(core.shape, dtype=np.complex128)
+    for j in range(-w, w + 1):
+        g += base[:, w - j: 3 * w - j] * fn[j % h]
+    v = g - np.where(np.abs(core) <= w, fn[core], 0.0)
+    return float(np.sum(np.abs(v) ** 2))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("n, qs, depth", [(1, [9, 27, 5, 4, 3], 5), (2, [9, 27, 5, 4, 3], 5),
+                                          (1, [9, 81, 7, 9], 4), (1, [243, 3, 4, 3], 4)])
+def test_window_sums_match_the_sliding_formula(trit_word, trit_labels, seed, n, qs, depth):
+    # The last case has h_n = 729: 4w = 1,456 positions per window.
+    sch = il.random_schedule(qs, seed, trit_word)
+    fn = corr._far_half_base_function(sch, trit_labels, n)
+    for m in range(n + 1, depth):
+        blocks = np.arange(sch.stages[m].q, dtype=np.int64) * sch.height(m)
+        for level, centres in ((m, sch.rotations_mod(m)), (m + 1, blocks)):
+            fast = corr._window_v_energy(sch, fn, n, level, centres)
+            assert fast == _sliding_window_v_energy(sch, fn, n, level, centres)
+
+
 def test_severed_copy_imbalance_zero_when_intact(trit_word, trit_labels):
     # Stage-2 rotations on multiples of h_1: no copy is severed, the law
     # predicts no gap and the diagnostic balances at depth n + 2.

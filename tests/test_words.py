@@ -199,13 +199,17 @@ def test_random_schedule_deterministic():
 
 
 def test_random_schedule_heights_up_to_int64_range():
-    # Over "01", stage n of q = 2 draws from h_n = 2^(n+1): stage 62 draws
-    # from 2^63, the largest bound an int64 draw takes; stage 63 would need 2^64.
+    # Over "01", stage n of q = 2 draws from h_n = 2^(n+1): stage 61 draws from
+    # 2^62 < 2^63 and is admitted.  Stage 62 would draw from h = 2^63, which
+    # numpy's int64 draw still takes, but reducing the rotations mod 2^63 fails:
+    # `icelab geometry --family random --q 2 --depth 63 --seed 1` raised
+    # OverflowError in Schedule.rotations_mod.  So 2^63 is refused before any draw.
     w0 = il.word_from_text(il.BINARY, "01")
-    sch = il.random_schedule([2] * 63, 3, w0)
-    assert all(0 <= a < 2**63 for a in sch.stages[62].rotations)
-    with pytest.raises(ConfigurationError, match="stage 63"):
-        il.random_schedule([2] * 64, 3, w0)
+    sch = il.random_schedule([2] * 62, 3, w0)
+    assert all(0 <= a < 2**62 for a in sch.stages[61].rotations)
+    assert sch.rotations_mod(61).dtype == np.int64
+    with pytest.raises(ConfigurationError, match="stage 62"):
+        il.random_schedule([2] * 63, 3, w0)
 
 
 def test_staircase_schedule():
