@@ -160,17 +160,9 @@ def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
             shutil.copyfileobj(part, fh)
 
 
-def _jsonable(value):
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"cannot serialise {type(value).__name__}")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -516,7 +508,7 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
         res_rows, worst = [], 0.0
         for n in range(min(top, sch.depth)):
             st = sch.stages[n]
-            if not st.pure or n + 1 > top:
+            if not st.pure:
                 continue
             f_lo = corr.lift(labels, built[n], n, zero_mean=args.zero_mean)
             series = corr.cyclic_correlation(f_lo)

@@ -141,40 +141,33 @@ def cyclic_correlation(
     The transform route computes ``ifft(fft(f) * conj(fft(g))) / h``, with
     one forward transform for an autocorrelation; the direct route is
     ``correlation_at_lags`` at every lag, the defining O(h^2) sum, and serves
-    as the oracle (the two agree to 1e-10 relative).  An autocorrelation
-    transforms a copy of ``f.values`` in place, so ``f`` is never
-    overwritten; ``decay_profile`` hands the same route a lift it owns and
-    skips the copy.
+    as the oracle (the two agree to 1e-10 relative).  The transform runs on
+    a copy of ``f.values``, so ``f`` is never overwritten; ``decay_profile``
+    hands the same kernel a lift it owns and skips the copy.
     """
     if method == "direct":
         return CorrelationSeries(n=f.n, values=correlation_at_lags(f, g, range(f.h)))
     if method != "fft":
         raise ConfigurationError(f"unknown correlation method {method!r}")
-    if g is None:
-        return CorrelationSeries(n=f.n, values=_autocorrelate_owned(f.values.copy()))
-    if f.n != g.n or f.h != g.h:
+    if g is not None and (f.n != g.n or f.h != g.h):
         raise ConfigurationError("correlation needs two functions at the same stage")
-    cross = np.fft.fft(f.values)
-    cross *= np.conj(np.fft.fft(g.values))
-    # Inverting into ``cross`` (``out=`` needs numpy >= 2.0) keeps one
-    # length-h result alive; the values are bitwise those of ``ifft(cross) / h``.
-    vals = np.fft.ifft(cross, out=cross)
-    vals /= f.h
-    return CorrelationSeries(n=f.n, values=vals)
+    other = None if g is None else g.values
+    return CorrelationSeries(n=f.n, values=_correlate_owned(f.values.copy(), other))
 
 
-def _autocorrelate_owned(buf: np.ndarray) -> np.ndarray:
-    """``ifft(|fft(buf)|^2) / h`` computed in ``buf``, which is returned.
+def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """``ifft(fft(buf) * conj(fft(other))) / h`` computed in ``buf``, which is
+    returned; ``other = None`` is the autocorrelation ``ifft(|fft(buf)|^2) / h``.
 
     ``buf`` must be a writable complex128 vector the caller owns: each stage
-    (forward transform, product with its conjugate, inverse transform,
+    (forward transform, product with the conjugate, inverse transform,
     scaling) overwrites it, so no second length-h result is ever alive.  The
     values are bitwise those of the two-transform ``ifft(fft(buf) *
-    conj(fft(buf))) / h``; the product must stay in place, because an
-    out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
+    conj(fft(other))) / h``; an autocorrelation's product must stay in place,
+    as an out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
     """
     np.fft.fft(buf, out=buf)
-    buf *= np.conj(buf)
+    buf *= np.conj(buf if other is None else np.fft.fft(other))
     np.fft.ifft(buf, out=buf)
     buf /= buf.size
     return buf
@@ -282,7 +275,7 @@ def decay_profile(
         buf = _lifted_values(labels, words[n], zero_mean=True)
         words[n] = None  # W_n is not read again once lifted
         _check_zero_mean(buf)
-        series = _autocorrelate_owned(buf)
+        series = _correlate_owned(buf)
         h = series.size
         sel = np.abs(series[h // 4: 3 * h // 4 + 1])
         rows.append(
@@ -456,13 +449,7 @@ def simplicity_diagnostic(
     # the far half is |s| > w.
     s = _signed_chart(schedule, n, project_all(pc, n + 1))
     f = fn[s]
-    bases = np.flatnonzero(s == 0)
-
-    # Reconstruction from base returns: g = sum_{|j| <= w} f_(n)(j) T^j b_n,
-    # scattered from the base positions.
-    g = np.zeros(h_N, dtype=np.complex128)
-    for j in range(-w, w + 1):
-        g[(bases + j) % h_N] += fn[j % h]
+    g = _base_returns(s, fn)
     # Formed after the scatter, the mask reuses the heap its temporaries
     # freed: 5 MB less peak RSS at h_N = 8.5 M than forming it before.
     far = np.abs(s) > w
@@ -557,23 +544,33 @@ def severed_copy_imbalance(
     return float(imbalance)
 
 
+def _base_returns(signed: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """Reconstruction ``g = sum_{|j| <= w} f_(n)(j) T^j b_n`` on a cycle of
+    signed chart levels, scattered from its bases (the positions at level 0).
+
+    Each position receives its returns in ascending ``j``.
+    """
+    h = fn.size
+    w = (h - 1) // 2
+    bases = np.flatnonzero(signed == 0)
+    g = np.zeros(signed.size, dtype=np.complex128)
+    for j in range(-w, w + 1):
+        g[(bases + j) % signed.size] += fn[j % h]
+    return g
+
+
 def _window_v_energy(
     schedule: Schedule, fn: np.ndarray, n: int, level: int, centres: np.ndarray
 ) -> float:
     """``sum |v(p)|^2`` over ``p - c in [-w, w)`` for each centre ``c`` of the
     cyclic ``W_level``, with ``v = g - f*[|s| <= w]`` as in the diagnostic."""
-    h = fn.size
-    w = (h - 1) // 2
+    w = (fn.size - 1) // 2
     # Base lookups reach w beyond each window: 4w positions per centre.
     pos = (centres[:, None] + np.arange(-2 * w, 2 * w, dtype=np.int64)) % schedule.height(level)
     signed = _signed_chart(schedule, n, project_positions(schedule, pos, level, n + 1))
     core = signed[:, w: 3 * w]
-    # g is scattered from the bases as in the diagnostic, clipped to the core.
-    rows, cols = np.nonzero(signed == 0)
-    g = np.zeros(core.shape, dtype=np.complex128)
-    for j in range(-w, w + 1):
-        at = cols + (j - w)
-        inside = (at >= 0) & (at < 2 * w)
-        g[rows[inside], at[inside]] += fn[j % h]
+    # The rows laid end to end form one cycle: a return that leaves its row
+    # lands in a neighbour's outer w positions, never in a core.
+    g = _base_returns(signed.ravel(), fn).reshape(signed.shape)[:, w: 3 * w]
     v = g - np.where(np.abs(core) <= w, fn[core], 0.0)
     return float(np.sum(np.abs(v) ** 2))

@@ -111,11 +111,6 @@ class StepResult:
     regular_index: int
 
 
-def _coordinates(pc: ProjectionChain, positions: np.ndarray) -> list[np.ndarray]:
-    """Level-``0 .. depth-1`` coordinates of top-level indices (marks kept)."""
-    return [project_positions(pc.schedule, positions, pc.depth, n) for n in range(pc.depth)]
-
-
 def _plain_steps(cur: np.ndarray, h: int) -> np.ndarray:
     """Plain-step mask of a cycle of level-``n`` coordinates.
 
@@ -149,25 +144,19 @@ def project(pc: ProjectionChain, x: int, n: int) -> int:
     above level ``n``.  Letter consistency for pure schedules: the letter of
     ``W_N`` at ``x`` equals the letter of ``W_n`` at ``project(x, n)``.
     """
-    if not 0 <= n <= pc.depth:
-        raise ConfigurationError(f"need 0 <= n <= depth = {pc.depth}, got n={n}")
-    if not 0 <= x < pc.heights[pc.depth]:
-        raise ConfigurationError(f"index {x} outside Z_{pc.heights[pc.depth]}")
     return int(project_positions(pc.schedule, np.array([int(x)]), pc.depth, n)[0])
 
 
-def project_all(pc: ProjectionChain, n: int, level: int | None = None) -> np.ndarray:
-    """Vector of level-``n`` coordinates of every position of ``Z_{h_level}``.
+def project_all(pc: ProjectionChain, n: int) -> np.ndarray:
+    """Vector of level-``n`` coordinates of every position of ``Z_{h_depth}``.
 
-    Built by concatenation: ``arange(h_n)`` through stages ``n .. level-1``
+    Built by concatenation: ``arange(h_n)`` through stages ``n .. depth-1``
     with ``SPACER_MARK`` in the spacer runs.
     """
-    if level is None:
-        level = pc.depth
-    if not 0 <= n <= level <= pc.depth:
-        raise ConfigurationError(f"need 0 <= n <= level <= depth, got n={n}, level={level}")
+    if not 0 <= n <= pc.depth:
+        raise ConfigurationError(f"need 0 <= n <= depth = {pc.depth}, got n={n}")
     arr = np.arange(pc.heights[n], dtype=np.int64)
-    for st in pc.schedule.stages[n:level]:
+    for st in pc.schedule.stages[n:pc.depth]:
         arr = concat_stage(arr, st, SPACER_MARK)
     return arr
 
@@ -178,7 +167,8 @@ def step(pc: ProjectionChain, x: int) -> StepResult:
     x = int(x) % h_N
     succ = (x + 1) % h_N
     # [x, succ] as a two-point cycle: entry 0 of its mask is the step x -> succ.
-    coords = _coordinates(pc, np.array([x, succ]))
+    pair = np.array([x, succ])
+    coords = [project_positions(pc.schedule, pair, pc.depth, n) for n in range(pc.depth)]
     jumps = tuple(not _plain_steps(c, pc.heights[n])[0] for n, c in enumerate(coords))
     regular = next((n for n, j in enumerate(jumps) if not j), pc.depth)
     return StepResult(successor=succ, jumps=jumps, regular_index=regular)

@@ -13,6 +13,7 @@ closed-form values, and ``floor(1/beta)`` bounds the spectral multiplicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,13 +163,9 @@ def multiplicity_bound(beta: "Fraction | float") -> int:
     Requires ``0 < beta <= 1``; exact for ``Fraction`` input.  Rank one
     (``beta = 1``) gives 1, the limiting iceberg value ``beta = 1/4`` gives 4.
     """
-    if isinstance(beta, Fraction):
-        if not 0 < beta <= 1:
-            raise ConfigurationError("local rank must be in (0, 1]")
-        return int(1 / beta)  # truncation = floor for positive rationals
-    if not 0.0 < beta <= 1.0:
+    if not 0 < beta <= 1:
         raise ConfigurationError("local rank must be in (0, 1]")
-    return int(np.floor(1.0 / beta))
+    return math.floor(1 / beta)
 
 
 def spmult_lemma_rhs(m: int, a: float) -> float:

@@ -74,16 +74,10 @@ Grid = CircleGrid | LineGrid
 
 @dataclass(frozen=True, eq=False)
 class FrequencySet:
-    """Strictly increasing frequencies, integer or real.
-
-    ``rotations`` is the side-table of an iceberg stage's nonzero rotations
-    (None for rank-one stages); frequency sets carrying it are excluded from
-    the Riesz factorisation.
-    """
+    """Strictly increasing frequencies, integer or real."""
 
     frequencies: np.ndarray
     is_integer: bool
-    rotations: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         freqs = np.asarray(
@@ -104,14 +98,10 @@ class FrequencySet:
 def stage_frequencies(schedule: Schedule, n: int) -> FrequencySet:
     """Copy start offsets ``w(y) = y*h_n + sum(spacers[:y])`` of stage ``n``.
 
-    Strictly increasing with ``w(0) = 0``.  For stages with nonzero rotations
-    the offsets are still returned, with the reduced rotations attached as a
-    side-table (such sets are refused by the Riesz factorisation).
+    Strictly increasing with ``w(0) = 0``.  The offsets ignore the stage's
+    rotations; ``check_riesz_stages`` refuses rotated stages.
     """
-    starts = schedule.stage_starts(n)[:-1]
-    rots = schedule.rotations_mod(n)
-    side = tuple(int(a) for a in rots) if np.any(rots != 0) else None
-    return FrequencySet(frequencies=starts, is_integer=True, rotations=side)
+    return FrequencySet(frequencies=schedule.stage_starts(n)[:-1], is_integer=True)
 
 
 def exp_frequency_set(n: int, eps: float) -> FrequencySet:

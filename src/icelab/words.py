@@ -190,6 +190,8 @@ class Schedule:
         if self.seed_word.alphabet != self.alphabet:
             raise ConfigurationError("seed word must use the schedule's alphabet")
         object.__setattr__(self, "stages", tuple(self.stages))
+        for n, h in enumerate(self.heights()[:-1]):  # every height a stage reduces by
+            check_draw_height(f"stage {n}", h)
 
     @property
     def depth(self) -> int:

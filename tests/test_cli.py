@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icelab import BINARY, cli, random_schedule, save_schedule, word_from_text
+from icelab import BINARY, cli, morse_schedule, random_schedule, save_schedule, word_from_text
 from icelab.errors import MAX_SWEEP_CUTS
+from icelab.words import schedule_to_dict
 from icelab import spectral as spx
 
 
@@ -444,13 +445,38 @@ def test_random_stage_above_int64_exits_2_before_any_draw(tmp_path, monkeypatch)
     ["geometry", "--family", "random", "--q", "2", "--depth", "63", "--seed", "1"],
     ["ensemble", "--task", "jumps", "--seeds", "1", "--h", str(2**63), "--q-list", "2"],
     ["ensemble", "--task", "jumps", "--seeds", "1", "--h", "0", "--q-list", "2"],
-], ids=["ornstein-depth-70", "jumps-h-1e20", "random-h-2^63", "jumps-h-2^63", "jumps-h-0"])
+    ["geometry", "--family", "morse", "--r", "2", "--depth", "70", "--seed-word", "01",
+     "--alphabet", "01"],
+    ["geometry", "--family", "staircase", "--q", "2", "--depth", "70"],
+], ids=["ornstein-depth-70", "jumps-h-1e20", "random-h-2^63", "jumps-h-2^63", "jumps-h-0",
+        "morse-depth-70", "staircase-depth-70"])
 def test_draw_height_outside_int64_exits_2(argv, tmp_path, capsys):
     # Heights an int64 draw on [0, h), or a reduction mod h, cannot take.
     out = tmp_path / "o"
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert list(out.iterdir()) == []
     assert "outside [1, 2**63)" in capsys.readouterr().err
+
+
+def test_schedule_file_with_a_stage_height_outside_int64_exits_2(tmp_path, capsys):
+    # Eight more Morse stages on top of depth 62 make h_62 = 2^63 a stage height.
+    doc = schedule_to_dict(morse_schedule(2, 62, word_from_text(BINARY, "01")))
+    doc["stages"] += doc["stages"][-1:] * 8
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.run(["geometry", "--schedule", str(deep), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+    assert "outside [1, 2**63)" in capsys.readouterr().err
+
+
+def test_morse_at_the_largest_admitted_depth_exits_0(tmp_path):
+    # h_62 = 2^63 is the top height: no stage reduces by it.
+    out = tmp_path / "o"
+    argv = ["geometry", "--family", "morse", "--r", "2", "--depth", "62", "--seed-word", "01",
+            "--alphabet", "01", "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert (out / "geometry.json").exists()
 
 
 def test_jumps_at_the_largest_int64_height_exits_0(tmp_path):

@@ -29,6 +29,21 @@ def test_lift_cube_roots_zero_mean(cat_words, cat_labels):
     assert abs(f.values.sum()) < 1e-13
 
 
+def test_lift_zero_mean_keeps_spacers_at_zero():
+    # Staircase stages over "ab" write runs of the spacer "_" between copies.
+    alpha = il.Alphabet(tuple("ab_"), spacer_symbol="_")
+    sch = il.rank_one_schedule("staircase", [3, 2], seed_word=il.word_from_text(alpha, "ab"))
+    word = il.build_word(sch)[2]
+    labels = {"a": 1.0 + 2.0j, "b": -3.0}
+    f = il.lift(labels, word, 2, zero_mean=True)
+    spacer = np.array([c == "_" for c in word.text])
+    assert spacer.any() and not spacer.all()
+    assert np.all(f.values[spacer] == 0)
+    plain = np.array([complex(labels[c]) for c in word.text if c != "_"])
+    assert np.array_equal(f.values[~spacer], plain - plain.mean())
+    assert abs(f.values.sum()) < 1e-12 * word.h
+
+
 def test_lift_missing_label(cat_words):
     with pytest.raises(ConfigurationError):
         il.lift({"C": 1}, cat_words[0], 0)
@@ -105,7 +120,7 @@ def test_fft_route_bitwise_equals_two_transform_product(h):
     # buffer it was handed.
     ref = np.fft.ifft(np.fft.fft(f.values) * np.conj(np.fft.fft(f.values))) / h
     buf = f.values.copy()
-    assert corr._autocorrelate_owned(buf) is buf
+    assert corr._correlate_owned(buf) is buf
     assert buf.tobytes() == ref.tobytes()
 
 
@@ -488,6 +503,49 @@ def test_window_sums_match_the_sliding_formula(trit_word, trit_labels, seed, n, 
         for level, centres in ((m, sch.rotations_mod(m)), (m + 1, blocks)):
             fast = corr._window_v_energy(sch, fn, n, level, centres)
             assert fast == _sliding_window_v_energy(sch, fn, n, level, centres)
+
+
+def _clipped_window_v_energy(schedule, fn, n, level, centres) -> float:
+    """Reference window sums: g scattered row by row from each window's
+    bases, each return clipped to the row's core."""
+    h = fn.size
+    w = (h - 1) // 2
+    pos = (centres[:, None] + np.arange(-2 * w, 2 * w)) % schedule.height(level)
+    signed = corr._signed_chart(schedule, n, il.project_positions(schedule, pos, level, n + 1))
+    core = signed[:, w: 3 * w]
+    rows, cols = np.nonzero(signed == 0)
+    g = np.zeros(core.shape, dtype=np.complex128)
+    for j in range(-w, w + 1):
+        at = cols + (j - w)
+        inside = (at >= 0) & (at < 2 * w)
+        g[rows[inside], at[inside]] += fn[j % h]
+    v = g - np.where(np.abs(core) <= w, fn[core], 0.0)
+    return float(np.sum(np.abs(v) ** 2))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    qs=st.lists(st.sampled_from([1, 3, 5, 7, 9]), min_size=2, max_size=3),
+    n=st.integers(min_value=0, max_value=1),
+    k=st.integers(min_value=0, max_value=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_window_sums_match_the_clipped_row_scatter(trit_word, seed, qs, n, k):
+    sch = il.random_schedule(qs, seed, trit_word)
+    level = n + 1 + k % (sch.depth - n)
+    h, h_level = sch.height(n), sch.height(level)
+    w = (h - 1) // 2
+    rng = np.random.default_rng(seed)
+    fn = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    every = np.arange(h_level, dtype=np.int64)
+    bases = np.flatnonzero(
+        corr._signed_chart(sch, n, il.project_positions(sch, every, level, n + 1)) == 0)
+    # Centres that put a base in a window's first or last position, whose
+    # returns leave the row, and centres drawn at random.
+    centres = np.concatenate([bases + 2 * w, bases - 2 * w + 1,
+                              rng.integers(0, h_level, 8)]) % h_level
+    got = corr._window_v_energy(sch, fn, n, level, centres)
+    assert got == _clipped_window_v_energy(sch, fn, n, level, centres)
 
 
 def test_severed_copy_imbalance_zero_when_intact(trit_word, trit_labels):

@@ -43,6 +43,13 @@ def test_project_letter_consistency(cat_chain_2, cat_words):
         assert cat_words[2].text[p] == cat_words[0].text[x0]
 
 
+@pytest.mark.parametrize("x, n", [(0, -1), (0, 2), (-1, 0), (18, 0)],
+                         ids=["n=-1", "n=depth+1", "x=-1", "x=h_N"])
+def test_project_refuses_out_of_range(cat_chain_1, x, n):
+    with pytest.raises(ConfigurationError):
+        il.project(cat_chain_1, x, n)
+
+
 def test_project_all_matches_scalar(cat_chain_2):
     coords = il.project_all(cat_chain_2, 1)
     for p in range(54):
@@ -255,6 +262,33 @@ def test_coverage_full_sampling_ge_body():
         cov = il.coverage_statistic(pc, 0, h_N)
         rep = il.body_report(sch, 0, 2)
         assert cov >= rep.exact_fraction - 1e-12
+
+
+def test_coverage_staircase_counts_spacer_samples_uncovered():
+    # W_2 = W_1 W_1 "1" W_1 "11" with W_1 = "001011": positions 12, 19 and 20
+    # are stage-1 spacers.  The window [12, 18) reads "100101", a rotation
+    # of W_1, yet position 12 belongs to no copy and counts as uncovered.
+    sch = il.rank_one_schedule("staircase", [3, 3])
+    pc = il.ProjectionChain.build(sch)
+    text, w1 = pc.word(2).text, pc.word(1).text
+    h_N, h_m = len(text), len(w1)
+    rotations = {w1[a:] + w1[:a] for a in range(h_m)}
+    in_copy = [True] * h_m  # level-1 membership, concatenated like the words
+    for st_ in sch.stages[1:]:
+        in_copy = sum((in_copy + [False] * s for s in st_.spacers), [])
+    assert [p for p in range(h_N) if not in_copy[p]] == [12, 19, 20]
+
+    def matched(p):
+        return any("".join(text[(p - back + i) % h_N] for i in range(h_m)) in rotations
+                   for back in range(h_m))
+
+    assert matched(12)
+    for windows in (h_N, 7, 3):
+        stride = h_N // windows
+        samples = [k * stride for k in range(windows)]
+        expect = sum(in_copy[p] and matched(p) for p in samples) / windows
+        assert il.coverage_statistic(pc, 1, windows) == expect
+    assert il.coverage_statistic(pc, 1, h_N) < 1.0
 
 
 # ---------------------------------------------------------------------------

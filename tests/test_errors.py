@@ -72,6 +72,18 @@ def test_only_the_chain_word_forces_a_build():
     assert _module_calls(forces) == [("dynamics", "word")]
 
 
+def test_correlation_transforms_run_in_one_kernel():
+    # Autocorrelation, cross-correlation and decay share correlation._correlate_owned.
+    def fft_call(call: ast.Call) -> bool:
+        f = call.func
+        return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute)
+                and f.value.attr == "fft" and isinstance(f.value.value, ast.Name)
+                and f.value.value.id == "np")
+
+    found = [c for c in _module_calls(fft_call) if c[0] == "correlation"]
+    assert found and set(found) == {("correlation", "_correlate_owned")}
+
+
 def test_no_row_wise_unique():
     # Distinct rows are counted on rank-folded 1-d keys (words._count_rank_rows);
     # np.unique(..., axis=0) sorts whole rows and was the jump matrix's bottleneck.

@@ -212,6 +212,19 @@ def test_random_schedule_heights_up_to_int64_range():
         il.random_schedule([2] * 63, 3, w0)
 
 
+def test_schedule_refuses_a_stage_height_outside_int64():
+    # Every stage reduces rotations mod its height h_n as int64; the top
+    # height h_depth is never reduced by, so 2^63 is admitted there.
+    w0 = il.word_from_text(il.BINARY, "01")
+    assert il.morse_schedule(2, 62, w0).heights()[-1] == 2**63
+    with pytest.raises(ConfigurationError, match="stage 62"):
+        il.morse_schedule(2, 63, w0)
+    # Staircase heights are 2^(n+1) - 1: h_63 is the first at or above 2^63.
+    assert il.rank_one_schedule("staircase", [2] * 63).heights()[-1] == 2**64 - 1
+    with pytest.raises(ConfigurationError, match="stage 63"):
+        il.rank_one_schedule("staircase", [2] * 64)
+
+
 def test_staircase_schedule():
     sch = il.rank_one_schedule("staircase", [4])
     st = sch.stages[0]
