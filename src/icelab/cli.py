@@ -233,8 +233,6 @@ def _parse_labels(text: str) -> dict[str, complex]:
             labels[sym.strip()] = complex(val.strip())
         except ValueError:
             raise ConfigurationError(f"label value {val!r} is not a complex literal") from None
-    if not labels:
-        raise ConfigurationError("empty label map")
     return labels
 
 
@@ -246,25 +244,23 @@ def _int_list(option: str, text: str) -> list[int]:
         raise ConfigurationError(f"{option} {text!r} is not a comma list of integers") from None
 
 
-def _copy_counts(option: str, text: str, force: bool) -> list[int]:
-    """Copies per stage from a comma list, each refused above ``MAX_SYMBOLS`` before any draw.
+def _counts(option: str, text: str, force: bool) -> list[int]:
+    """Counts from a comma list, each refused above ``MAX_SYMBOLS`` before any work.
 
     A stage of ``q`` copies draws ``q`` rotations and makes a word of at
-    least ``q`` symbols.
+    least ``q`` symbols; ``--exp-n n`` evaluates ``n`` frequencies per point.
     """
-    qs = _int_list(option, text)
-    for q in qs:
-        refuse_above(f"{option} entry (copies per stage)", q, MAX_SYMBOLS, force)
-    return qs
+    counts = _int_list(option, text)
+    for n in counts:
+        refuse_above(f"{option} entry", n, MAX_SYMBOLS, force)
+    return counts
 
 
 def _parse_qs(args) -> list[int]:
-    if args.qs:
-        return _copy_counts("--qs", args.qs, args.force)
-    if args.q is not None and args.depth is not None:
-        refuse_above("--q (copies per stage)", args.q, MAX_SYMBOLS, args.force)
-        return [args.q] * args.depth
-    raise ConfigurationError("family needs --qs or --q with --depth")
+    if args.qs is not None:
+        return _counts("--qs", args.qs, args.force)
+    refuse_above("--q (copies per stage)", args.q, MAX_SYMBOLS, args.force)
+    return [args.q] * args.depth
 
 
 def _seed_word_from_args(args, default_text: str, spacer: str | None) -> words_mod.Word:
@@ -278,31 +274,20 @@ def _seed_word_from_args(args, default_text: str, spacer: str | None) -> words_m
 
 
 def _schedule_from_args(args) -> words_mod.Schedule:
-    if args.schedule:
+    if args.schedule is not None:
         return words_mod.load_schedule(args.schedule)
-    if not args.family:
-        raise ConfigurationError("provide --schedule FILE or --family NAME")
     if args.family == "morse":
-        if args.r is None or args.depth is None:
-            raise ConfigurationError("morse family needs --r and --depth")
         seed_word = _seed_word_from_args(args, "01", None)
         return words_mod.morse_schedule(args.r, args.depth, seed_word)
     if args.family == "random":
-        if args.seed is None:
-            raise ConfigurationError("random families need --seed")
         seed_word = _seed_word_from_args(args, "01", None)
         return words_mod.random_schedule(_parse_qs(args), args.seed, seed_word)
+    seed_word = _seed_word_from_args(args, "0", "1")
     if args.family == "staircase":
-        seed_word = _seed_word_from_args(args, "0", "1")
         return words_mod.rank_one_schedule("staircase", _parse_qs(args), seed_word=seed_word)
-    if args.family == "ornstein":
-        if args.seed is None:
-            raise ConfigurationError("random families need --seed")
-        seed_word = _seed_word_from_args(args, "0", "1")
-        return words_mod.rank_one_schedule(
-            "ornstein", _parse_qs(args), seed_word=seed_word, seed=args.seed, ratio=args.ratio
-        )
-    raise ConfigurationError(f"unknown family {args.family!r}")
+    return words_mod.rank_one_schedule(
+        "ornstein", _parse_qs(args), seed_word=seed_word, seed=args.seed, ratio=args.ratio
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,15 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="allow replacing existing outputs")
     stage = argparse.ArgumentParser(add_help=False)
     stage.add_argument("--depth", type=int, help="number of stages")
-    stage.add_argument("--q", type=int, help="copies per stage (with --depth)")
-    stage.add_argument("--qs", help="comma list of per-stage copy counts")
+    copies = stage.add_mutually_exclusive_group()
+    copies.add_argument("--q", type=int, help="copies per stage (with --depth)")
+    copies.add_argument("--qs", help="comma list of per-stage copy counts")
     stage.add_argument("--seed-word", dest="seed_word", help="seed word text")
     stage.add_argument("--alphabet", help="alphabet symbols as a string of characters")
     stage.add_argument("--spacer-symbol", dest="spacer_symbol", help="spacer symbol character")
     schedule = argparse.ArgumentParser(add_help=False, parents=[stage])
-    schedule.add_argument("--schedule", help="schedule JSON file")
-    schedule.add_argument("--family", choices=["morse", "random", "staircase", "ornstein"],
-                          help="generate the schedule from a named family")
+    source = schedule.add_mutually_exclusive_group()
+    source.add_argument("--schedule", help="schedule JSON file")
+    source.add_argument("--family", choices=["morse", "random", "staircase", "ornstein"],
+                        help="generate the schedule from a named family")
     schedule.add_argument("--r", type=int, help="morse cut count r")
     schedule.add_argument("--seed", type=int, help="random and ornstein families: rng seed")
     schedule.add_argument("--ratio", type=int, default=4, help="ornstein spacer bound h/ratio")
@@ -362,25 +349,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decay", parents=[common, schedule, labels],
                        help="correlation decay profile across stages")
-    p.add_argument("--from-stage", dest="from_stage", type=int, required=True)
-    p.add_argument("--to-stage", dest="to_stage", type=int, required=True)
+    p.add_argument("--from-stage", dest="from_stage", type=int)
+    p.add_argument("--to-stage", dest="to_stage", type=int)
     p.add_argument("--statistic", choices=["max", "median", "rms"], default="median")
 
     p = sub.add_parser("simplicity", parents=[common, schedule, labels],
                        help="far-half diagnostic report")
-    p.add_argument("--base", type=int, required=True, help="stage n of the diagnostic")
-    p.add_argument("--diag-depth", dest="diag_depth", type=int, required=True,
-                   help="truncation depth N")
+    p.add_argument("--base", type=int, help="stage n of the diagnostic")
+    p.add_argument("--diag-depth", dest="diag_depth", type=int, help="truncation depth N")
 
     p = sub.add_parser("spectrum", parents=[common, schedule, labels, zero_mean],
                        help="Riesz products, flatness metrics, merit factors")
-    p.add_argument("--mode", choices=["riesz", "flat", "merit"], required=True)
+    p.add_argument("--mode", choices=["riesz", "flat", "merit"])
     p.add_argument("--base", type=int, default=0, help="riesz: base stage n0")
     p.add_argument("--last", type=int, help="riesz: last stage factor (default: depth-1)")
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=2**14,
-                   help="circle grid size (power of two)")
-    p.add_argument("--line", nargs=3, metavar=("A", "B", "POINTS"),
-                   help="use a line grid on [A, B] with POINTS points")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--grid-size", dest="grid_size", type=int, default=2**14,
+                      help="circle grid size (power of two)")
+    grid.add_argument("--line", nargs=3, metavar=("A", "B", "POINTS"),
+                      help="use a line grid on [A, B] with POINTS points")
     p.add_argument("--check-oracle", action="store_true",
                    help="riesz: compare against the direct word-spectrum oracle")
     p.add_argument("--exp-n", dest="exp_n", help="flat: comma list of term counts n")
@@ -395,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", parents=[common, stage, labels],
                        help="seed fan-out for decay, jumps, or simplicity")
     p.add_argument("--threads", type=int, default=1, help="worker pool size")
-    p.add_argument("--task", choices=["decay", "jumps", "simplicity"], required=True)
-    p.add_argument("--seeds", type=int, required=True, help="number of seeds")
+    p.add_argument("--task", choices=["decay", "jumps", "simplicity"])
+    p.add_argument("--seeds", type=int, help="number of seeds")
     p.add_argument("--base-seed", dest="base_seed", type=int, default=0)
     p.add_argument("--h", type=int, help="jumps: fixed height h")
     p.add_argument("--q-list", dest="q_list", help="jumps: comma list of q values")
@@ -408,10 +395,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _labels_or_error(args) -> dict[str, complex]:
-    if not args.labels:
-        raise ConfigurationError("this command needs --labels")
-    return _parse_labels(args.labels)
+# What each subcommand, --mode, --task and schedule source reads besides --out,
+# --force and --overwrite.  A clause "--a|--b" is one of two options that argparse
+# makes exclusive, "--a+--b" reads --b only with --a and then needs it, and a
+# trailing "!" needs the option (or one of the two).  A run reads the row of its
+# subcommand and every row named "OPTION VALUE" by an option given that these read.
+_COPIES = "--qs|--q+--depth! --seed-word --alphabet --spacer-symbol"
+_SOURCE = "--schedule|--family!"
+_READS = {
+    "build": f"{_SOURCE} --depth --coding-start --coding-length --coding-level --jump-trace",
+    "geometry": f"{_SOURCE} --body-base+--body-depth --body-depth+--body-base",
+    "correlate": f"{_SOURCE} --labels! --zero-mean --stage --check-recursion",
+    "decay": f"{_SOURCE} --labels! --from-stage! --to-stage! --statistic",
+    "simplicity": f"{_SOURCE} --labels! --base! --diag-depth!",
+    "spectrum": "--mode!",
+    "--mode riesz": f"{_SOURCE} --labels! --zero-mean --base --last --grid-size|--line "
+                    "--check-oracle",
+    "--mode flat": "--exp-n! --eps --line",
+    "--mode merit": f"{_SOURCE} --labels! --merit-stages",
+    "rank": f"{_SOURCE} --stage",
+    "ensemble": "--task! --seeds! --base-seed --threads",
+    "--task jumps": "--h! --q-list!",
+    "--task decay": f"--labels! --from-stage! --to-stage! {_COPIES}",
+    "--task simplicity": f"--labels! --base! --diag-depth! {_COPIES}",
+    "--family morse": "--r! --depth! --seed-word --alphabet --spacer-symbol",
+    "--family random": f"--seed! {_COPIES}",
+    "--family staircase": _COPIES,
+    "--family ornstein": f"--seed! --ratio {_COPIES}",
+}
+
+
+def _parse_run(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """Parse ``argv``; exit 2 with a usage error unless the run has every option its
+    ``_READS`` rows need and reads every option given, even at its default value."""
+    args = parser.parse_args(argv)
+    sub = next(a.choices for a in parser._actions if a.choices)[args.command]
+    dests = {a.option_strings[-1]: a.dest for a in sub._actions if a.dest != argparse.SUPPRESS}
+    unset = object()  # argparse sets no default over an attribute that exists
+    seen = sub.parse_args(argv[1:], argparse.Namespace(**dict.fromkeys(dests.values(), unset)))
+    given = {opt for opt, dest in dests.items() if getattr(seen, dest) is not unset}
+    reads, keys = {"--out", "--force", "--overwrite"}, [args.command]
+    for key in keys:
+        for clause in _READS[key].split():
+            alternatives = [alt.split("+") for alt in clause.rstrip("!").split("|")]
+            chosen = [alt for alt in alternatives if alt[0] in given]
+            if clause.endswith("!") and not chosen:
+                sub.error(f"{key} needs {' or '.join(alt[0] for alt in alternatives)}")
+            reads.update(alt[0] for alt in alternatives)
+            for lead, *rest in chosen:
+                reads.update(rest)
+                for opt in set(rest) - given:
+                    sub.error(f"{lead} needs {opt}")
+                row = f"{lead} {getattr(args, dests[lead])}"
+                keys += [row] if row in _READS else []
+    if given - reads:
+        sub.error(f"{' '.join(keys)} does not read {', '.join(sorted(given - reads))}")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +523,7 @@ def _cmd_geometry(out_dir: Path, args) -> tuple[str | None, str | None]:
 
 def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
-    labels = _labels_or_error(args)
+    labels = _parse_labels(args.labels)
     sh = words_mod.schedule_hash(sch)
     heights = sch.heights()
     if args.stage is not None:
@@ -528,7 +567,7 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
 
 def _cmd_decay(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
-    labels = _labels_or_error(args)
+    labels = _parse_labels(args.labels)
     sh = words_mod.schedule_hash(sch)
     profile = corr.decay_profile(
         sch, labels, args.from_stage, args.to_stage, statistic=args.statistic, force=args.force
@@ -550,7 +589,7 @@ def _cmd_decay(out_dir: Path, args) -> tuple[str | None, str | None]:
 
 def _cmd_simplicity(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
-    labels = _labels_or_error(args)
+    labels = _parse_labels(args.labels)
     sh = words_mod.schedule_hash(sch)
     rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=args.force)
     payload = {
@@ -597,11 +636,10 @@ def _grid_from_args(args, force: bool) -> spx.Grid:
 
 def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
     if args.mode == "flat":
-        if not args.exp_n:
-            raise ConfigurationError("flat mode needs --exp-n")
+        counts = _counts("--exp-n", args.exp_n, args.force)
         grid = _grid_from_args(args, args.force) if args.line else spx.LineGrid(1.0, 2.0, 10001)
         rows = []
-        for n in _int_list("--exp-n", args.exp_n):
+        for n in counts:
             fs = spx.exp_frequency_set(n, args.eps)
             pg = spx.eval_polynomial(fs, grid, "M_R")
             metrics = spx.flatness_metrics(pg)
@@ -614,7 +652,7 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
     if args.mode == "merit":
-        labels = _labels_or_error(args)
+        labels = _parse_labels(args.labels)
         stages = (
             _int_list("--merit-stages", args.merit_stages)
             if args.merit_stages
@@ -633,7 +671,7 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
         return sh, None
 
     # riesz mode
-    labels = _labels_or_error(args)
+    labels = _parse_labels(args.labels)
     grid = _grid_from_args(args, args.force)
     last = args.last if args.last is not None else sch.depth - 1
     spx.check_riesz_stages(sch, args.base, last)
@@ -705,10 +743,8 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
         raise ConfigurationError("ensemble needs --seeds >= 1")
 
     if args.task == "jumps":
-        if args.h is None or not args.q_list:
-            raise ConfigurationError("jumps task needs --h and --q-list")
         words_mod.check_draw_height("jumps task --h", args.h)
-        qs = _copy_counts("--q-list", args.q_list, args.force)
+        qs = _counts("--q-list", args.q_list, args.force)
 
         def run_jump(seed: int) -> list[tuple]:
             out = []
@@ -730,9 +766,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
         return None, f"jump deviation medians: {medians}"
 
     if args.task == "decay":
-        labels = _labels_or_error(args)
-        if args.from_stage is None or args.to_stage is None:
-            raise ConfigurationError("decay task needs --from-stage and --to-stage")
+        labels = _parse_labels(args.labels)
         qs = _parse_qs(args)
 
         def run_decay(seed: int) -> tuple:
@@ -751,9 +785,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
         return None, f"median decay slope {median_slope:+.4f}"
 
     # simplicity task
-    labels = _labels_or_error(args)
-    if args.base is None or args.diag_depth is None:
-        raise ConfigurationError("simplicity task needs --base and --diag-depth")
+    labels = _parse_labels(args.labels)
     qs = _parse_qs(args)
 
     def run_simplicity(seed: int) -> tuple:
@@ -794,7 +826,7 @@ def run(argv: Sequence[str]) -> int:
     """Parse and execute one command; returns the exit code (0/2/3)."""
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse_run(parser, list(argv))
     except SystemExit as exc:  # argparse reports usage problems with code 2
         return int(exc.code or 0)
     out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or "./icelab-out")

@@ -44,7 +44,10 @@ def project_positions(
             f"need 0 <= to_level <= from_level <= depth, got {to_level}, {from_level}"
         )
     heights = schedule.heights()
-    arr = np.asarray(positions, dtype=np.int64)
+    try:  # every height is below 2**63, so a position int64 cannot hold is outside
+        arr = np.asarray(positions, dtype=np.int64)
+    except OverflowError:
+        raise ConfigurationError("positions outside the truncation") from None
     if arr.size and (arr.min() < 0 or arr.max() >= heights[from_level]):
         raise ConfigurationError("positions outside the truncation")
     for n in range(from_level - 1, to_level - 1, -1):

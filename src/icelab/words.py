@@ -190,7 +190,7 @@ class Schedule:
         if self.seed_word.alphabet != self.alphabet:
             raise ConfigurationError("seed word must use the schedule's alphabet")
         object.__setattr__(self, "stages", tuple(self.stages))
-        for n, h in enumerate(self.heights()[:-1]):  # every height a stage reduces by
+        for n, h in enumerate(self.heights()):  # the top one too: int64 holds its copy starts
             check_draw_height(f"stage {n}", h)
 
     @property
@@ -373,13 +373,13 @@ def morse_schedule(r: int, depth: int, seed_word: Word) -> Schedule:
 
 
 def check_draw_height(what: str, h: int) -> None:
-    """Refuse a height ``h`` outside ``[1, 2**63)``, which int64 draws on ``[0, h)`` need.
+    """Refuse a height ``h`` outside ``[1, 2**63)``, the one int64 rule for every height.
 
-    numpy refuses ``h <= 0`` and ``h > 2**63``; at ``h = 2**63`` it draws, but
-    reducing mod ``h`` as int64 (``Schedule.rotations_mod``) overflows.
+    numpy draws on ``[0, h)`` only for ``1 <= h <= 2**63``; at ``2**63`` the int64
+    ``Schedule.rotations_mod`` and the copy starts below it (``stage_starts``) overflow.
     """
     if not 1 <= h < 2**63:
-        raise ConfigurationError(f"{what}: height {h} is outside [1, 2**63), the int64 draw range")
+        raise ConfigurationError(f"{what}: height {h} is outside [1, 2**63), the int64 range")
 
 
 def random_schedule(qs: Sequence[int], seed: int, seed_word: Word) -> Schedule:
@@ -387,14 +387,14 @@ def random_schedule(qs: Sequence[int], seed: int, seed_word: Word) -> Schedule:
 
     Deterministic for a given seed: stage ``n`` draws from
     ``numpy.random.default_rng([seed, n])`` so stages are independent and the
-    split is reproducible.  Every drawn-from height ``h_n`` (all but the top
-    one) passes ``check_draw_height`` before any draw.
+    split is reproducible.  Every height ``h_n``, the top one too, passes
+    ``check_draw_height`` before any draw.
     """
     qs = [int(q) for q in qs]
     if min(qs, default=1) < 1:
         raise ConfigurationError("random stage needs q >= 1")
     heights = list(accumulate(qs, operator.mul, initial=seed_word.h))
-    for n, h in enumerate(heights[:-1]):
+    for n, h in enumerate(heights):
         check_draw_height(f"random stage {n}", h)
     stages = []
     for n, (q, h) in enumerate(zip(qs, heights)):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from icelab import BINARY, cli, morse_schedule, random_schedule, save_schedule, word_from_text
-from icelab.errors import MAX_SWEEP_CUTS
+from icelab import (BINARY, Schedule, Stage, cli, morse_schedule, random_schedule,
+                    save_schedule, word_from_text)
+from icelab.errors import MAX_SWEEP_CUTS, MAX_SYMBOLS
 from icelab.words import schedule_to_dict
 from icelab import spectral as spx
 
@@ -256,6 +259,189 @@ def test_each_subcommand_accepts_the_pinned_options():
 
 
 # ---------------------------------------------------------------------------
+# options: each run reads every option it is given (cli._READS)
+# ---------------------------------------------------------------------------
+
+_COMMON = {"--force", "--help", "--out", "--overwrite", "-h"}
+_PARSERS = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _named(*keys: str, given: set[str] | None = None) -> set[str]:
+    """The options that the ``cli._READS`` rows ``keys`` name.
+
+    With ``given``, the options of a run given those: "--a+--b" names --b only
+    when --a is given.
+    """
+    named = set()
+    for clause in " ".join(cli._READS[key] for key in keys).split():
+        for lead, *rest in (alt.split("+") for alt in re.findall(r"[-a-z+]+", clause)):
+            named |= {lead} if given is not None and lead not in given else {lead, *rest}
+    return named
+
+
+def _reachable(command: str) -> list[str]:
+    """The rows a subcommand can read: its own and every "OPTION VALUE" row of an option named."""
+    keys = [command]
+    for key in keys:
+        keys += [k for k in cli._READS if k.split()[0] in _named(key) and k not in keys]
+    return keys
+
+
+@pytest.mark.parametrize("command", sorted(_PARSERS))
+def test_declaration_names_exactly_the_options_a_parser_accepts(command):
+    accepted = {opt for a in _PARSERS[command]._actions for opt in a.option_strings}
+    assert _named(*_reachable(command)) == accepted - _COMMON
+
+
+def test_every_row_of_the_declaration_is_reachable():
+    assert {key for command in _PARSERS for key in _reachable(command)} == set(cli._READS)
+
+
+def _benchmark_workloads() -> dict:
+    """``WORKLOADS`` of ``perfbench/workloads.py``, loaded by path (it imports only the stdlib)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+_WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 2**31 - 1])
+@pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+def test_benchmark_command_lines_pass_the_read_check(workload, seed):
+    # Parsed and checked only: a CLI change that would make the benchmark exit 2 fails here.
+    for command in _WORKLOADS[workload](seed):
+        argv = [*command.args, "--out", "unused"]
+        assert cli._parse_run(cli.build_parser(), argv).command == command.args[0]
+
+
+# One line per schedule source; the file holds two unrotated stages.
+_SOURCES = {
+    "--schedule": ["--schedule", "{schedule}"],
+    "--family morse": ["--family", "morse", "--r", "3", "--depth", "2", "--seed-word", "001",
+                       "--alphabet", "01"],
+    "--family random": ["--family", "random", "--qs", "3,3", "--seed", "1", "--seed-word", "001",
+                        "--alphabet", "01"],
+    "--family staircase": ["--family", "staircase", "--qs", "3,3"],
+    "--family ornstein": ["--family", "ornstein", "--qs", "3,3", "--seed", "1", "--seed-word",
+                          "001", "--alphabet", "012", "--spacer-symbol", "2"],
+}
+_LABELS = ["--labels", "0=1,1=-1"]
+_RUNS = {
+    "build": [],
+    "geometry": [],
+    "correlate": _LABELS,
+    "decay": [*_LABELS, "--from-stage", "0", "--to-stage", "2"],
+    "simplicity": [*_LABELS, "--base", "1", "--diag-depth", "2"],
+    "--mode riesz": ["--mode", "riesz", *_LABELS, "--grid-size", "64"],
+    "--mode flat": ["--mode", "flat", "--exp-n", "2"],
+    "--mode merit": ["--mode", "merit", *_LABELS],
+    "rank": [],
+    "--task jumps": ["--task", "jumps", "--seeds", "1", "--h", "4", "--q-list", "2"],
+    "--task decay": ["--task", "decay", "--seeds", "1", *_LABELS, "--from-stage", "0",
+                     "--to-stage", "2", "--qs", "3,3", "--seed-word", "001", "--alphabet", "01"],
+    "--task simplicity": ["--task", "simplicity", "--seeds", "1", *_LABELS, "--base", "1",
+                          "--diag-depth", "2", "--qs", "3,3", "--seed-word", "001",
+                          "--alphabet", "01"],
+}
+# These runs pass the option check and then exit 2 on the schedule itself: decay
+# and the diagnostic need pure stages (and the diagnostic an odd h_n), merit
+# factors a word without spacers, the certificate a stage without spacers, and
+# the Riesz product unrotated stages.
+_SCHEDULE_REFUSED = {
+    ("decay", "--family staircase"), ("decay", "--family ornstein"),
+    ("simplicity", "--family staircase"), ("simplicity", "--family ornstein"),
+    ("--mode merit", "--family staircase"), ("--mode merit", "--family ornstein"),
+    ("rank", "--family staircase"), ("--mode riesz", "--family morse"),
+    ("--mode riesz", "--family random"),
+}
+
+
+def _combinations() -> list[tuple[str, str, str | None]]:
+    """(subcommand, mode/task row or subcommand, source row or None) for every run kind."""
+    combos = []
+    for run in _RUNS:
+        command = run if run in _PARSERS else ("spectrum" if "--mode" in run else "ensemble")
+        sources = _SOURCES if "--family" in _named(command, run) else [None]
+        combos += [(command, run, source) for source in sources]
+    return combos
+
+
+def _value(action: argparse.Action) -> list[str]:
+    """A value to give ``action``'s option: its default where it has one."""
+    if action.nargs == 0:
+        return []
+    if action.nargs == 3:
+        return ["1", "2", "5"]
+    if action.default is not None:
+        return [str(action.default)]
+    return [action.choices[0] if action.choices else "1"]
+
+
+@pytest.mark.parametrize("command, run, source", _combinations(),
+                         ids=[" ".join(dict.fromkeys(filter(None, c))) for c in _combinations()])
+def test_every_option_a_run_does_not_read_exits_2(command, run, source, tmp_path, capsys):
+    schedule = tmp_path / "sched.json"
+    stages = (Stage(3, (0, 0, 0)), Stage(3, (0, 0, 0)))
+    save_schedule(Schedule(BINARY, word_from_text(BINARY, "001"), stages), schedule)
+    base = [command, *_RUNS[run],
+            *[arg.format(schedule=schedule) for arg in _SOURCES.get(source, [])]]
+    keys = [command, run] + ([source] if source in cli._READS else [])
+    out = tmp_path / "o"
+    named = _named(*keys, given={arg for arg in base if arg.startswith("--")})
+    unread = {a.option_strings[0]: a for a in _PARSERS[command]._actions
+              if a.option_strings[0] not in _COMMON | named}
+    assert unread
+    for option, action in sorted(unread.items()):
+        assert cli.run([*base, option, *_value(action), "--out", str(out)]) == 2, option
+        assert "usage:" in capsys.readouterr().err, option
+        assert not out.exists(), option
+    refused = (run, source) in _SCHEDULE_REFUSED
+    assert cli.run([*base, "--out", str(out)]) == (2 if refused else 0)
+    assert "usage:" not in capsys.readouterr().err
+
+
+_MISREAD = {
+    "jumps --base": ["ensemble", "--task", "jumps", "--seeds", "1", "--h", "16", "--q-list", "4",
+                     "--base", "3"],
+    "flat --grid-size": ["spectrum", "--mode", "flat", "--exp-n", "2,5", "--grid-size", "8"],
+    "morse --seed": [*_VALID["geometry"], "--seed", "99"],
+    "--qs with --q": ["geometry", "--family", "random", "--qs", "4,4", "--q", "9", "--seed", "1"],
+    "--qs with --q and --depth": ["geometry", "--family", "random", "--qs", "4,4", "--q", "9",
+                                  "--depth", "2", "--seed", "1"],
+    "--line with --grid-size": ["spectrum", "--mode", "riesz", "--family", "staircase", "--qs",
+                                "3,3", "--labels", "0=1", "--line", "1", "2", "5",
+                                "--grid-size", "16384"],
+    "riesz --eps at its default": ["spectrum", "--mode", "riesz", "--family", "staircase",
+                                   "--qs", "3,3", "--labels", "0=1", "--eps", "0.1"],
+    "--depth with --qs": ["geometry", "--family", "random", "--qs", "4,4", "--depth", "2",
+                          "--seed", "1"],
+    "--q without --depth": ["geometry", "--family", "random", "--q", "4", "--seed", "1"],
+    "--body-base alone": [*_VALID["geometry"], "--body-base", "1"],
+    "--body-depth alone": [*_VALID["geometry"], "--body-depth", "1"],
+    "--schedule with --family": [*_VALID["geometry"], "--schedule", "sched.json"],
+    "no source": ["rank", "--stage", "0"],
+    "no labels": ["spectrum", "--mode", "merit", *_MORSE],
+    "no mode": ["spectrum", *_MORSE, "--labels", "0=1,1=-1"],
+    "no task": ["ensemble", "--seeds", "2", "--h", "16", "--q-list", "4"],
+    "no --exp-n": ["spectrum", "--mode", "flat"],
+}
+
+
+@pytest.mark.parametrize("argv", _MISREAD.values(), ids=_MISREAD)
+def test_an_unread_or_missing_option_exits_2_before_out_is_created(argv, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert cli.run(argv + ["--out", str(out)]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # exit codes and guardrails
 # ---------------------------------------------------------------------------
 
@@ -427,6 +613,29 @@ def test_non_integer_stage_list_exits_2(argv, tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_exp_n_above_the_symbol_limit_exits_3_before_any_evaluation(tmp_path, monkeypatch):
+    # Each --exp-n entry n asks for n frequencies at every grid point, so the
+    # spy evaluates two terms in its place: only the guard's decision is tested.
+    calls = []
+    exp_frequency_set = spx.exp_frequency_set
+
+    def spy(n, eps):
+        calls.append(n)
+        return exp_frequency_set(2, eps)
+
+    monkeypatch.setattr(spx, "exp_frequency_set", spy)
+    argv = ["spectrum", "--mode", "flat", "--line", "1", "2", "5"]
+    out = tmp_path / "over"
+    assert cli.run(argv + ["--exp-n", f"2,{MAX_SYMBOLS + 1}", "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+    assert calls == [], "exp_frequency_set ran before the --exp-n guard refused"
+    assert cli.run(argv + ["--exp-n", f"2,{MAX_SYMBOLS}", "--out", str(tmp_path / "at")]) == 0
+    assert calls == [2, MAX_SYMBOLS]
+    forced = ["--exp-n", str(MAX_SYMBOLS + 1), "--force", "--out", str(tmp_path / "forced")]
+    assert cli.run(argv + forced) == 0
+    assert calls[-1] == MAX_SYMBOLS + 1
+
+
 def test_random_stage_above_int64_exits_2_before_any_draw(tmp_path, monkeypatch):
     # Stage 63 of --q 2 over a 2-letter seed has height 2^64.
     def no_draw(*args, **kwargs):
@@ -459,8 +668,8 @@ def test_draw_height_outside_int64_exits_2(argv, tmp_path, capsys):
 
 
 def test_schedule_file_with_a_stage_height_outside_int64_exits_2(tmp_path, capsys):
-    # Eight more Morse stages on top of depth 62 make h_62 = 2^63 a stage height.
-    doc = schedule_to_dict(morse_schedule(2, 62, word_from_text(BINARY, "01")))
+    # Eight more Morse stages on top of depth 61 make h_62 = 2^63 a stage height.
+    doc = schedule_to_dict(morse_schedule(2, 61, word_from_text(BINARY, "01")))
     doc["stages"] += doc["stages"][-1:] * 8
     deep = tmp_path / "deep.json"
     deep.write_text(json.dumps(doc), encoding="utf-8")
@@ -471,9 +680,10 @@ def test_schedule_file_with_a_stage_height_outside_int64_exits_2(tmp_path, capsy
 
 
 def test_morse_at_the_largest_admitted_depth_exits_0(tmp_path):
-    # h_62 = 2^63 is the top height: no stage reduces by it.
+    # The top height h_61 = 2^62 is admitted; depth 62 would make it 2^63, whose
+    # int64 copy starts wrapped: stage_starts(61) read [0, 2^62, -2^63].
     out = tmp_path / "o"
-    argv = ["geometry", "--family", "morse", "--r", "2", "--depth", "62", "--seed-word", "01",
+    argv = ["geometry", "--family", "morse", "--r", "2", "--depth", "61", "--seed-word", "01",
             "--alphabet", "01", "--out", str(out)]
     assert cli.run(argv) == 0
     assert (out / "geometry.json").exists()

@@ -43,8 +43,8 @@ def test_project_letter_consistency(cat_chain_2, cat_words):
         assert cat_words[2].text[p] == cat_words[0].text[x0]
 
 
-@pytest.mark.parametrize("x, n", [(0, -1), (0, 2), (-1, 0), (18, 0)],
-                         ids=["n=-1", "n=depth+1", "x=-1", "x=h_N"])
+@pytest.mark.parametrize("x, n", [(0, -1), (0, 2), (-1, 0), (18, 0), (2**64, 0), (-2**63 - 1, 0)],
+                         ids=["n=-1", "n=depth+1", "x=-1", "x=h_N", "x=2^64", "x=-2^63-1"])
 def test_project_refuses_out_of_range(cat_chain_1, x, n):
     with pytest.raises(ConfigurationError):
         il.project(cat_chain_1, x, n)

@@ -37,10 +37,3 @@ def test_decay_ensemble():
     assert [line.split()[:2] for line in lines[:2]] == [["seed", "0"], ["seed", "1"]]
     assert lines[-1].startswith("median slope over 2 seeds: ")
     assert math.isfinite(float(lines[-1].rsplit(" ", 1)[1]))
-
-
-def test_flatness_trend():
-    lines = run_script("flatness_trend.py", "--counts", "20,40", "--points", "101")
-    assert [line.split()[0] for line in lines] == ["n", "20", "40"]
-    for line in lines[1:]:
-        assert all(math.isfinite(float(x)) for x in line.split()[1:])

@@ -199,30 +199,32 @@ def test_random_schedule_deterministic():
 
 
 def test_random_schedule_heights_up_to_int64_range():
-    # Over "01", stage n of q = 2 draws from h_n = 2^(n+1): stage 61 draws from
-    # 2^62 < 2^63 and is admitted.  Stage 62 would draw from h = 2^63, which
-    # numpy's int64 draw still takes, but reducing the rotations mod 2^63 fails:
-    # `icelab geometry --family random --q 2 --depth 63 --seed 1` raised
-    # OverflowError in Schedule.rotations_mod.  So 2^63 is refused before any draw.
+    # Over "01", q = 2 gives h_n = 2^(n+1): [2] * 61 draws stage 60 from 2^61
+    # and tops out at 2^62.  Every height, the top one too, must lie below 2^63:
+    # a drawn-from 2^63 overflowed reducing the rotations mod 2^63 (numpy's
+    # int64 draw still takes it), and a top 2^63 wrapped the top stage's int64
+    # copy starts.  So [2] * 62 is refused at stage 62, before any draw.
     w0 = il.word_from_text(il.BINARY, "01")
-    sch = il.random_schedule([2] * 62, 3, w0)
-    assert all(0 <= a < 2**62 for a in sch.stages[61].rotations)
-    assert sch.rotations_mod(61).dtype == np.int64
+    sch = il.random_schedule([2] * 61, 3, w0)
+    assert all(0 <= a < 2**61 for a in sch.stages[60].rotations)
+    assert sch.rotations_mod(60).dtype == np.int64
+    assert sch.stage_starts(60).tolist() == [0, 2**61, 2**62]
     with pytest.raises(ConfigurationError, match="stage 62"):
-        il.random_schedule([2] * 63, 3, w0)
+        il.random_schedule([2] * 62, 3, w0)
 
 
 def test_schedule_refuses_a_stage_height_outside_int64():
-    # Every stage reduces rotations mod its height h_n as int64; the top
-    # height h_depth is never reduced by, so 2^63 is admitted there.
+    # Every stage reduces rotations mod its height h_n as int64, and the top
+    # stage's copy starts run up to h_depth as int64: at a top height of 2^63,
+    # morse depth 62's stage_starts(61) read [0, 2^62, -2^63].
     w0 = il.word_from_text(il.BINARY, "01")
-    assert il.morse_schedule(2, 62, w0).heights()[-1] == 2**63
+    assert il.morse_schedule(2, 61, w0).heights()[-1] == 2**62
     with pytest.raises(ConfigurationError, match="stage 62"):
-        il.morse_schedule(2, 63, w0)
+        il.morse_schedule(2, 62, w0)
     # Staircase heights are 2^(n+1) - 1: h_63 is the first at or above 2^63.
-    assert il.rank_one_schedule("staircase", [2] * 63).heights()[-1] == 2**64 - 1
+    assert il.rank_one_schedule("staircase", [2] * 62).heights()[-1] == 2**63 - 1
     with pytest.raises(ConfigurationError, match="stage 63"):
-        il.rank_one_schedule("staircase", [2] * 64)
+        il.rank_one_schedule("staircase", [2] * 63)
 
 
 def test_staircase_schedule():
