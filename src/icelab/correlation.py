@@ -13,8 +13,9 @@ reconstruction ``g`` from base-level returns: ``g = sum_{|j| <= (h-1)/2}
 f_(n)(j) * T^j b_n`` where ``b_n`` is the indicator of the base level.  The
 remainder splits as ``g = f - u + v`` with ``u`` the restriction of ``f`` to
 the far half of the signed-level chart; the report carries all seven inner
-products of the decomposition.  One signed chart of level-``(n+1)``
-coordinates gives every coordinate the diagnostic reads.  ``|u|^2 = |v|^2``
+products of the decomposition.  Tables on the signed chart of ``W_{n+1}``,
+read at the level-``(n+1)`` coordinates, give every coordinate the
+diagnostic reads.  ``|u|^2 = |v|^2``
 while every stage-``n`` copy is intact; ``severed_copy_imbalance`` accounts
 exactly, at any depth, for the gap that the copies severed by deeper stages'
 rotations leave, by telescoping window sums over block junctions.
@@ -33,6 +34,14 @@ from .words import Schedule, Word, build_word
 
 #: Zero-mean lift tolerance: |sum of values| <= ZERO_MEAN_TOL * h.
 ZERO_MEAN_TOL = 1e-12
+
+#: Values per in-place ``|F|^2`` product in ``_correlate_owned`` (1 MiB of complex128).
+_PRODUCT_CHUNK = 2**16
+
+#: Bases per block of the ``_base_returns`` scatter: a block's returns span
+#: about ``_RETURN_BLOCK * h_n`` complex values (1.8 MB at h_n = 27), which
+#: stay in a core's cache across the block's ``h_n`` passes.
+_RETURN_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +170,22 @@ def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.nda
 
     ``buf`` must be a writable complex128 vector the caller owns: each stage
     (forward transform, product with the conjugate, inverse transform,
-    scaling) overwrites it, so no second length-h result is ever alive.  The
-    values are bitwise those of the two-transform ``ifft(fft(buf) *
+    scaling) overwrites it, so no second length-h result is ever alive.  An
+    autocorrelation forms ``|F|^2`` in place ``_PRODUCT_CHUNK`` values at a
+    time, and a cross-correlation conjugates its own transform of ``other``
+    in place, so no length-h conjugate temporary exists either.  The values
+    are bitwise those of the two-transform ``ifft(fft(buf) *
     conj(fft(other))) / h``; an autocorrelation's product must stay in place,
     as an out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
     """
     np.fft.fft(buf, out=buf)
-    buf *= np.conj(buf if other is None else np.fft.fft(other))
+    if other is None:
+        for lo in range(0, buf.size, _PRODUCT_CHUNK):
+            part = buf[lo: lo + _PRODUCT_CHUNK]
+            part *= np.conj(part)
+    else:
+        spectrum = np.fft.fft(other)
+        buf *= np.conj(spectrum, out=spectrum)
     np.fft.ifft(buf, out=buf)
     buf /= buf.size
     return buf
@@ -278,14 +296,15 @@ def decay_profile(
         series = _correlate_owned(buf)
         h = series.size
         sel = np.abs(series[h // 4: 3 * h // 4 + 1])
+        mean_square = np.mean(sel**2)
         rows.append(
             StageDecay(
                 n=n,
                 h=h,
                 max=float(sel.max()),
                 median=float(np.median(sel)),
-                rms=float(np.sqrt(np.mean(sel**2))),
-                variance=float(np.mean(sel**2)),
+                rms=float(np.sqrt(mean_square)),
+                variance=float(mean_square),
             )
         )
 
@@ -426,14 +445,25 @@ def simplicity_diagnostic(
     """Far-half diagnostic of stage ``n`` on the depth-``depth`` truncation.
 
     Preconditions: ``h_n`` odd, ``depth >= n``, pure stages throughout
-    ``[n, depth)``, and zero-mean labels (mean subtraction is applied).
-    ``depth = n`` returns the degenerate exact report (``g = f``,
-    ``u = v = 0``).
+    ``[n, depth)``, and labels whose lift is not constant after mean
+    subtraction (a constant lift has ``f2 = 0``, which every ratio divides
+    by; it is refused before any length-``h_N`` work).  ``depth = n`` returns
+    the degenerate exact report (``g = f``, ``u = v = 0``).
+
+    ``f``, the far mask and the bases are gathered from tables on the chart
+    of ``W_{n+1}`` (``_chart_gathers``), and the level-``(n+1)`` coordinates
+    are dropped before ``g`` is scattered (``_base_returns``).  The sums are
+    taken with two complex arrays of length ``h_N`` alive: ``g`` becomes
+    ``v`` and ``f`` becomes ``u``.
     """
     h = _check_far_half(schedule, n, depth)
     pc = ProjectionChain.build(schedule, depth, force=force)
     fn = _far_half_base_function(schedule, labels, n, force)
     f2_level = float(np.mean(np.abs(fn) ** 2))
+    if f2_level == 0.0:
+        raise ConfigurationError(
+            "far-half diagnostic needs labels whose lift is not constant (f2 = 0 after centring)"
+        )
 
     if depth == n:
         return SimplicityReport(
@@ -443,32 +473,26 @@ def simplicity_diagnostic(
         )
 
     h_N = pc.heights[depth]
-    w = (h - 1) // 2
-    # One signed chart serves every coordinate: the level-n value is the chart
-    # level mod h (fn[s] wraps the negative levels), the bases are s == 0, and
-    # the far half is |s| > w.
-    s = _signed_chart(schedule, n, project_all(pc, n + 1))
-    f = fn[s]
-    g = _base_returns(s, fn)
-    # Formed after the scatter, the mask reuses the heap its temporaries
-    # freed: 5 MB less peak RSS at h_N = 8.5 M than forming it before.
-    far = np.abs(s) > w
-    del s
+    f, far, bases = _chart_gathers(schedule, n, project_all(pc, n + 1), fn)
+    g = _base_returns(bases, h_N, fn)
+    del bases
 
     def avg(x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.vdot(y, x) / h_N)
 
-    # At most three complex arrays of length h_N are alive at once: each sum
-    # is taken as soon as its operands exist, and v = (g - f) + u is formed
-    # in g (that order of operations, so every bit matches).
+    # v = (g - f) + u is formed in g and u in f, each sum taken while its
+    # operands exist, with the bits of the out-of-place forms: g - f is the
+    # exact negation of f - g, so |g - f|^2 is |f - g|^2; and g starts at +0.0
+    # and only adds, so g - f holds no -0.0 and adding f only where far adds
+    # u = f*[far] bit for bit.
     f2 = avg(f, f).real
     g2 = avg(g, g).real
-    d = f - g
-    fg_diff2 = avg(d, d).real
-    del d
-    u = np.where(far, f, 0.0)
     v = np.subtract(g, f, out=g)
-    v += u
+    fg_diff2 = avg(v, v).real
+    np.add(v, f, out=v, where=far)
+    fv = avg(f, v)
+    u = f
+    np.copyto(u, 0.0, where=~far)
     return SimplicityReport(
         n=n,
         depth=depth,
@@ -480,8 +504,24 @@ def simplicity_diagnostic(
         u2=avg(u, u).real,
         v2=avg(v, v).real,
         uv=avg(u, v),
-        fv=avg(f, v),
+        fv=fv,
     )
+
+
+def _chart_gathers(
+    schedule: Schedule, n: int, x: np.ndarray, fn: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``f``, the far mask and the bases at the level-``(n+1)`` coordinates ``x``.
+
+    With ``chart = signed_levels(schedule, n)`` (length ``h_{n+1}``) and
+    ``w = (h_n - 1)/2``, each is a gather by ``x`` from a table on the chart:
+    ``f = fn[chart][x]`` (negative levels wrap to their plain level), the
+    far mask is ``(|chart| > w)[x]``, and the bases are the ascending indices
+    where ``(chart == 0)[x]``.  No length-``len(x)`` chart is built.
+    """
+    w = (fn.size - 1) // 2
+    chart = signed_levels(schedule, n)
+    return fn[chart][x], (np.abs(chart) > w)[x], np.flatnonzero((chart == 0)[x])
 
 
 def severed_copy_imbalance(
@@ -544,18 +584,41 @@ def severed_copy_imbalance(
     return float(imbalance)
 
 
-def _base_returns(signed: np.ndarray, fn: np.ndarray) -> np.ndarray:
+def _base_returns(bases: np.ndarray, size: int, fn: np.ndarray) -> np.ndarray:
     """Reconstruction ``g = sum_{|j| <= w} f_(n)(j) T^j b_n`` on a cycle of
-    signed chart levels, scattered from its bases (the positions at level 0).
+    ``size`` positions, scattered from its bases (ascending positions), with
+    ``h = fn.size = h_n`` and ``w = (h - 1)/2``.
 
-    Each position receives its returns in ascending ``j``.
+    Each position receives its returns in ascending ``j``, that is from its
+    bases in descending order, so ``g`` is bitwise that of one pass over all
+    bases per ``j``.  The passes run over blocks of ``_RETURN_BLOCK``
+    consecutive bases instead, blocks in descending order and each block's
+    ``j`` loop ascending, so the block's slice of ``g`` stays in cache across
+    its ``h`` passes.  Seam rule: the cycle is read from a cut just after its
+    widest gap between consecutive bases, so the bases before the cut come
+    last along it and are scattered first.  When that gap is at least
+    ``2w + 1`` no position has returns from bases on both sides of the cut,
+    so descending order along the cut cycle is descending order at every
+    position.  Bases with mean gap ``h`` (one per copy of ``W_n``, as in the
+    diagnostic) always have such a gap; when there is none, all bases form
+    one block.
     """
     h = fn.size
     w = (h - 1) // 2
-    bases = np.flatnonzero(signed == 0)
-    g = np.zeros(signed.size, dtype=np.complex128)
-    for j in range(-w, w + 1):
-        g[(bases + j) % signed.size] += fn[j % h]
+    g = np.zeros(size, dtype=np.complex128)
+    if bases.size == 0:
+        return g
+    gaps = np.diff(bases, append=bases[0] + size)
+    cut = int(np.argmax(gaps)) + 1
+    block = _RETURN_BLOCK
+    if gaps[cut - 1] <= 2 * w:  # no seam: each j passes over all bases at once
+        cut, block = 0, bases.size
+    del gaps
+    for part in (bases[:cut], bases[cut:]):
+        for hi in range(part.size, 0, -block):
+            chunk = part[max(hi - block, 0): hi]
+            for j in range(-w, w + 1):
+                g[(chunk + j) % size] += fn[j % h]
     return g
 
 
@@ -571,6 +634,6 @@ def _window_v_energy(
     core = signed[:, w: 3 * w]
     # The rows laid end to end form one cycle: a return that leaves its row
     # lands in a neighbour's outer w positions, never in a core.
-    g = _base_returns(signed.ravel(), fn).reshape(signed.shape)[:, w: 3 * w]
-    v = g - np.where(np.abs(core) <= w, fn[core], 0.0)
+    g = _base_returns(np.flatnonzero(signed == 0), signed.size, fn).reshape(signed.shape)
+    v = g[:, w: 3 * w] - np.where(np.abs(core) <= w, fn[core], 0.0)
     return float(np.sum(np.abs(v) ** 2))

@@ -536,5 +536,10 @@ def save_schedule(schedule: Schedule, path) -> None:
 
 
 def load_schedule(path) -> Schedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_json(fh.read())
+    """The schedule in a JSON file; a file that cannot be read is a configuration error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read schedule file {str(path)!r}: {exc.strerror}") from exc
+    return schedule_from_json(text)

@@ -102,10 +102,12 @@ def test_direct_route_bitwise_equals_defining_sum(h):
         assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("h", [2**14, 2**15, 2**16, 3**9, 10007])
+@pytest.mark.parametrize("h", [7, 1000, 2**10, 2**13, 2**14, 2**15, 2**16, 3 * 2**15, 2**18,
+                               3**9, 10007])
 def test_fft_route_bitwise_equals_two_transform_product(h):
     # Reference: the two-transform product.  An out-of-place ``F * conj(F)``
     # with one transform differs from it in the last bit from h = 16384 on.
+    # From 3 * 2**15 on, the in-place product runs in more than one chunk.
     rng = np.random.default_rng(h)
     f, g = (il.LevelFunction(n=0, values=rng.standard_normal(h) + 1j * rng.standard_normal(h))
             for _ in range(2))
@@ -408,6 +410,90 @@ def test_simplicity_projects_once(trit_word, trit_labels, monkeypatch):
     sch = il.random_schedule([9, 27, 5, 4], 1, trit_word)
     il.simplicity_diagnostic(sch, trit_labels, 1, 4)
     assert calls == [2]
+
+
+def _per_j_base_returns(bases, size, fn):
+    """Reference scatter: one pass over all bases per j, j ascending."""
+    h = fn.size
+    w = (h - 1) // 2
+    g = np.zeros(size, dtype=np.complex128)
+    for j in range(-w, w + 1):
+        g[(bases + j) % size] += fn[j % h]
+    return g
+
+
+def _dense_cycle(seed, w, size, density):
+    """Returns of wide dynamic range and the bases of a random cycle: a run of
+    bases at the given density over a random arc, which may wrap past position 0."""
+    rng = np.random.default_rng(seed)
+    h = 2 * w + 1
+    scale = 10.0 ** rng.uniform(-8, 8, h)
+    fn = scale * (rng.standard_normal(h) + 1j * rng.standard_normal(h))
+    arc = (rng.integers(size) + np.arange(rng.integers(size + 1))) % size
+    return fn, np.sort(arc[rng.random(arc.size) < density])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    w=st.integers(min_value=0, max_value=6),
+    size=st.integers(min_value=1, max_value=160),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    block=st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_blocked_base_returns_bitwise_equal_the_per_j_loop(seed, w, size, density, block):
+    # Dense arcs give positions three or more returns, and an arc that wraps
+    # past position 0 puts them on both sides of the cycle's end.
+    fn, bases = _dense_cycle(seed, w, size, density)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corr, "_RETURN_BLOCK", block)
+        got = corr._base_returns(bases, size, fn)
+    ref = _per_j_base_returns(bases, size, fn)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_base_returns_at_the_default_block(seed):
+    # Several default-size blocks and a seam (a gap of at least 2w + 1 = 13),
+    # with a dense arc that wraps past position 0.
+    size = 12 * corr._RETURN_BLOCK
+    fn, bases = _dense_cycle(seed, 6, size, 0.6)
+    assert bases.size > 2 * corr._RETURN_BLOCK
+    assert np.diff(bases, append=bases[0] + size).max() >= 13
+    got = corr._base_returns(bases, size, fn)
+    assert np.array_equal(got.view(np.int64), _per_j_base_returns(bases, size, fn).view(np.int64))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    qs=st.lists(st.sampled_from([1, 3, 5, 7, 9]), min_size=2, max_size=4),
+    n=st.integers(min_value=0, max_value=1),
+)
+@settings(max_examples=60, deadline=None)
+def test_chart_gathers_equal_the_signed_chart_route(trit_word, seed, qs, n):
+    sch = il.random_schedule(qs, seed, trit_word)
+    pc = il.ProjectionChain.build(sch)
+    h = sch.height(n)
+    rng = np.random.default_rng(seed)
+    fn = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    f, far, bases = corr._chart_gathers(sch, n, il.project_all(pc, n + 1), fn)
+    s = corr._signed_chart(sch, n, il.project_all(pc, n + 1))
+    assert np.array_equal(f.view(np.int64), fn[s].view(np.int64))
+    assert np.array_equal(far, np.abs(s) > (h - 1) // 2)
+    assert np.array_equal(bases, np.flatnonzero(s == 0))
+
+
+@pytest.mark.parametrize("word, labels", [("000", {"0": 1.0}), ("012", {"0": 2, "1": 2, "2": 2})])
+def test_simplicity_refuses_a_constant_lift_before_projecting(word, labels, monkeypatch):
+    # f2 = 0, which every ratio divides by: refused before the coordinates exist.
+    def no_projection(*args):
+        raise AssertionError("projected a constant lift")
+
+    monkeypatch.setattr(il.correlation, "project_all", no_projection)
+    sch = il.random_schedule([3, 9, 5], 1, il.word_from_text(il.Alphabet(tuple("012")), word))
+    for depth in (1, 3):
+        with pytest.raises(ConfigurationError, match="f2 = 0"):
+            il.simplicity_diagnostic(sch, labels, 1, depth)
 
 
 def test_simplicity_degenerate_depth(trit_word, trit_labels):
