@@ -28,7 +28,6 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -52,13 +51,60 @@ OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
 # ---------------------------------------------------------------------------
 
 
-#: Rows formatted per ``_csv_lines`` call.  A chunk's cell strings live next
-#: to the whole row list: 65,536-row chunks raised ``correlate``'s peak RSS
-#: by a fifth, 4,096-row chunks by about 1 %.
+#: Rows formatted per ``_csv_lines`` call.  A chunk's slice of each column
+#: becomes Python scalars and cell strings only while it is formatted.  On
+#: ``correlate``'s 262,144 rows, 65,536-row chunks took the peak RSS from 55
+#: to 83 MB; 4,096-row chunks peak as 512-row ones do, at the transform.
 _CSV_CHUNK = 4096
 
 
-def _quote_text(col: tuple[str, ...], alone: bool):
+class _Columns:
+    """A csv table held by column; ``len`` is its number of rows.
+
+    Each column is a 1-d numpy ``int64`` or ``float64`` array or a list of
+    ``int``, ``float`` or ``str``, and all have the same length.  No Python
+    object exists per row: a chunk of rows becomes Python scalars only when
+    ``_csv_lines`` formats it.
+    """
+
+    def __init__(self, *columns) -> None:
+        if len({len(col) for col in columns}) > 1:
+            raise ValueError("table columns differ in length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def slices(self, lo: int, hi: int) -> list[list]:
+        """Rows ``lo:hi`` of every column, as lists of Python scalars."""
+        return [col[lo:hi].tolist() if isinstance(col, np.ndarray) else col[lo:hi]
+                for col in self.columns]
+
+
+def _is_text(path: Path, name: str, col) -> bool:
+    """Whether ``col`` holds text; ``TypeError`` unless the writer formats its kind exactly.
+
+    A float is written with ``str``, which is ``repr`` (shortest round trip),
+    but a numpy scalar such as ``np.float64`` (a ``float`` subclass) would
+    appear as ``np.float64(...)``, and a bool as ``True``.  So an array must
+    be ``int64`` or ``float64``, and a list must hold exactly ``int``,
+    ``float`` or ``str``; a list is homogeneous, so its first cell suffices.
+    """
+    if isinstance(col, np.ndarray):
+        if col.ndim == 1 and col.dtype in (np.int64, np.float64):
+            return False
+        kind = f"a {col.ndim}-d {col.dtype} array"
+    elif type(col) is list:
+        if not col or type(col[0]) in (int, float, str):
+            return bool(col) and type(col[0]) is str
+        kind = f"a list of {type(col[0]).__name__}"
+    else:
+        kind = type(col).__name__
+    raise TypeError(f"{path.name}: column {name!r} must be an int64 or float64 array "
+                    f"or a list of int, float or str, got {kind}")
+
+
+def _quote_text(col: list[str], alone: bool):
     """The cells of one text column, quoted as ``csv.writer`` quotes them.
 
     A cell is quoted only if it holds ``,``, ``"`` or ``\\n`` (not ``\\r``),
@@ -74,11 +120,11 @@ def _quote_text(col: tuple[str, ...], alone: bool):
     return map(quoted.__getitem__, col)
 
 
-def _csv_lines(rows: list[tuple], text: list[bool]) -> str:
-    """``rows`` as csv lines, formatted a column at a time; numbers by ``str``."""
+def _csv_lines(columns: list[list], text: list[bool]) -> str:
+    """Equal-length column slices as csv lines; numbers by ``str``."""
     alone = len(text) == 1
     cells = [_quote_text(col, alone) if is_text else map(str, col)
-             for col, is_text in zip(zip(*rows), text)]
+             for col, is_text in zip(columns, text)]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -89,25 +135,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _write_span(fh, rows: list[tuple], text: list[bool], lo: int, hi: int) -> None:
+def _write_span(fh, table: _Columns, text: list[bool], lo: int, hi: int) -> None:
     """Rows ``lo:hi`` as UTF-8 csv lines, a chunk at a time; ``hi`` ends a chunk or the rows."""
     for start in range(lo, hi, _CSV_CHUNK):
-        fh.write(_csv_lines(rows[start:start + _CSV_CHUNK], text).encode("utf-8"))
+        fh.write(_csv_lines(table.slices(start, start + _CSV_CHUNK), text).encode("utf-8"))
 
 
-def _fork_span(part, rows: list[tuple], text: list[bool], lo: int, hi: int) -> int:
+def _fork_span(part, table: _Columns, text: list[bool], lo: int, hi: int) -> int:
     """Fork a worker that writes rows ``lo:hi`` into ``part``; returns its pid.
 
-    The worker leaves only through ``os._exit``, whatever it raises, so it
-    never returns into the command, never publishes and never removes the
-    staging directory.  Its status is 0 once the whole span is in ``part``.
+    The worker only reads the table's column pages.  It leaves only through
+    ``os._exit``, whatever it raises, so it never returns into the command,
+    never publishes and never removes the staging directory.  Its status is 0
+    once the whole span is in ``part``.
     """
     pid = os.fork()
     if pid:
         return pid
     status = 1
     try:
-        _write_span(part, rows, text, lo, hi)
+        _write_span(part, table, text, lo, hi)
         part.flush()
         status = 0
     except BaseException:  # the worker's last frame: report, then leave by os._exit
@@ -117,14 +164,15 @@ def _fork_span(part, rows: list[tuple], text: list[bool], lo: int, hi: int) -> i
         os._exit(status)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
-    """Write ``header`` and ``rows`` with the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
+def _write_csv(path: Path, header: Sequence[str], table: _Columns | list[tuple]) -> None:
+    """Write ``header`` and ``table`` with the bytes ``csv.writer(fh, lineterminator="\\n")`` writes.
 
-    Cells must be exactly ``int``, ``float`` or ``str``: a float is written
-    with ``str``, which is ``repr`` (shortest round trip), but a numpy scalar
-    such as ``np.float64`` (a ``float`` subclass) would appear as
-    ``np.float64(...)``.  Every column is homogeneous, so checking the first
-    row suffices, and the first row also says which columns are text.
+    ``table`` is a ``_Columns``, or a list of row tuples, which is turned into
+    list columns once on entry; either way ``len(table)`` is the number of
+    rows.  Every column's kind is checked (``_is_text``) before the file
+    is opened.  Each chunk of ``_CSV_CHUNK`` rows is formatted a column at a
+    time: its slice of each column becomes Python scalars (``tolist``) and
+    then cells (``str``, or ``_quote_text`` for text).
 
     Formatting holds the GIL, so the chunks are split into one contiguous
     span per usable CPU: this process writes the first, a forked worker writes
@@ -134,22 +182,23 @@ def _write_csv(path: Path, header: Sequence[str], rows: list[tuple]) -> None:
     means one span and no worker.  No pool thread is alive at a fork:
     ``_fan_out``'s pool has shut down before any command writes.
     """
-    if rows and any(type(v) not in (int, float, str) for v in rows[0]):
-        kinds = ", ".join(type(v).__name__ for v in rows[0])
-        raise TypeError(f"{path.name}: cells must be int, float or str, got ({kinds})")
-    text = [type(v) is str for v in rows[0]] if rows else []
-    chunks = -(-len(rows) // _CSV_CHUNK)
+    if not isinstance(table, _Columns):
+        table = _Columns(*map(list, zip(*table)))
+    if table.columns and len(table.columns) != len(header):
+        raise ValueError(f"{path.name}: {len(table.columns)} columns for {len(header)} names")
+    text = [_is_text(path, name, col) for name, col in zip(header, table.columns)]
+    chunks = -(-len(table) // _CSV_CHUNK)
     workers = max(1, min(_usable_cpus(), chunks)) if hasattr(os, "fork") else 1
-    cuts = [min(chunks * i // workers * _CSV_CHUNK, len(rows)) for i in range(workers + 1)]
+    cuts = [min(chunks * i // workers * _CSV_CHUNK, len(table)) for i in range(workers + 1)]
     with open(path, "wb") as fh, ExitStack() as parts:
-        fh.write(_csv_lines([tuple(header)], [True] * len(header)).encode("utf-8"))
+        fh.write(_csv_lines([[name] for name in header], [True] * len(header)).encode("utf-8"))
         fh.flush()
         children = []
         try:
             for lo, hi in zip(cuts[1:-1], cuts[2:]):
                 part = parts.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                children.append((_fork_span(part, rows, text, lo, hi), part))
-            _write_span(fh, rows, text, cuts[0], cuts[1])
+                children.append((_fork_span(part, table, text, lo, hi), part))
+            _write_span(fh, table, text, cuts[0], cuts[1])
         finally:
             statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
         for (_, part), status in zip(children, statuses):
@@ -304,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out",
                         help=f"output directory (default ${OUTPUT_DIR_ENV} or ./icelab-out)")
     common.add_argument("--force", action="store_true",
-                        help="lift the symbol and grid-point size limits")
+                        help="lift the symbol, grid-point and dense-evaluation size limits")
     common.add_argument("--overwrite", action="store_true",
                         help="allow replacing existing outputs")
     stage = argparse.ArgumentParser(add_help=False)
@@ -484,7 +533,7 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
                 reg[dyn._plain_steps(dyn.project_all(pc, n), pc.heights[n])] = n
             pos = np.flatnonzero(reg > 0)
             _write_csv(out_dir / "jumps.csv", ["schedule_hash", "position", "regular_index"],
-                       list(zip(repeat(sh, pos.size), pos.tolist(), reg[pos].tolist())))
+                       _Columns([sh] * pos.size, pos, reg[pos]))
     return sh, f"built {depth + 1} stages, h_N = {stages[-1].h}"
 
 
@@ -533,14 +582,14 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     top = max(stages)
     built = words_mod.build_word(sch, top, force=args.force)
 
-    rows = []
-    for n in stages:
-        f = corr.lift(labels, built[n], n, zero_mean=args.zero_mean)
-        v = corr.cyclic_correlation(f).values
-        k = v.size
-        rows += zip(repeat(sh, k), repeat(n, k), range(k), v.real.tolist(), v.imag.tolist())
-    _write_csv(out_dir / "correlation.csv",
-               ["schedule_hash", "stage", "t", "re", "im"], rows)
+    v = np.concatenate([
+        corr.cyclic_correlation(corr.lift(labels, built[n], n, zero_mean=args.zero_mean)).values
+        for n in stages
+    ])
+    sizes = [heights[n] for n in stages]
+    _write_csv(out_dir / "correlation.csv", ["schedule_hash", "stage", "t", "re", "im"],
+               _Columns([sh] * v.size, np.repeat(stages, sizes),
+                        np.concatenate([np.arange(k) for k in sizes]), v.real, v.imag))
 
     summary = None
     if args.check_recursion:
@@ -641,7 +690,7 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
         rows = []
         for n in counts:
             fs = spx.exp_frequency_set(n, args.eps)
-            pg = spx.eval_polynomial(fs, grid, "M_R")
+            pg = spx.eval_polynomial(fs, grid, "M_R", force=args.force)
             metrics = spx.flatness_metrics(pg)
             rows.append(("", n, args.eps, metrics.sup_deviation, metrics.mean_deviation,
                          metrics.rms_square_deviation))
@@ -685,11 +734,10 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
         sch, labels, args.base, last, grid, zero_mean=args.zero_mean, force=args.force
     )
     axis = grid.angles() if isinstance(grid, spx.CircleGrid) else grid.points()
-    rows = list(zip(repeat(sh, axis.size), range(axis.size), axis.tolist(),
-                    np.sqrt(product.values).tolist(), product.values.tolist(),
-                    product.weight.tolist()))
     _write_csv(out_dir / "spectrum.csv",
-               ["schedule_hash", "index", "point", "abs_p", "product", "weight"], rows)
+               ["schedule_hash", "index", "point", "abs_p", "product", "weight"],
+               _Columns([sh] * axis.size, np.arange(axis.size), axis,
+                        np.sqrt(product.values), product.values, product.weight))
     payload: dict = {
         "schedule_hash": sh,
         "n0": product.n0,

@@ -429,9 +429,28 @@ def _check_far_half(schedule: Schedule, n: int, depth: int) -> int:
 def _far_half_base_function(
     schedule: Schedule, labels: Mapping[str, complex], n: int, force: bool = False
 ) -> np.ndarray:
-    """Zero-mean lift of ``labels`` on ``W_n``: the values ``f_(n)`` of the diagnostic."""
-    words = build_word(schedule, n, force=force)
-    return lift(labels, words[n], n, zero_mean=True).values
+    """Zero-mean lift of ``labels`` on ``W_n``: the values ``f_(n)`` of the diagnostic.
+
+    Every ratio of the diagnostic divides by ``f2``, so two kinds of labels
+    are refused.  Labels equal on every non-spacer letter of ``W_n`` centre
+    to 0 up to a rounding residue (all ``0.1`` over three letters leaves
+    ``f2 = 1.9e-34``), so the labels are compared, not the centred values.
+    Labels that differ by so little that every centred square underflows
+    (``0`` and ``1e-170``) leave ``f2 = 0``.
+    """
+    word = build_word(schedule, n, force=force)[n]
+    fn = lift(labels, word, n, zero_mean=True).values
+    alpha = word.alphabet
+    present = np.flatnonzero(np.bincount(word.symbols, minlength=len(alpha.symbols)))
+    if len({complex(labels[alpha.symbols[i]]) for i in present if i != alpha.spacer_index}) < 2:
+        raise ConfigurationError(
+            f"far-half diagnostic needs labels that differ on the letters of W_{n} "
+            "(a constant lift centres to f2 = 0)"
+        )
+    if np.mean(np.abs(fn) ** 2) == 0.0:
+        raise ConfigurationError("far-half diagnostic needs labels whose centred squares "
+                                 "do not all underflow (f2 = 0)")
+    return fn
 
 
 def simplicity_diagnostic(
@@ -445,9 +464,9 @@ def simplicity_diagnostic(
     """Far-half diagnostic of stage ``n`` on the depth-``depth`` truncation.
 
     Preconditions: ``h_n`` odd, ``depth >= n``, pure stages throughout
-    ``[n, depth)``, and labels whose lift is not constant after mean
-    subtraction (a constant lift has ``f2 = 0``, which every ratio divides
-    by; it is refused before any length-``h_N`` work).  ``depth = n`` returns
+    ``[n, depth)``, and labels whose centred lift has ``f2 > 0``, as every
+    ratio divides by ``f2`` (``_far_half_base_function`` refuses the others
+    before any length-``h_N`` work).  ``depth = n`` returns
     the degenerate exact report (``g = f``, ``u = v = 0``).
 
     ``f``, the far mask and the bases are gathered from tables on the chart
@@ -459,13 +478,8 @@ def simplicity_diagnostic(
     h = _check_far_half(schedule, n, depth)
     pc = ProjectionChain.build(schedule, depth, force=force)
     fn = _far_half_base_function(schedule, labels, n, force)
-    f2_level = float(np.mean(np.abs(fn) ** 2))
-    if f2_level == 0.0:
-        raise ConfigurationError(
-            "far-half diagnostic needs labels whose lift is not constant (f2 = 0 after centring)"
-        )
-
     if depth == n:
+        f2_level = float(np.mean(np.abs(fn) ** 2))
         return SimplicityReport(
             n=n, depth=depth, h_n=h, h_N=h,
             f2=f2_level, g2=f2_level, fg_diff2=0.0,

@@ -8,8 +8,9 @@ would exceed a size limit).
 Every size limit lives here, and every guard applies it through
 ``refuse_above`` where its cost is incurred: a size strictly above its limit
 is refused, a size equal to it is admitted.  ``MAX_SYMBOLS`` and
-``MAX_GRID_POINTS`` are lifted by ``force=True`` (``--force`` on the command
-line); ``MAX_SWEEP_CUTS`` and ``MAX_BODY_SEGMENTS`` are hard caps.
+``MAX_GRID_POINTS`` and ``MAX_DENSE_TERMS`` are lifted by ``force=True``
+(``--force`` on the command line); ``MAX_SWEEP_CUTS`` and
+``MAX_BODY_SEGMENTS`` are hard caps.
 
 The merit factor needs no limit of its own: the word it scores is built by
 ``build_word``, which refuses it above ``MAX_SYMBOLS`` before any work, and
@@ -27,6 +28,13 @@ MAX_SYMBOLS = 10_000_000
 
 #: Points of a spectral evaluation grid.
 MAX_GRID_POINTS = 2**22
+
+#: Terms (frequencies x points) of a dense line-grid evaluation.  The dense
+#: evaluator took 4.7e-8 to 7.1e-8 s per term on a 2-core Linux box (4,000
+#: frequencies at 10,001 points, 200,000 at 2,000, 1,000 at 100,000), so the
+#: limit admits about 3.5 to 5 minutes of work; the two limits above alone
+#: admit 4e13 terms, about 25 days.
+MAX_DENSE_TERMS = 2**32
 
 #: Distinct cuts m of the rectangle sweep (hard cap).  The sweep builds m x m
 #: int64 matrices, about 35 bytes per cell at its peak: 2.3 GB at this cap.

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .correlation import lift
-from .errors import ConfigurationError
+from .errors import MAX_DENSE_TERMS, ConfigurationError, refuse_above
 from .words import Schedule, build_word
 
 
@@ -163,14 +163,18 @@ def _eval_line(freqs: np.ndarray, coeffs: np.ndarray, points: np.ndarray) -> np.
     return out
 
 
-def _evaluate(freqs: np.ndarray, coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+def _evaluate(freqs: np.ndarray, coeffs: np.ndarray, grid: Grid, *, force: bool) -> np.ndarray:
     """``sum_w c_w z^w`` at every grid point: folded on circles, pointwise on lines.
 
     The one place that chooses between the two evaluators; integer frequencies
-    are evaluated as floats on line grids.
+    are evaluated as floats on line grids.  The pointwise route costs
+    frequencies x points terms and is refused above ``MAX_DENSE_TERMS``
+    unless ``force``.
     """
     if isinstance(grid, CircleGrid):
         return _eval_integer_circle(freqs, coeffs, grid)
+    refuse_above("dense evaluation terms (frequencies x points)", len(freqs) * grid.size,
+                 MAX_DENSE_TERMS, force)
     return _eval_line(np.asarray(freqs, dtype=np.float64), coeffs, grid.points())
 
 
@@ -178,6 +182,8 @@ def eval_polynomial(
     source: "FrequencySet | Sequence[complex]",
     grid: Grid,
     class_tag: str = "M",
+    *,
+    force: bool = False,
 ) -> PolynomialGrid:
     """Evaluate a normalized exponential-sum polynomial on a grid.
 
@@ -185,7 +191,8 @@ def eval_polynomial(
     unimodular coefficient vector on frequencies ``0..len-1``; ``L`` the same
     with coefficients exactly +-1; ``M_R`` real frequency set on a line grid.
     All are normalized by ``1/sqrt(q)`` so the circle-grid mean of ``|P|^2``
-    is exactly 1 once the grid outlives the frequency span.
+    is exactly 1 once the grid outlives the frequency span.  ``force`` lifts
+    the dense-evaluation limit of line grids.
     """
     if class_tag not in _CLASSES:
         raise ConfigurationError(f"unknown polynomial class {class_tag!r}")
@@ -215,7 +222,7 @@ def eval_polynomial(
 
     if class_tag == "M_R" and isinstance(grid, CircleGrid):
         raise ConfigurationError("class M_R is evaluated on line grids only")
-    vals = _evaluate(freqs, coeffs, grid)
+    vals = _evaluate(freqs, coeffs, grid, force=force)
     return PolynomialGrid(grid=grid, values=vals / math.sqrt(coeffs.size))
 
 
@@ -291,7 +298,7 @@ def riesz_partial_product(
     masses = [float(values.mean())]
     for n in range(n0, last + 1):
         fs = stage_frequencies(schedule, n)
-        vals = _evaluate(fs.frequencies, np.ones(fs.q, np.complex128), grid)
+        vals = _evaluate(fs.frequencies, np.ones(fs.q, np.complex128), grid, force=force)
         values = values * (np.abs(vals) ** 2 / fs.q)
         masses.append(float(values.mean()))
     return RieszProduct(
@@ -317,7 +324,7 @@ def direct_word_spectrum(
     """
     word = build_word(schedule, level, force=force)[-1]
     coeffs = lift(labels, word, level, zero_mean=zero_mean).values
-    amp = _evaluate(np.arange(word.h, dtype=np.int64), coeffs, grid)
+    amp = _evaluate(np.arange(word.h, dtype=np.int64), coeffs, grid, force=force)
     norm = schedule.height(n0)
     for n in range(n0, level):
         norm *= schedule.stages[n].q

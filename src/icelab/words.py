@@ -56,6 +56,14 @@ class Alphabet:
         if self.spacer_symbol is not None and self.spacer_symbol not in self.symbols:
             raise ConfigurationError("spacer symbol must be a member of the alphabet")
 
+    @cached_property
+    def _code_points(self) -> np.ndarray | None:
+        """Each symbol's code point as little-endian uint32, or None unless
+        every symbol is a single character."""
+        if any(len(s) != 1 for s in self.symbols):
+            return None
+        return np.array([ord(s) for s in self.symbols], dtype="<u4")
+
     @property
     def spacer_index(self) -> int | None:
         if self.spacer_symbol is None:
@@ -95,7 +103,12 @@ class Word:
 
     @property
     def text(self) -> str:
-        return "".join(self.alphabet.symbols[i] for i in self.symbols)
+        """The symbols joined; a gather of code points decoded at once where
+        every symbol is one character (lone surrogates included)."""
+        points = self.alphabet._code_points
+        if points is None:
+            return "".join(map(self.alphabet.symbols.__getitem__, self.symbols.tolist()))
+        return points[self.symbols].tobytes().decode("utf-32-le", "surrogatepass")
 
     def __len__(self) -> int:
         return self.h
@@ -112,7 +125,7 @@ class Word:
 def word_from_text(alphabet: Alphabet, text: str) -> Word:
     """Build a word from a string of single-character symbols."""
     lookup = {s: i for i, s in enumerate(alphabet.symbols)}
-    if any(len(s) != 1 for s in alphabet.symbols):
+    if alphabet._code_points is None:
         raise ConfigurationError("word_from_text requires single-character symbols")
     try:
         idx = np.fromiter((lookup[c] for c in text), dtype=np.int32, count=len(text))

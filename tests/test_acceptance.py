@@ -413,3 +413,27 @@ def test_golden_payload_bytes(name, tmp_path):
         for p in sorted(tmp_path.iterdir()) if p.name != "manifest.json"
     }
     assert got == GOLDEN_SHA256[name]
+
+
+# The benchmark's tracer counts ``len`` of ``_write_csv``'s third argument as
+# the rows written, so that length must be the file's data lines.  The extra
+# correlate run checks only stage 0, so its recursion.csv is only a header.
+_ROW_COUNT_RUNS = {**GOLDEN_RUNS, "empty-recursion": [
+    "correlate", "--family", "random", "--qs", "4,4", "--seed", "3", "--seed-word", "01",
+    "--alphabet", "01", "--labels", "0=1,1=-1", "--stage", "0", "--check-recursion"]}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_COUNT_RUNS))
+def test_write_csv_table_length_is_the_data_line_count(name, tmp_path, monkeypatch):
+    seen, write_csv = {}, cli._write_csv
+
+    def spy(*args):
+        seen[args[0].name] = len(args[2])
+        return write_csv(*args)
+
+    monkeypatch.setattr(cli, "_write_csv", spy)
+    assert cli.run(_ROW_COUNT_RUNS[name] + ["--out", str(tmp_path)]) == 0
+    lines = {p.name: p.read_bytes().count(b"\n") - 1 for p in tmp_path.glob("*.csv")}
+    assert seen == lines and seen
+    if name == "empty-recursion":
+        assert seen["recursion.csv"] == 0

@@ -480,6 +480,53 @@ def test_simplicity_of_a_constant_lift_exits_2(argv, tmp_path):
     assert list(out.iterdir()) == []
 
 
+_EQUAL_LABELS = ["--qs", "3,9,5", "--seed-word", "012", "--alphabet", "012",
+                 "--labels", "0=0.1,1=0.1,2=0.1", "--base", "1", "--diag-depth", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simplicity", "--family", "random", "--seed", "1", *_EQUAL_LABELS],
+    ["ensemble", "--task", "simplicity", "--seeds", "2", *_EQUAL_LABELS],
+], ids=["simplicity", "ensemble"])
+def test_simplicity_of_labels_equal_on_every_letter_exits_2(argv, tmp_path):
+    # All 0.1 centres to a rounding residue (f2 = 1.9e-34), not to 0.
+    out = tmp_path / "o"
+    res = _icelab(argv + ["--out", str(out)])
+    assert res.returncode == 2, res.stderr
+    assert "differ on the letters of W_1" in res.stderr and "Traceback" not in res.stderr
+    assert list(out.iterdir()) == []
+
+
+# Runs the command with _eval_line replaced by a function that raises, so a
+# dense evaluation that ran would exit 1 with a traceback.
+_NO_DENSE_EVALUATION = """import sys
+from icelab import spectral
+def ran(*args):
+    raise AssertionError("a dense evaluation ran")
+spectral._eval_line = ran
+from icelab.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    # 429,454 frequencies at the default 10,001 points: 2^32 + 2,158 terms.
+    ["spectrum", "--mode", "flat", "--exp-n", "429454"],
+    # The oracle evaluates the 1,821 symbols of W_6 at 2^22 points.
+    ["spectrum", "--mode", "riesz", "--family", "staircase", "--qs", "3,3,3,3,3,3",
+     "--seed-word", "0", "--alphabet", "01", "--spacer-symbol", "1", "--labels", "0=1",
+     "--line", "1", "2", str(2**22), "--check-oracle"],
+], ids=["flat", "riesz-oracle"])
+def test_dense_evaluation_above_the_limit_exits_3(argv, tmp_path):
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _NO_DENSE_EVALUATION, *argv, "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3, res.stderr
+    assert "dense evaluation terms" in res.stderr and "Traceback" not in res.stderr
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("which", ["missing", "directory", "empty"])
 def test_unreadable_schedule_file_exits_2(which, tmp_path):
     path = {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path),
@@ -841,6 +888,69 @@ def test_write_csv_matches_csv_module(data, kinds, n_rows, cpus, tmp_path_factor
     assert path.read_bytes() == _csv_module_bytes(header, rows)
 
 
+_ARRAY_CELLS = {
+    "int64": st.integers(-2**63, 2**63 - 1),
+    "float64": _COLUMN_CELLS["float"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       kinds=st.lists(st.sampled_from(sorted(_ARRAY_CELLS) + sorted(_COLUMN_CELLS)),
+                      min_size=1, max_size=5),
+       n_rows=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
+                               3 * _CHUNK + 7]),
+       cpus=st.sampled_from([1, 2, 3]))
+def test_write_csv_of_columns_matches_csv_module(data, kinds, n_rows, cpus, tmp_path_factory):
+    # Array columns are int64 or float64 arrays, the others lists of Python
+    # cells; both are cycled from a pool of distinct rows, as above.
+    header = data.draw(st.lists(_TEXT_CELLS, min_size=len(kinds), max_size=len(kinds)))
+    pool = data.draw(st.lists(st.tuples(*({**_COLUMN_CELLS, **_ARRAY_CELLS}[k] for k in kinds)),
+                              min_size=1, max_size=30))
+    rows = [pool[i % len(pool)] for i in range(n_rows)]
+    columns = [list(col) for col in zip(*rows)] if rows else [[] for _ in kinds]
+    table = cli._Columns(*(np.array(col, dtype=kind) if kind in _ARRAY_CELLS else col
+                           for col, kind in zip(columns, kinds)))
+    assert len(table) == n_rows
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_usable_cpus", lambda: cpus)
+        cli._write_csv(path, header, table)
+    assert path.read_bytes() == _csv_module_bytes(header, rows)
+
+
+@pytest.mark.parametrize("column", [
+    np.array([True, False]), np.array([0.5, 1.5], dtype=np.float32),
+    np.array([1j, 2j]), np.array(["a", "b"], dtype=object), np.array([1, 2], dtype=np.int32),
+    np.array([1, 2], dtype=">i8"), np.zeros((2, 1), dtype=np.int64),
+    [np.float64(0.5), np.float64(1.5)], [np.int64(1), np.int64(2)], [True, False],
+    ("a", "b"), range(2),
+], ids=["bool", "float32", "complex", "object", "int32", "big-endian", "2-d", "list-float64",
+        "list-int64", "list-bool", "tuple", "range"])
+def test_write_csv_refuses_a_column_kind_before_opening_the_file(column, tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="column 'b'"):
+        cli._write_csv(path, ["a", "b"], cli._Columns(np.arange(2), column))
+    assert not path.exists()
+
+
+def test_write_csv_refuses_a_misshapen_table_before_opening_the_file(tmp_path):
+    # Each column is type-checked against its name, so every column needs one.
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        cli._write_csv(path, ["a", "b"], cli._Columns(np.arange(2), [1.5]))
+    with pytest.raises(ValueError, match="2 columns for 1 names"):
+        cli._write_csv(path, ["a"], cli._Columns(np.arange(2), [np.float64(1.5)] * 2))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("table", [[], cli._Columns(np.arange(0), [], np.zeros(0))],
+                         ids=["no-rows", "empty-columns"])
+def test_write_csv_of_an_empty_table_writes_the_header(table, tmp_path):
+    cli._write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+    assert (tmp_path / "t.csv").read_bytes() == b"a,b,c\n"
+
+
 @pytest.mark.parametrize("cpus, n_rows", [(2, _CHUNK), (3, 1), (1, 3 * _CHUNK + 7)],
                          ids=["one-chunk", "one-row", "one-cpu"])
 def test_write_csv_without_a_split_never_forks(cpus, n_rows, tmp_path, monkeypatch):
@@ -858,11 +968,11 @@ def test_write_csv_without_a_split_never_forks(cpus, n_rows, tmp_path, monkeypat
 def test_failing_csv_span_fails_the_run(where, tmp_path, monkeypatch):
     parent, csv_lines = os.getpid(), cli._csv_lines
 
-    def fails_in_one_process(rows, text):
+    def fails_in_one_process(columns, text):
         # Full data chunks only: the header is formatted before any fork.
-        if (os.getpid() == parent) == (where == "parent") and len(rows) == _CHUNK:
+        if (os.getpid() == parent) == (where == "parent") and len(columns[0]) == _CHUNK:
             raise RuntimeError("span fault")
-        return csv_lines(rows, text)
+        return csv_lines(columns, text)
 
     monkeypatch.setattr(cli, "_csv_lines", fails_in_one_process)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -998,3 +1108,22 @@ def test_decay_peak_rss_per_symbol(tmp_path):
     run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     per_symbol = (run - bare) / (16 * 64 * 64 * 32)
     assert per_symbol < 62, f"{per_symbol:.1f} B per symbol"
+
+
+@linux_only
+def test_correlate_peak_rss_per_row(tmp_path):
+    # correlation.csv has 262,144 rows, held as columns: the schedule-hash
+    # list, int64 stage and t, and the float64 re and im views of the series
+    # (40 B per row).  Measured on a 2-core Linux box (Python 3.11, numpy
+    # 2.4): the manifest read 78-80 B per row above the 35 MB of `import
+    # icelab.cli`, set by the transform of the stage-4 lift, not the writer.
+    # A tuple per row (a tuple, two floats and an int) read 268 B, and the re
+    # column handed over as a list of Python floats read 104 B.
+    argv = ["correlate", "--family", "random", "--qs", "16,16,16,32", "--seed", "5",
+            "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1", "--stage", "4",
+            "--check-recursion", "--out", str(tmp_path / "o")]
+    bare = _peak_rss_bytes("import icelab.cli")
+    _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    per_row = (manifest["peak_rss_mb"] * 2**20 - bare) / (2 * 16 * 16 * 16 * 32)
+    assert per_row < 100, f"{per_row:.1f} B per row"

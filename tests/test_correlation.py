@@ -496,6 +496,38 @@ def test_simplicity_refuses_a_constant_lift_before_projecting(word, labels, monk
             il.simplicity_diagnostic(sch, labels, 1, depth)
 
 
+@pytest.mark.parametrize("labels", [
+    {"0": 0.1, "1": 0.1, "2": 0.1},  # centres to f2 = 1.9e-34, not to 0
+    {"0": 1 / 3, "1": 1 / 3, "2": 1 / 3},
+    {"0": 0.1, "1": 0.1, "2": 0.1, "3": 5.0},  # "3" labelled but absent from W_1
+], ids=["0.1", "1/3", "absent-letter"])
+def test_far_half_refuses_labels_equal_on_the_letters_present(labels):
+    sch = il.random_schedule([3, 9, 5], 1, il.word_from_text(il.Alphabet(tuple("0123")), "012"))
+    with pytest.raises(ConfigurationError, match="differ on the letters of W_1"):
+        il.simplicity_diagnostic(sch, labels, 1, 3)
+    with pytest.raises(ConfigurationError, match="differ on the letters of W_1"):
+        il.severed_copy_imbalance(sch, labels, 1, 3)
+
+
+def test_far_half_refuses_labels_whose_centred_squares_underflow():
+    # The labels differ, but every |f|^2 is below the smallest double.
+    sch = il.random_schedule([3, 9, 5], 1, il.word_from_text(il.Alphabet(tuple("012")), "012"))
+    labels = {"0": 0.0, "1": 1e-170, "2": 0.0}
+    for depth in (1, 3):
+        with pytest.raises(ConfigurationError, match="underflow"):
+            il.simplicity_diagnostic(sch, labels, 1, depth)
+
+
+def test_far_half_ignores_the_spacer_label():
+    # The spacer lifts to 0 whatever its label, so only the other letters count.
+    alphabet = il.Alphabet(("0", "1", "2"), "2")
+    sch = il.rank_one_schedule("staircase", [3, 3], seed_word=il.word_from_text(alphabet, "01"))
+    assert il.build_word(sch, 1)[1].text == "010120122"
+    with pytest.raises(ConfigurationError, match="differ on the letters"):
+        il.simplicity_diagnostic(sch, {"0": 1.0, "1": 1.0, "2": 7.0}, 1, 1)
+    assert il.simplicity_diagnostic(sch, {"0": 1.0, "1": -1.0, "2": 7.0}, 1, 1).f2 > 0
+
+
 def test_simplicity_degenerate_depth(trit_word, trit_labels):
     sch = il.random_schedule([9], 2, trit_word)
     rep = il.simplicity_diagnostic(sch, trit_labels, 0, 0)

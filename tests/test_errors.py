@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import icelab as il
+from icelab import spectral
 from icelab.errors import MAX_SYMBOLS, ResourceRefusal, refuse_above
 
 SRC = Path(il.__file__).parent
@@ -92,3 +93,42 @@ def test_no_row_wise_unique():
                 and any(kw.arg == "axis" for kw in call.keywords))
 
     assert _module_calls(row_wise_unique) == []
+
+
+def test_dense_evaluation_admits_the_limit_and_refuses_one_more(monkeypatch):
+    # A small limit stands in for MAX_DENSE_TERMS: 6 frequencies at 10 points
+    # is 60 terms.  The spy records the terms of every dense evaluation run.
+    calls = []
+    eval_line = spectral._eval_line
+
+    def spy(freqs, coeffs, points):
+        calls.append(freqs.size * points.size)
+        return eval_line(freqs, coeffs, points)
+
+    monkeypatch.setattr(spectral, "_eval_line", spy)
+    monkeypatch.setattr(spectral, "MAX_DENSE_TERMS", 60)
+    fs = il.exp_frequency_set(6, 0.1)
+    il.eval_polynomial(fs, il.LineGrid(1.0, 2.0, 10), "M_R")
+    with pytest.raises(ResourceRefusal, match="pass --force"):
+        il.eval_polynomial(fs, il.LineGrid(1.0, 2.0, 11), "M_R")
+    assert calls == [60]
+    il.eval_polynomial(fs, il.LineGrid(1.0, 2.0, 11), "M_R", force=True)
+    assert calls == [60, 66]
+
+
+def test_force_reaches_every_dense_evaluation(monkeypatch):
+    # With a limit of one term every line-grid evaluation is refused unless
+    # forced; circle grids are folded, not evaluated densely, and pass.
+    monkeypatch.setattr(spectral, "MAX_DENSE_TERMS", 1)
+    alphabet = il.Alphabet(("0", "1"), "1")
+    sch = il.rank_one_schedule("staircase", [3, 3], seed_word=il.word_from_text(alphabet, "0"))
+    labels = {"0": 1.0}
+    line = il.LineGrid(0.5, 3.0, 9)
+    for run in (lambda force: il.direct_word_spectrum(sch, labels, 2, line, force=force),
+                lambda force: il.riesz_partial_product(sch, labels, 0, 1, line, force=force),
+                lambda force: il.eval_polynomial([1, -1, 1], line, "L", force=force)):
+        with pytest.raises(ResourceRefusal):
+            run(False)
+        run(True)
+    circle = il.CircleGrid(16)
+    assert il.riesz_partial_product(sch, labels, 0, 1, circle).values.size == 16

@@ -40,6 +40,25 @@ def test_rotate_rejects_out_of_range():
         il.rotate(w, -1)
 
 
+_SYMBOLS = st.one_of(
+    st.characters(),
+    st.characters(min_codepoint=0x10000),  # outside the BMP
+    st.characters(categories=["Cs"]),  # lone surrogates
+    st.text(min_size=0, max_size=3),  # empty and multi-character symbols
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbols=st.lists(_SYMBOLS, min_size=2, max_size=6, unique=True), data=st.data())
+def test_word_text_equals_the_symbol_join(symbols, data):
+    alphabet = il.Alphabet(tuple(symbols))
+    idx = data.draw(st.lists(st.integers(0, len(symbols) - 1), min_size=1, max_size=300))
+    w = il.Word(alphabet, idx)
+    # The join Word.text used before the code-point gather.
+    assert w.text == "".join(alphabet.symbols[i] for i in w.symbols)
+    assert (alphabet._code_points is None) == any(len(s) != 1 for s in symbols)
+
+
 @pytest.mark.parametrize("symbols", [("0", "1"), ("ab", "c"), ("", "x", "yz")],
                          ids=["single", "multi", "with-empty"])
 @pytest.mark.parametrize("h", [1, 37, 40, 41, 200])
