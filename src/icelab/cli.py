@@ -582,10 +582,15 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     top = max(stages)
     built = words_mod.build_word(sch, top, force=args.force)
 
-    v = np.concatenate([
-        corr.cyclic_correlation(corr.lift(labels, built[n], n, zero_mean=args.zero_mean)).values
-        for n in stages
-    ])
+    def owned_series(n: int) -> np.ndarray:
+        # A lift this command owns is transformed in place, as decay_profile
+        # does, so no copy of it is alive beside the transform.
+        buf = corr._lifted_values(labels, built[n], args.zero_mean)
+        if args.zero_mean:
+            corr._check_zero_mean(buf)
+        return corr._correlate_owned(buf)
+
+    v = np.concatenate([owned_series(n) for n in stages])
     sizes = [heights[n] for n in stages]
     _write_csv(out_dir / "correlation.csv", ["schedule_hash", "stage", "t", "re", "im"],
                _Columns([sh] * v.size, np.repeat(stages, sizes),
@@ -598,8 +603,7 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
             st = sch.stages[n]
             if not st.pure:
                 continue
-            f_lo = corr.lift(labels, built[n], n, zero_mean=args.zero_mean)
-            series = corr.cyclic_correlation(f_lo)
+            series = corr.CorrelationSeries(n=n, values=owned_series(n))
             f_hi = corr.lift(labels, built[n + 1], n + 1, zero_mean=args.zero_mean)
             shifts = list(range(1, st.q))
             lhs = corr.correlation_at_lags(f_hi, lags=[s * heights[n] for s in shifts])

@@ -152,7 +152,8 @@ def cyclic_correlation(
     ``correlation_at_lags`` at every lag, the defining O(h^2) sum, and serves
     as the oracle (the two agree to 1e-10 relative).  The transform runs on
     a copy of ``f.values``, so ``f`` is never overwritten; ``decay_profile``
-    hands the same kernel a lift it owns and skips the copy.
+    and the ``correlate`` command hand the same kernel a lift they own and
+    skip the copy.
     """
     if method == "direct":
         return CorrelationSeries(n=f.n, values=correlation_at_lags(f, g, range(f.h)))
@@ -194,15 +195,23 @@ def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.nda
 def correlation_at_lags(
     f: LevelFunction, g: LevelFunction | None = None, lags: Sequence[int] = ()
 ) -> np.ndarray:
-    """Exact per-lag correlations (direct inner products, no transform)."""
+    """Exact per-lag correlations (direct inner products, no transform).
+
+    Each lag's ``np.roll(g, t)`` is written into one buffer allocated per
+    call, so ``vdot`` sees the same operands as with a fresh roll per lag.
+    """
     if g is None:
         g = f
     if f.n != g.n or f.h != g.h:
         raise ConfigurationError("correlation needs two functions at the same stage")
     h = f.h
     out = np.empty(len(lags), dtype=np.complex128)
+    rolled = np.empty(h, dtype=np.complex128)
     for i, t in enumerate(lags):
-        out[i] = np.vdot(np.roll(g.values, int(t) % h), f.values) / h
+        t = int(t) % h
+        rolled[:t] = g.values[h - t:]
+        rolled[t:] = g.values[: h - t]
+        out[i] = np.vdot(rolled, f.values) / h
     return out
 
 

@@ -36,8 +36,8 @@ MAX_GRID_POINTS = 2**22
 #: admit 4e13 terms, about 25 days.
 MAX_DENSE_TERMS = 2**32
 
-#: Distinct cuts m of the rectangle sweep (hard cap).  The sweep builds m x m
-#: int64 matrices, about 35 bytes per cell at its peak: 2.3 GB at this cap.
+#: Distinct cuts m of the rectangle sweep (hard cap).  The sweep builds three
+#: m x m int64 matrices, about 24 bytes per cell at its peak: 1.6 GB at this cap.
 MAX_SWEEP_CUTS = 8192
 
 #: Segments of the body-report cut simulation (hard cap).

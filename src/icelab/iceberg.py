@@ -43,6 +43,8 @@ class Iceberg:
     cyclic: bool = True
 
     def __post_init__(self) -> None:
+        if any(c < 1 for _, c in self.counts):
+            raise ConfigurationError("column counts must be positive")
         if sum(c for _, c in self.counts) != self.q:
             raise ConfigurationError("column counts must sum to q")
         if any(not 0 <= k < self.h for k, _ in self.counts):

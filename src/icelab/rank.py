@@ -86,6 +86,13 @@ def best_subtower_rectangle(ib: Iceberg) -> RectangleCertificate:
     ranges, so the maximal area is ``weight * (h - (k_j - k_i)) / h``; the
     sweep maximizes this over all ``i <= j`` pairs exactly (integer
     arithmetic).  Ties resolve to the first pair in row-major order.
+
+    The score matrix is left unmasked below the diagonal, as no pair
+    ``i > j`` can win.  There ``wsum[i, j] = -(counts strictly between)
+    <= 0`` and ``h - spread >= 1`` (cut classes lie in ``[1, h]``), so the
+    score is ``<= 0``, while every diagonal score is ``c_i * h >= h > 0``
+    (``Iceberg`` counts are positive).  So ``argmax`` returns the first
+    maximum in row-major order among the ``i <= j`` pairs.
     """
     if not ib.cyclic:
         raise ConfigurationError("rectangle certificates need a cyclic iceberg")
@@ -96,7 +103,6 @@ def best_subtower_rectangle(ib: Iceberg) -> RectangleCertificate:
     wsum = prefix[None, 1:] - prefix[:-1, None]  # [i, j] -> counts in window i..j
     spread = ks[None, :] - ks[:, None]
     score = wsum * (ib.h - spread)
-    score[np.tril_indices(m, -1)] = -1  # forbid j < i
     flat = int(np.argmax(score))
     i, j = divmod(flat, m)
     return _certificate(ib, int(ks[i]), int(ks[j]), int(wsum[i, j]))

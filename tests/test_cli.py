@@ -21,6 +21,7 @@ from icelab import (BINARY, Schedule, Stage, cli, morse_schedule, random_schedul
                     save_schedule, word_from_text)
 from icelab.errors import MAX_SWEEP_CUTS, MAX_SYMBOLS
 from icelab.words import schedule_to_dict
+from icelab import correlation as corr
 from icelab import spectral as spx
 
 
@@ -103,6 +104,19 @@ def test_correlate_recursion(cat_file, tmp_path):
     assert all(float(r[3]) <= 1e-12 for r in res)
     corr_rows = read_csv(out / "correlation.csv")[1:]
     assert {int(r[1]) for r in corr_rows} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("flags, expected", [([], 0), (["--zero-mean"], 2)])
+def test_correlate_checks_zero_mean_of_its_lifts(cat_file, tmp_path, monkeypatch,
+                                                  flags, expected):
+    # correlate transforms lifts it owns, not LevelFunctions; with --zero-mean
+    # the zero-mean check still runs on them (a negative tolerance fails it).
+    monkeypatch.setattr(corr, "ZERO_MEAN_TOL", -1.0)
+    code = cli.run([
+        "correlate", "--schedule", str(cat_file), "--labels", "C=1,A=-1,T=1",
+        *flags, "--out", str(tmp_path / "o"),
+    ])
+    assert code == expected
 
 
 def test_rank_morse(tmp_path):
@@ -613,8 +627,8 @@ def test_rank_over_the_sweep_cap_exits_3(tmp_path):
 
 def test_rank_above_the_lowered_sweep_cap_exits_3(tmp_path):
     # 16,384 rotations drawn from [0, 16384) leave 10,277 distinct cuts: above
-    # the 8,192-cut cap.  The dense sweep (about 35 B per m^2 cell) would need
-    # about 3.7 GB here, so the cap is checked before the command runs.
+    # the 8,192-cut cap.  The dense sweep (about 24 B per m^2 cell) would need
+    # about 2.5 GB here, so the cap is checked before the command runs.
     sch = random_schedule([16384], 0, word_from_text(BINARY, "01" * 8192))
     assert np.unique(sch.rotations_mod(0)).size == 10277 > MAX_SWEEP_CUTS
     code = cli.run([
@@ -1111,12 +1125,32 @@ def test_decay_peak_rss_per_symbol(tmp_path):
 
 
 @linux_only
+def test_rank_peak_rss_per_cell(tmp_path):
+    # 4,096 rotations drawn from [0, 4096) leave m = 2,604 distinct cuts.  The
+    # dense sweep holds three m x m int64 arrays (wsum, spread and the score,
+    # 24 B per cell).  Measured on a 2-core Linux box (Python 3.11, numpy
+    # 2.4): the manifest read about 24-25 B per cell above a bare import;
+    # masking the i > j cells with two int64 triangle index arrays read 33-34 B.
+    argv = ["rank", "--family", "random", "--qs", "4096", "--seed", "0",
+            "--seed-word", "01" * 2048, "--alphabet", "01", "--out", str(tmp_path / "o")]
+    m = np.unique(random_schedule([4096], 0, word_from_text(BINARY, "01" * 2048))
+                  .rotations_mod(0)).size
+    assert m == 2604
+    bare = _peak_rss_bytes("import icelab.cli")
+    _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    per_cell = (manifest["peak_rss_mb"] * 2**20 - bare) / m**2
+    assert per_cell <= 28, f"{per_cell:.1f} B per cell"
+
+
+@linux_only
 def test_correlate_peak_rss_per_row(tmp_path):
     # correlation.csv has 262,144 rows, held as columns: the schedule-hash
     # list, int64 stage and t, and the float64 re and im views of the series
     # (40 B per row).  Measured on a 2-core Linux box (Python 3.11, numpy
-    # 2.4): the manifest read 78-80 B per row above the 35 MB of `import
-    # icelab.cli`, set by the transform of the stage-4 lift, not the writer.
+    # 2.4): the manifest read about 73 B per row above the 33 MB of `import
+    # icelab.cli` (82 B while each lift was copied before its transform), set
+    # by the transform of the stage-4 lift, not the writer.
     # A tuple per row (a tuple, two floats and an int) read 268 B, and the re
     # column handed over as a list of Python floats read 104 B.
     argv = ["correlate", "--family", "random", "--qs", "16,16,16,32", "--seed", "5",

@@ -100,6 +100,11 @@ def test_direct_route_bitwise_equals_defining_sum(h):
         ref = np.array([np.vdot(np.roll(other.values, t), f.values) for t in range(h)]) / h
         got = il.cyclic_correlation(f, None if other is f else other, method="direct").values
         assert got.tobytes() == ref.tobytes()
+        # Lags outside [0, h) roll by their residue.
+        lags = [-1, -h, h, 2 * h + 3, 5 - 3 * h]
+        ref = np.array([np.vdot(np.roll(other.values, t), f.values) for t in lags]) / h
+        got = il.correlation_at_lags(f, None if other is f else other, lags)
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("h", [7, 1000, 2**10, 2**13, 2**14, 2**15, 2**16, 3 * 2**15, 2**18,

@@ -44,6 +44,14 @@ def test_uniform_iceberg_deviation_zero():
     assert il.uniformity_deviation(ib) == 0.0
 
 
+@pytest.mark.parametrize("counts", [((1, 0), (2, 3)), ((1, -1), (2, 2), (3, 2))])
+def test_iceberg_refuses_a_count_below_one(counts):
+    # The rectangle sweep relies on every column having a copy: a zero or
+    # negative count would let a reversed cut window (i > j) score highest.
+    with pytest.raises(ConfigurationError, match="positive"):
+        il.Iceberg(h=4, q=sum(c for _, c in counts), counts=counts, cyclic=True)
+
+
 def test_from_stage_refuses_spacers():
     sch = il.rank_one_schedule("staircase", [3])
     with pytest.raises(ConfigurationError):

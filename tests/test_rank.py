@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import icelab as il
 from icelab.errors import ConfigurationError
+from icelab.rank import _certificate, _cut_classes
 
 
 def random_iceberg(rng, h_max=32, q_max=48) -> il.Iceberg:
@@ -108,6 +109,44 @@ def test_sweep_matches_brute_property(seed):
     rng = np.random.default_rng(seed)
     ib = random_iceberg(rng, h_max=12, q_max=16)
     assert il.best_subtower_rectangle(ib).area == il.brute_force_rectangle(ib).area
+
+
+def _masked_sweep(ib: il.Iceberg) -> il.RectangleCertificate:
+    """The dense sweep with its ``i > j`` cells masked to -1 before ``argmax``."""
+    ks, cs = _cut_classes(ib)
+    m = ks.size
+    prefix = np.concatenate(([0], np.cumsum(cs)))
+    wsum = prefix[None, 1:] - prefix[:-1, None]
+    score = wsum * (ib.h - (ks[None, :] - ks[:, None]))
+    score[np.tril_indices(m, -1)] = -1
+    i, j = divmod(int(np.argmax(score)), m)
+    return _certificate(ib, int(ks[i]), int(ks[j]), int(wsum[i, j]))
+
+
+@st.composite
+def tied_icebergs(draw) -> il.Iceberg:
+    # Equal counts on one cut, on evenly spaced cuts (rotation 0, class h,
+    # included whenever the offset is 0) or on any set of cuts: many windows
+    # then share the best area, so the tie-break decides the certificate.
+    h = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(["single", "even", "any"]))
+    if kind == "single":
+        cuts = [draw(st.integers(0, h - 1))]
+    elif kind == "even":
+        step = draw(st.integers(1, h))
+        cuts = list(range(draw(st.integers(0, step - 1)), h, step))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(0, h - 1), min_size=1)))
+    c = draw(st.integers(1, 3))
+    return il.Iceberg(h=h, q=c * len(cuts), counts=tuple((k, c) for k in cuts), cyclic=True)
+
+
+@given(ib=tied_icebergs())
+@settings(max_examples=200, deadline=None)
+def test_sweep_certificate_matches_the_masked_sweep_under_ties(ib):
+    cert = il.best_subtower_rectangle(ib)
+    assert cert == _masked_sweep(ib)  # every field, the tie-broken windows included
+    assert cert.area == il.brute_force_rectangle(ib).area
 
 
 # ---------------------------------------------------------------------------
