@@ -40,7 +40,10 @@ from . import iceberg as ice
 from . import rank as rank_mod
 from . import spectral as spx
 from . import words as words_mod
-from .errors import MAX_GRID_POINTS, MAX_SYMBOLS, ConfigurationError, ResourceRefusal, refuse_above
+from .errors import (
+    MAX_DENSE_TERMS, MAX_GRID_POINTS, MAX_SYMBOLS, ConfigurationError, ResourceRefusal,
+    refuse_above,
+)
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
@@ -580,6 +583,12 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     else:
         stages = [n for n in range(sch.depth + 1) if heights[n] <= MAX_SYMBOLS or args.force]
     top = max(stages)
+    if args.check_recursion:
+        checked = [n for n in range(min(top, sch.depth)) if sch.stages[n].pure]
+        # Each lag s * h_n (s = 1 .. q_n - 1) is one dot product over W_{n+1}.
+        refuse_above("terms of the recursion check",
+                     sum((sch.stages[n].q - 1) * heights[n + 1] for n in checked),
+                     MAX_DENSE_TERMS, args.force)
     built = words_mod.build_word(sch, top, force=args.force)
 
     def owned_series(n: int) -> np.ndarray:
@@ -599,10 +608,8 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     summary = None
     if args.check_recursion:
         res_rows, worst = [], 0.0
-        for n in range(min(top, sch.depth)):
+        for n in checked:
             st = sch.stages[n]
-            if not st.pure:
-                continue
             series = corr.CorrelationSeries(n=n, values=owned_series(n))
             f_hi = corr.lift(labels, built[n + 1], n + 1, zero_mean=args.zero_mean)
             shifts = list(range(1, st.q))

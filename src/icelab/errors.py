@@ -9,8 +9,7 @@ Every size limit lives here, and every guard applies it through
 ``refuse_above`` where its cost is incurred: a size strictly above its limit
 is refused, a size equal to it is admitted.  ``MAX_SYMBOLS`` and
 ``MAX_GRID_POINTS`` and ``MAX_DENSE_TERMS`` are lifted by ``force=True``
-(``--force`` on the command line); ``MAX_SWEEP_CUTS`` and
-``MAX_BODY_SEGMENTS`` are hard caps.
+(``--force`` on the command line); ``MAX_SWEEP_CUTS`` is a hard cap.
 
 The merit factor needs no limit of its own: the word it scores is built by
 ``build_word``, which refuses it above ``MAX_SYMBOLS`` before any work, and
@@ -29,19 +28,18 @@ MAX_SYMBOLS = 10_000_000
 #: Points of a spectral evaluation grid.
 MAX_GRID_POINTS = 2**22
 
-#: Terms (frequencies x points) of a dense line-grid evaluation.  The dense
-#: evaluator took 4.7e-8 to 7.1e-8 s per term on a 2-core Linux box (4,000
-#: frequencies at 10,001 points, 200,000 at 2,000, 1,000 at 100,000), so the
-#: limit admits about 3.5 to 5 minutes of work; the two limits above alone
-#: admit 4e13 terms, about 25 days.
+#: Terms (frequencies x points) of a dense line-grid evaluation, and of the
+#: ``correlate --check-recursion`` lags (lags x h_{n+1}, 4.7e-9 to 7.5e-9 s
+#: per term: 20 to 32 s at the limit).  The dense evaluator took 4.7e-8 to
+#: 7.1e-8 s per term on a 2-core Linux box (4,000 frequencies at 10,001
+#: points, 200,000 at 2,000, 1,000 at 100,000), so the limit admits about 3.5
+#: to 5 minutes of its work; the two limits above alone admit 4e13 terms,
+#: about 25 days.
 MAX_DENSE_TERMS = 2**32
 
 #: Distinct cuts m of the rectangle sweep (hard cap).  The sweep builds three
 #: m x m int64 matrices, about 24 bytes per cell at its peak: 1.6 GB at this cap.
 MAX_SWEEP_CUTS = 8192
-
-#: Segments of the body-report cut simulation (hard cap).
-MAX_BODY_SEGMENTS = 20_000_000
 
 
 class ConfigurationError(ValueError):

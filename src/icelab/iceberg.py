@@ -6,7 +6,7 @@ cross-section: columns indexed by cut class with weights ``count / q``.  This
 module measures how evenly the cuts are spread (uniformity deviation), how
 the first-return (Poincaré) map moves mass between columns (jump matrix), and
 how much of a deeper word consists of intact copies of a base stage (body
-reports: combinatorial lower bound and exact marking).
+reports: combinatorial lower bound and exact count).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import MAX_BODY_SEGMENTS, ConfigurationError, refuse_above
+from .errors import ConfigurationError
 from .words import Schedule, Stage, _count_rank_rows
 
 
@@ -49,6 +49,8 @@ class Iceberg:
             raise ConfigurationError("column counts must sum to q")
         if any(not 0 <= k < self.h for k, _ in self.counts):
             raise ConfigurationError("cut values must lie in [0, h)")
+        if any(a >= b for (a, _), (b, _) in zip(self.counts, self.counts[1:])):
+            raise ConfigurationError("cut values must be distinct and increasing")
 
     def column_weight_exact(self) -> dict[int, Fraction]:
         return {k: Fraction(c, self.q) for k, c in self.counts}
@@ -168,7 +170,7 @@ class BodyReport:
     """Share of intact stage-``n`` copies inside ``W_{n+r}``.
 
     ``lower_bound`` is the recursive one-cut-per-block bound; ``exact_fraction``
-    is the marked count from the cut simulation.  Always
+    is the exact intact count over ``total_copies``.  Always
     ``0 <= lower_bound <= exact_fraction <= 1``.
     """
 
@@ -200,11 +202,14 @@ def body_lower_bound_counts(schedule: Schedule, n: int, r: int) -> list[int]:
 
 
 def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
-    """Mark which stage-``n`` copies survive intact inside ``W_{n+r}``.
+    """Count the stage-``n`` copies that survive intact inside ``W_{n+r}``.
 
-    Stages ``n .. n+r-1`` must be pure.  The word is tracked as a list of
-    segments; each deeper rotation re-origins the segment cycle and severs
-    the single copy its cut lands in (boundary cuts sever nothing).
+    Stages ``n .. n+r-1`` must be pure.  ``W_{n+1}`` is ``q_n`` intact copies;
+    block ``y`` of ``W_{m+1}`` reads ``W_m`` from its cut ``a_{m,y} mod h_m``
+    on, so it keeps every intact copy of ``W_m`` but the one that cut lands
+    strictly inside (boundary cuts sever nothing): ``q_m * intact`` minus the
+    severing cuts of stage ``m``.  Whether a cut severs is found from the cut
+    positions alone, O(sum of q_m * (m - n)) integer work in O(r) array steps.
     """
     if r < 1:
         raise ConfigurationError("body depth r must be >= 1")
@@ -215,38 +220,34 @@ def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
             raise ConfigurationError("body reports require pure stages")
 
     heights = schedule.heights()
-    h_n = heights[n]
-    total = 1
-    for m in range(n, n + r):
-        total *= schedule.stages[m].q
-
-    # Segments: (length, intact-copy flag), in word order.  W_{n+1} consists of
-    # q_n intact copies; every deeper stage splices rotated views of the list.
-    segs: list[tuple[int, bool]] = [(h_n, True)] * schedule.stages[n].q
+    qs = [st.q for st in schedule.stages]
+    cuts = {m: schedule.rotations_mod(m) for m in range(n + 1, n + r)}
+    # Carry every cut down to W_{n+1}, stage m's cuts joining in front at W_m:
+    # block y of W_m shows u of W_{m-1} at (u - rot) mod h_{m-1}, rot its cut.
+    a = np.empty(0, dtype=np.int64)
+    steps = []
+    for m in range(n + r - 1, n, -1):
+        a = np.concatenate((cuts[m], a))
+        if m > n + 1:
+            h = heights[m - 1]
+            y, t = np.divmod(a, h)
+            rot = cuts[m - 1][y]
+            a = t - (h - rot)  # (t + rot) mod h without leaving int64
+            a[a < 0] += h
+            steps.append((h, y, rot))
+    # p: start of the intact copy strictly containing each position, or -1; on
+    # the way back up a copy stays intact unless its block's cut severed it.
+    off = a % heights[n]
+    p = np.where(off != 0, a - off, -1)
+    total = intact = qs[n]
     for m in range(n + 1, n + r):
-        lengths = np.fromiter((L for L, _ in segs), dtype=np.int64, count=len(segs))
-        bounds = np.concatenate(([0], np.cumsum(lengths)))
-        rots = schedule.rotations_mod(m)
-        idx = np.searchsorted(bounds, rots, side="right") - 1
-        offs = rots - bounds[idx]
-        # Each rotation contributes every segment, plus one more when its cut
-        # lands strictly inside a segment: the size is known before building.
-        size = rots.size * len(segs) + int(np.count_nonzero(offs))
-        refuse_above("segments of the body simulation", size, MAX_BODY_SEGMENTS)
-        new_segs: list[tuple[int, bool]] = []
-        for i, off in zip(idx.tolist(), offs.tolist()):
-            if off == 0:
-                new_segs.extend(segs[i:])
-                new_segs.extend(segs[:i])
-            else:
-                L, _ = segs[i]
-                new_segs.append((L - off, False))
-                new_segs.extend(segs[i + 1:])
-                new_segs.extend(segs[:i])
-                new_segs.append((off, False))
-        segs = new_segs
+        severed, p = p[:qs[m]], p[qs[m]:]
+        total *= qs[m]
+        intact = qs[m] * intact - int(np.count_nonzero(severed >= 0))
+        if steps:
+            h, y, rot = steps.pop()
+            p = np.where((p >= 0) & (p != severed[y]), y * h + (p - rot) % h, -1)
 
-    intact = sum(1 for L, alive in segs if alive and L == h_n)
     counts = body_lower_bound_counts(schedule, n, r)
     return BodyReport(
         n=n,

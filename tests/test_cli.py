@@ -22,6 +22,7 @@ from icelab import (BINARY, Schedule, Stage, cli, morse_schedule, random_schedul
 from icelab.errors import MAX_SWEEP_CUTS, MAX_SYMBOLS
 from icelab.words import schedule_to_dict
 from icelab import correlation as corr
+from icelab import words as words_mod
 from icelab import spectral as spx
 
 
@@ -731,6 +732,22 @@ def test_exp_n_above_the_symbol_limit_exits_3_before_any_evaluation(tmp_path, mo
     forced = ["--exp-n", str(MAX_SYMBOLS + 1), "--force", "--out", str(tmp_path / "forced")]
     assert cli.run(argv + forced) == 0
     assert calls[-1] == MAX_SYMBOLS + 1
+
+
+def test_recursion_check_is_priced_before_any_word_is_built(tmp_path, monkeypatch):
+    # Stage 2 of --qs 2,2,1000000 checks 999,999 lags over the 8,000,000
+    # symbols of W_3: about 8e12 terms, some 10 hours at the 38 ms per lag
+    # measured, refused through MAX_DENSE_TERMS.
+    def no_build(*args, **kwargs):
+        raise AssertionError("a word was built before the recursion check was priced")
+
+    monkeypatch.setattr(words_mod, "build_word", no_build)
+    out = tmp_path / "o"
+    argv = ["correlate", "--family", "random", "--qs", "2,2,1000000", "--seed", "0",
+            "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1",
+            "--check-recursion", "--out", str(out)]
+    assert cli.run(argv) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_random_stage_above_int64_exits_2_before_any_draw(tmp_path, monkeypatch):

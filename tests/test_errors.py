@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import icelab as il
-from icelab import spectral
+from icelab import errors, spectral
 from icelab.errors import MAX_SYMBOLS, ResourceRefusal, refuse_above
 
 SRC = Path(il.__file__).parent
@@ -24,6 +25,18 @@ def test_refuse_above_admits_the_limit_and_refuses_one_more():
     with pytest.raises(ResourceRefusal) as exc:
         refuse_above("size", 11, 10)
     assert "--force" not in str(exc.value)
+
+
+def test_readme_limits_table_lists_every_limit_with_its_value():
+    # Rows read "| `MAX_NAME` = 10,000,000 | ..." or "= 2^22"; a row naming a
+    # limit that errors no longer defines is as stale as a missing one.
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for name, value in re.findall(r"^\| `(MAX_\w+)` = ([\d,^]+) \|", readme, re.M):
+        base, _, power = value.replace(",", "").partition("^")
+        rows[name] = int(base) ** int(power or 1)
+    limits = {name: getattr(errors, name) for name in dir(errors) if name.startswith("MAX_")}
+    assert rows == limits
 
 
 def _tower(last_spacer: int) -> il.Schedule:

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import icelab as il
-from icelab.errors import ConfigurationError, ResourceRefusal
+from icelab.errors import ConfigurationError
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,17 @@ def test_iceberg_refuses_a_count_below_one(counts):
     # negative count would let a reversed cut window (i > j) score highest.
     with pytest.raises(ConfigurationError, match="positive"):
         il.Iceberg(h=4, q=sum(c for _, c in counts), counts=counts, cyclic=True)
+
+
+@pytest.mark.parametrize("counts", [((3, 1), (1, 1)), ((1, 1), (1, 1))],
+                         ids=["decreasing", "repeated"])
+def test_iceberg_refuses_cut_values_out_of_order(counts):
+    # The rectangle sweep and the uniformity deviation read the cuts as the
+    # distinct, increasing values of a histogram: (3, 1), (1, 1) made the
+    # sweep raise "cut window outside [1, h]", and (1, 1), (1, 1) gave a
+    # deviation of 1.0 where weight 1 at cut 1 on h = 4 has 1.5.
+    with pytest.raises(ConfigurationError, match="distinct and increasing"):
+        il.Iceberg(h=4, q=2, counts=counts, cyclic=True)
 
 
 def test_from_stage_refuses_spacers():
@@ -188,19 +199,78 @@ def test_body_exact_ge_lower_random():
         assert rep.exact_fraction >= rep.lower_bound - 1e-12
 
 
-def test_body_refuses_segments_before_building(monkeypatch):
-    # The third stage would splice 4,443,895 segments; the refusal comes from
-    # the computed count, before any of them is built (the list took 38 MB).
-    monkeypatch.setattr(il.iceberg, "MAX_BODY_SEGMENTS", 2000)
+def _segment_intact(schedule, n, r):
+    """Oracle: intact stage-``n`` copies of ``W_{n+r}`` by splicing a segment list.
+
+    Segments are ``(length, intact)`` in word order; block ``y`` of the next
+    word re-origins the list at its cut and severs the segment the cut lands
+    strictly inside.  One tuple per segment: 38 MB at 4.4 M segments.
+    """
+    h_n = schedule.height(n)
+    segs = [(h_n, True)] * schedule.stages[n].q
+    for m in range(n + 1, n + r):
+        bounds = np.concatenate(([0], np.cumsum([L for L, _ in segs])))
+        rots = schedule.rotations_mod(m)
+        idx = np.searchsorted(bounds, rots, side="right") - 1
+        new_segs = []
+        for i, off in zip(idx.tolist(), (rots - bounds[idx]).tolist()):
+            if off == 0:
+                new_segs += segs[i:] + segs[:i]
+            else:
+                new_segs += [(segs[i][0] - off, False)] + segs[i + 1:] + segs[:i] + [(off, False)]
+        segs = new_segs
+    return sum(1 for L, intact in segs if intact and L == h_n)
+
+
+@st.composite
+def body_questions(draw):
+    """``(schedule, n, r)`` over pure schedules with q = 1 stages, zero
+    rotations and rotations that are multiples of the stage height."""
+    h = h0 = draw(st.integers(1, 6))
+    qs = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    stages = []
+    for q in qs:
+        kind = draw(st.sampled_from(["any", "zero", "multiple"]))
+        if kind == "any":
+            rots = draw(st.lists(st.integers(0, 3 * h), min_size=q, max_size=q))
+        elif kind == "zero":
+            rots = [0] * q
+        else:
+            rots = [h * k for k in draw(st.lists(st.integers(0, 3), min_size=q, max_size=q))]
+        stages.append(il.Stage(q, rots))
+        h *= q
+    sch = il.Schedule(il.BINARY, il.Word(il.BINARY, np.arange(h0) % 2), tuple(stages))
+    n = draw(st.integers(0, sch.depth - 1))
+    return sch, n, draw(st.integers(1, sch.depth - n))
+
+
+# The stage-3 cut 5 sits at 5 = 8 - 3 in block 0 of W_3, whose cut is 3: it
+# lands on position 0 of W_2 exactly, and is carried on down to W_1.
+_WRAP_TO_ZERO = il.Schedule(il.BINARY, il.word_from_text(il.BINARY, "01"), (
+    il.Stage(2, (0, 0)), il.Stage(2, (1, 0)), il.Stage(2, (3, 0)), il.Stage(1, (5,))))
+
+
+@given(question=body_questions())
+@example(question=(_WRAP_TO_ZERO, 0, 4))
+@settings(max_examples=300, deadline=None)
+def test_body_intact_count_matches_segment_oracle(question):
+    sch, n, r = question
+    assert il.body_report(sch, n, r).intact_copies == _segment_intact(sch, n, r)
+
+
+def test_body_deep_stage_costs_nothing_per_segment():
+    # The third stage would splice 4,443,895 segments (the list took 38 MB);
+    # the cut recursion holds a few arrays of one entry per cut.
     w0 = il.word_from_text(il.Alphabet(tuple("0123")), "0123" * 4)
     sch = il.random_schedule([16, 64, 4096], 5, w0)
+    expected = _segment_intact(sch, 0, 3)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceRefusal, match="simulation = 4443895 > 2000$"):
-            il.body_report(sch, 0, 3)
+        rep = il.body_report(sch, 0, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert rep.intact_copies == expected
     assert peak < 4 * 2**20
 
 
