@@ -543,6 +543,9 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
 def _cmd_geometry(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
+    report = None
+    if args.body_base is not None and args.body_depth is not None:
+        report = ice.body_report(sch, args.body_base, args.body_depth, force=args.force)
     col_rows, summary = [], {}
     for n in range(sch.depth):
         ib = ice.from_stage(sch, n, allow_spacers=True)
@@ -559,8 +562,7 @@ def _cmd_geometry(out_dir: Path, args) -> tuple[str | None, str | None]:
     _write_csv(out_dir / "columns.csv",
                ["schedule_hash", "stage", "cut_value", "count", "weight"], col_rows)
     payload: dict = {"schedule_hash": sh, "stages": summary}
-    if args.body_base is not None and args.body_depth is not None:
-        report = ice.body_report(sch, args.body_base, args.body_depth)
+    if report is not None:
         payload["body"] = {
             "n": report.n,
             "r": report.r,

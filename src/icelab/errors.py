@@ -23,18 +23,18 @@ from __future__ import annotations
 #: Words and coordinate arrays: positions of the materialised truncation.  The
 #: command line also refuses a stage of more copies (``--qs``, ``--q``,
 #: ``--q-list``) before drawing it: q copies make a word of at least q symbols.
+#: A body report's carried cut positions, sum of q_m * (m - n), count here too.
 MAX_SYMBOLS = 10_000_000
 
 #: Points of a spectral evaluation grid.
 MAX_GRID_POINTS = 2**22
 
 #: Terms (frequencies x points) of a dense line-grid evaluation, and of the
-#: ``correlate --check-recursion`` lags (lags x h_{n+1}, 4.7e-9 to 7.5e-9 s
-#: per term: 20 to 32 s at the limit).  The dense evaluator took 4.7e-8 to
-#: 7.1e-8 s per term on a 2-core Linux box (4,000 frequencies at 10,001
-#: points, 200,000 at 2,000, 1,000 at 100,000), so the limit admits about 3.5
-#: to 5 minutes of its work; the two limits above alone admit 4e13 terms,
-#: about 25 days.
+#: ``correlate --check-recursion`` lags (lags x h_{n+1}, 20 to 32 s at the
+#: limit).  The dense evaluator took 4.7e-8 to 7.1e-8 s per term on a 2-core
+#: Linux box (4,000 frequencies at 10,001 points, 200,000 at 2,000, 1,000 at
+#: 100,000): 3.5 to 5 minutes at the limit; the two limits above alone admit
+#: 4e13 terms, about 25 days.
 MAX_DENSE_TERMS = 2**32
 
 #: Distinct cuts m of the rectangle sweep (hard cap).  The sweep builds three

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
 from .words import Schedule, Stage, _count_rank_rows
 
 
@@ -201,15 +201,14 @@ def body_lower_bound_counts(schedule: Schedule, n: int, r: int) -> list[int]:
     return out
 
 
-def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
+def body_report(schedule: Schedule, n: int, r: int, force: bool = False) -> BodyReport:
     """Count the stage-``n`` copies that survive intact inside ``W_{n+r}``.
 
-    Stages ``n .. n+r-1`` must be pure.  ``W_{n+1}`` is ``q_n`` intact copies;
-    block ``y`` of ``W_{m+1}`` reads ``W_m`` from its cut ``a_{m,y} mod h_m``
-    on, so it keeps every intact copy of ``W_m`` but the one that cut lands
-    strictly inside (boundary cuts sever nothing): ``q_m * intact`` minus the
-    severing cuts of stage ``m``.  Whether a cut severs is found from the cut
-    positions alone, O(sum of q_m * (m - n)) integer work in O(r) array steps.
+    Stages ``n .. n+r-1`` must be pure.  Block ``y`` of ``W_{m+1}`` reads
+    ``W_m`` from its cut ``a_{m,y} mod h_m`` on, keeping every intact copy but
+    the one that cut lands strictly inside.  Carrying each cut down to
+    ``W_{n+1}`` and back holds sum of ``q_m * (m - n)`` positions, which q = 1
+    stages leave unbounded by any word: refused above ``MAX_SYMBOLS``.
     """
     if r < 1:
         raise ConfigurationError("body depth r must be >= 1")
@@ -218,23 +217,23 @@ def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
     for m in range(n, n + r):
         if not schedule.stages[m].pure:
             raise ConfigurationError("body reports require pure stages")
+    carried = sum(schedule.stages[m].q * (m - n) for m in range(n + 1, n + r))
+    refuse_above("positions of the body-report cut arrays", carried, MAX_SYMBOLS, force)
 
     heights = schedule.heights()
     qs = [st.q for st in schedule.stages]
     cuts = {m: schedule.rotations_mod(m) for m in range(n + 1, n + r)}
     # Carry every cut down to W_{n+1}, stage m's cuts joining in front at W_m:
     # block y of W_m shows u of W_{m-1} at (u - rot) mod h_{m-1}, rot its cut.
-    a = np.empty(0, dtype=np.int64)
-    steps = []
+    a, steps = np.empty(0, dtype=np.int64), []
     for m in range(n + r - 1, n, -1):
         a = np.concatenate((cuts[m], a))
         if m > n + 1:
             h = heights[m - 1]
             y, t = np.divmod(a, h)
-            rot = cuts[m - 1][y]
-            a = t - (h - rot)  # (t + rot) mod h without leaving int64
+            a = t - (h - cuts[m - 1][y])  # (t + rot) mod h without leaving int64
             a[a < 0] += h
-            steps.append((h, y, rot))
+            steps.append(y)
     # p: start of the intact copy strictly containing each position, or -1; on
     # the way back up a copy stays intact unless its block's cut severed it.
     off = a % heights[n]
@@ -245,8 +244,8 @@ def body_report(schedule: Schedule, n: int, r: int) -> BodyReport:
         total *= qs[m]
         intact = qs[m] * intact - int(np.count_nonzero(severed >= 0))
         if steps:
-            h, y, rot = steps.pop()
-            p = np.where((p >= 0) & (p != severed[y]), y * h + (p - rot) % h, -1)
+            h, y = heights[m], steps.pop()
+            p = np.where((p >= 0) & (p != severed[y]), y * h + (p - cuts[m][y]) % h, -1)
 
     counts = body_lower_bound_counts(schedule, n, r)
     return BodyReport(

@@ -93,6 +93,21 @@ def test_geometry_body(cat_file, tmp_path):
     assert stage0 == {(0, 2), (1, 2), (2, 2)}
 
 
+def test_geometry_body_over_the_symbol_limit_exits_3_before_any_work(tmp_path, monkeypatch):
+    # A thousand q = 1 stages leave h_1000 = 2, yet carry the 20,000 cuts of
+    # the top stage down a thousand stages: 2e7 positions > MAX_SYMBOLS.
+    def no_columns(*args, **kwargs):
+        raise AssertionError("a stage histogram was built before the body guard refused")
+
+    monkeypatch.setattr(cli.ice, "from_stage", no_columns)
+    out = tmp_path / "o"
+    argv = ["geometry", "--family", "random", "--qs", ",".join(["1"] * 1000 + ["20000"]),
+            "--seed", "0", "--seed-word", "01", "--alphabet", "01",
+            "--body-base", "0", "--body-depth", "1001", "--out", str(out)]
+    assert cli.run(argv) == 3
+    assert list(out.iterdir()) == []
+
+
 def test_correlate_recursion(cat_file, tmp_path):
     out = tmp_path / "o"
     code = cli.run([

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import icelab as il
-from icelab.errors import ConfigurationError
+from icelab import iceberg
+from icelab.errors import ConfigurationError, ResourceRefusal
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +273,28 @@ def test_body_deep_stage_costs_nothing_per_segment():
         tracemalloc.stop()
     assert rep.intact_copies == expected
     assert peak < 4 * 2**20
+
+
+def test_body_prices_carried_cuts_before_building(monkeypatch):
+    # q = 1 stages keep h = 2, so the tower's cost is its cuts carried down,
+    # 1 + 1*2 + 1*3 + 5*4 = 26 positions: a small limit stands in for
+    # MAX_SYMBOLS, and the spy records every cut array built.
+    sch = il.random_schedule([2, 1, 1, 1, 5], 3, il.word_from_text(il.BINARY, "01"))
+    built = []
+    rotations_mod = il.Schedule.rotations_mod
+
+    def spy(self, m):
+        built.append(m)
+        return rotations_mod(self, m)
+
+    monkeypatch.setattr(il.Schedule, "rotations_mod", spy)
+    monkeypatch.setattr(iceberg, "MAX_SYMBOLS", 25)
+    with pytest.raises(ResourceRefusal, match="26 > 25"):
+        il.body_report(sch, 0, 5)
+    assert built == []
+    assert il.body_report(sch, 0, 5, force=True).intact_copies == _segment_intact(sch, 0, 5)
+    monkeypatch.setattr(iceberg, "MAX_SYMBOLS", 26)
+    assert il.body_report(sch, 0, 5).intact_copies == _segment_intact(sch, 0, 5)
 
 
 def test_body_requires_pure_stages():
