@@ -41,7 +41,6 @@ from .iceberg import (
     from_stage,
     jump_matrix,
     jump_uniformity_deviation,
-    poincare_permutation,
     uniformity_deviation,
 )
 from .dynamics import (
@@ -112,7 +111,7 @@ __all__ = [
     "save_schedule", "load_schedule",
     # iceberg
     "Iceberg", "JumpMatrix", "BodyReport",
-    "from_stage", "uniformity_deviation", "poincare_permutation",
+    "from_stage", "uniformity_deviation",
     "jump_matrix", "jump_uniformity_deviation",
     "body_lower_bound_counts", "body_report",
     # dynamics

@@ -308,6 +308,18 @@ def _counts(option: str, text: str, force: bool) -> list[int]:
     return counts
 
 
+def _pool_size(text: str) -> int:
+    """``--threads``: an integer of at least 1, checked by argparse, so a bad
+    value exits 2 before ``--out`` is created."""
+    try:
+        threads = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"{threads} is below 1")
+    return threads
+
+
 def _parse_qs(args) -> list[int]:
     if args.qs is not None:
         return _counts("--qs", args.qs, args.force)
@@ -433,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Each seed draws its own random schedule, so no schedule source is taken.
     p = sub.add_parser("ensemble", parents=[common, stage, labels],
                        help="seed fan-out for decay, jumps, or simplicity")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
+    p.add_argument("--threads", type=_pool_size, default=1, help="worker pool size (>= 1)")
     p.add_argument("--task", choices=["decay", "jumps", "simplicity"])
     p.add_argument("--seeds", type=int, help="number of seeds")
     p.add_argument("--base-seed", dest="base_seed", type=int, default=0)
@@ -794,7 +806,7 @@ def _cmd_rank(out_dir: Path, args) -> tuple[str | None, str | None]:
 
 def _fan_out(task, seeds: list[int], threads: int) -> list:
     """``task(seed)`` for every seed on a pool of ``threads`` workers, in seed order."""
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(task, seeds))
 
 

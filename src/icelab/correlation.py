@@ -13,12 +13,13 @@ reconstruction ``g`` from base-level returns: ``g = sum_{|j| <= (h-1)/2}
 f_(n)(j) * T^j b_n`` where ``b_n`` is the indicator of the base level.  The
 remainder splits as ``g = f - u + v`` with ``u`` the restriction of ``f`` to
 the far half of the signed-level chart; the report carries all seven inner
-products of the decomposition.  Tables on the signed chart of ``W_{n+1}``,
-read at the level-``(n+1)`` coordinates, give every coordinate the
-diagnostic reads.  ``|u|^2 = |v|^2``
-while every stage-``n`` copy is intact; ``severed_copy_imbalance`` accounts
-exactly, at any depth, for the gap that the copies severed by deeper stages'
-rotations leave, by telescoping window sums over block junctions.
+products of the decomposition.  ``f``, the far mask and ``g`` are tables on
+``W_{n+1}`` carried up to ``W_N`` by the concatenation that builds the words,
+with ``g`` scattered again only near the junctions between copies.
+``|u|^2 = |v|^2`` while every stage-``n`` copy is intact;
+``severed_copy_imbalance`` accounts exactly, at any depth, for the gap that
+the copies severed by deeper stages' rotations leave, by telescoping window
+sums over block junctions.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import ProjectionChain, project_all, project_positions
+from .dynamics import ProjectionChain, project_positions
 from .errors import ConfigurationError
-from .words import Schedule, Word, build_word
+from .words import Schedule, Word, build_word, concat_stage, concat_stages
 
 #: Zero-mean lift tolerance: |sum of values| <= ZERO_MEAN_TOL * h.
 ZERO_MEAN_TOL = 1e-12
@@ -42,6 +43,10 @@ _PRODUCT_CHUNK = 2**16
 #: about ``_RETURN_BLOCK * h_n`` complex values (1.8 MB at h_n = 27), which
 #: stay in a core's cache across the block's ``h_n`` passes.
 _RETURN_BLOCK = 4096
+
+#: Row positions per block of ``_patch_junctions``: 64 Ki positions hold
+#: about 2 MB of positions and returns.
+_JUNCTION_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +483,10 @@ def simplicity_diagnostic(
     before any length-``h_N`` work).  ``depth = n`` returns
     the degenerate exact report (``g = f``, ``u = v = 0``).
 
-    ``f``, the far mask and the bases are gathered from tables on the chart
-    of ``W_{n+1}`` (``_chart_gathers``), and the level-``(n+1)`` coordinates
-    are dropped before ``g`` is scattered (``_base_returns``).  The sums are
-    taken with two complex arrays of length ``h_N`` alive: ``g`` becomes
-    ``v`` and ``f`` becomes ``u``.
+    ``f``, the far mask and ``g`` are carried up from tables on ``W_{n+1}``
+    (``_far_half_arrays``); no coordinate array is built.  The sums are taken
+    with two complex arrays of length ``h_N`` alive: ``g`` becomes ``v`` and
+    ``f`` becomes ``u``.
     """
     h = _check_far_half(schedule, n, depth)
     pc = ProjectionChain.build(schedule, depth, force=force)
@@ -496,9 +500,7 @@ def simplicity_diagnostic(
         )
 
     h_N = pc.heights[depth]
-    f, far, bases = _chart_gathers(schedule, n, project_all(pc, n + 1), fn)
-    g = _base_returns(bases, h_N, fn)
-    del bases
+    f, far, g = _far_half_arrays(schedule, n, depth, fn)
 
     def avg(x: np.ndarray, y: np.ndarray) -> complex:
         return complex(np.vdot(y, x) / h_N)
@@ -515,7 +517,7 @@ def simplicity_diagnostic(
     np.add(v, f, out=v, where=far)
     fv = avg(f, v)
     u = f
-    np.copyto(u, 0.0, where=~far)
+    np.copyto(u, 0.0, where=np.logical_not(far, out=far))  # far is not read again
     return SimplicityReport(
         n=n,
         depth=depth,
@@ -531,20 +533,60 @@ def simplicity_diagnostic(
     )
 
 
-def _chart_gathers(
-    schedule: Schedule, n: int, x: np.ndarray, fn: np.ndarray
+def _far_half_arrays(
+    schedule: Schedule, n: int, depth: int, fn: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``f``, the far mask and the bases at the level-``(n+1)`` coordinates ``x``.
+    """``f``, the far mask and ``g`` on ``W_depth``, each a table on ``W_{n+1}``
+    carried up by ``concat_stage`` through stages ``n+1 .. depth-1``.
 
-    With ``chart = signed_levels(schedule, n)`` (length ``h_{n+1}``) and
-    ``w = (h_n - 1)/2``, each is a gather by ``x`` from a table on the chart:
-    ``f = fn[chart][x]`` (negative levels wrap to their plain level), the
-    far mask is ``(|chart| > w)[x]``, and the bases are the ascending indices
-    where ``(chart == 0)[x]``.  No length-``len(x)`` chart is built.
+    With ``chart = signed_levels(schedule, n)`` and ``w = (h_n - 1)/2`` the
+    tables are ``fn[chart]`` (negative levels wrap to their plain level), the
+    far mask ``|chart| > w`` and ``g`` of the cyclic ``W_{n+1}``, scattered by
+    ``_base_returns`` from its bases (``chart == 0``).  Concatenation only
+    copies, so ``f`` and the far mask are the tables read at the
+    level-``(n+1)`` coordinates, bit for bit.  ``g`` is carried one stage at
+    a time with the base mask.  If it is ``g`` of the cyclic ``W_m``, its
+    copies in ``W_{m+1}`` are ``g`` of the cyclic ``W_{m+1}`` at every
+    position whose window ``[p - w, p + w]`` stays inside one copy: inside a
+    copy every step is a step of the cyclic ``W_m``, so the window reads the
+    same bases at the same offsets ``j``, and ``_base_returns`` adds them in
+    ascending ``j`` on both cycles.  The positions within ``w`` of a junction
+    between copies are scattered again (``_patch_junctions``).
+
+    ``g`` is carried up and patched first, so the base mask is gone before
+    ``f`` exists: at most two complex arrays of length ``h_N``, one of
+    length ``h_{depth-1}`` and the masks are alive at once.
     """
     w = (fn.size - 1) // 2
+    stages = schedule.stages[n + 1: depth]
     chart = signed_levels(schedule, n)
-    return fn[chart][x], (np.abs(chart) > w)[x], np.flatnonzero((chart == 0)[x])
+    base = chart == 0
+    g = _base_returns(np.flatnonzero(base), chart.size, fn)
+    for st in stages:
+        h = g.size
+        g, base = concat_stage(g, st, None), concat_stage(base, st, None)
+        _patch_junctions(g, np.arange(0, g.size, h), base, fn)
+    del base
+    f = concat_stages(fn[chart], stages)
+    far = concat_stages(np.abs(chart) > w, stages)
+    return f, far, g
+
+
+def _patch_junctions(g: np.ndarray, starts: np.ndarray, base: np.ndarray, fn: np.ndarray) -> None:
+    """Scatter ``g`` again, in place, at the positions whose window crosses a
+    junction between copies: ``p - c in [-w, w)`` for each copy start ``c``.
+
+    They are the cores of the rows of ``4w`` positions centred on the starts
+    (``_window_rows``), whose bases are read from ``base``, the base mask of
+    the same cycle.  Rows that overlap write the same values.  The starts are
+    taken ``_JUNCTION_BLOCK // 4w`` at a time, so the patch's memory stays
+    bounded however many copies there are.
+    """
+    w = (fn.size - 1) // 2
+    rows = max(1, _JUNCTION_BLOCK // max(4 * w, 1))
+    for lo in range(0, starts.size, rows):
+        pos = _window_rows(starts[lo: lo + rows], w, g.size)
+        g[pos[:, w: 3 * w]] = _core_returns(base[pos], fn)
 
 
 def severed_copy_imbalance(
@@ -651,12 +693,27 @@ def _window_v_energy(
     """``sum |v(p)|^2`` over ``p - c in [-w, w)`` for each centre ``c`` of the
     cyclic ``W_level``, with ``v = g - f*[|s| <= w]`` as in the diagnostic."""
     w = (fn.size - 1) // 2
-    # Base lookups reach w beyond each window: 4w positions per centre.
-    pos = (centres[:, None] + np.arange(-2 * w, 2 * w, dtype=np.int64)) % schedule.height(level)
+    pos = _window_rows(centres, w, schedule.height(level))
     signed = _signed_chart(schedule, n, project_positions(schedule, pos, level, n + 1))
     core = signed[:, w: 3 * w]
-    # The rows laid end to end form one cycle: a return that leaves its row
-    # lands in a neighbour's outer w positions, never in a core.
-    g = _base_returns(np.flatnonzero(signed == 0), signed.size, fn).reshape(signed.shape)
-    v = g[:, w: 3 * w] - np.where(np.abs(core) <= w, fn[core], 0.0)
+    v = _core_returns(signed == 0, fn) - np.where(np.abs(core) <= w, fn[core], 0.0)
     return float(np.sum(np.abs(v) ** 2))
+
+
+def _window_rows(centres: np.ndarray, w: int, size: int) -> np.ndarray:
+    """One row of positions ``c - 2w .. c + 2w - 1`` (mod ``size``) for each
+    centre ``c``: the core ``[c - w, c + w)`` and, on either side, the ``w``
+    positions whose bases reach into it."""
+    return (centres[:, None] + np.arange(-2 * w, 2 * w, dtype=np.int64)) % size
+
+
+def _core_returns(base: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """``g`` on the cores of rows of ``4w`` positions (``_window_rows``) whose
+    base flags are ``base``.
+
+    The rows laid end to end form one cycle: a return that leaves its row
+    lands in a neighbour's outer ``w`` positions, never in a core.
+    """
+    w = (fn.size - 1) // 2
+    g = _base_returns(np.flatnonzero(base), base.size, fn).reshape(base.shape)
+    return g[:, w: 3 * w]

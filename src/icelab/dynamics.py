@@ -10,7 +10,7 @@ rotations of a shallow one).
 
 Two routes compute coordinates.  The concatenated route (``project_all``)
 builds the level-``n`` coordinates of a whole truncation the way words are
-built: ``words.concat_stage`` applied to ``arange(h_n)`` through stages
+built: ``words.concat_stages`` applied to ``arange(h_n)`` through stages
 ``n .. N-1`` with ``SPACER_MARK`` as the spacer fill.  The arithmetic route
 (``project_positions`` / ``symbols_range``) locates arbitrary position
 subsets by ``searchsorted`` over the copy starts, so it streams through words
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import Schedule, Word, build_word, concat_stage
+from .words import Schedule, Word, build_word, concat_stages
 
 #: Reserved projection value for spacer positions.
 SPACER_MARK = -1
@@ -159,9 +159,7 @@ def project_all(pc: ProjectionChain, n: int) -> np.ndarray:
     if not 0 <= n <= pc.depth:
         raise ConfigurationError(f"need 0 <= n <= depth = {pc.depth}, got n={n}")
     arr = np.arange(pc.heights[n], dtype=np.int64)
-    for st in pc.schedule.stages[n:pc.depth]:
-        arr = concat_stage(arr, st, SPACER_MARK)
-    return arr
+    return concat_stages(arr, pc.schedule.stages[n:pc.depth], SPACER_MARK)
 
 
 def step(pc: ProjectionChain, x: int) -> StepResult:

@@ -97,11 +97,6 @@ def _l1_from_uniform(c: np.ndarray, rows: np.ndarray, h: int, q: int) -> float:
     return 2 * (h * int(c[ge].sum()) - int(rows[ge].sum())) / (q * h)
 
 
-def poincare_permutation(st: Stage) -> np.ndarray:
-    """First-return map on copy indices: ``y -> (y + 1) mod q``."""
-    return (np.arange(st.q, dtype=np.int64) + 1) % st.q
-
-
 # ---------------------------------------------------------------------------
 # Jump matrix
 # ---------------------------------------------------------------------------

@@ -144,7 +144,8 @@ class Stage:
 
     All three fields hold Python ints.  Integers of any kind are accepted
     (numpy integer scalars and arrays included); a float, a string or any
-    other non-integer is refused, never truncated.
+    other non-integer is refused, never truncated, and so is a rotation or
+    spacer count that int64 cannot hold.
     """
 
     q: int
@@ -169,6 +170,8 @@ class Stage:
             raise ConfigurationError("rotations must be non-negative")
         if min(spc) < 0:
             raise ConfigurationError("spacer counts must be non-negative")
+        if max(rot) >= 2**63 or max(spc) >= 2**63:
+            raise ConfigurationError("rotations and spacer counts must be below 2**63 (int64)")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "spacers", spc)
@@ -277,6 +280,14 @@ def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None) -> np.ndarray:
     return out
 
 
+def concat_stages(arr: np.ndarray, stages: Sequence[Stage], fill: int | None = None) -> np.ndarray:
+    """``concat_stage`` through ``stages`` in order: an array on the positions
+    of a word carried to the positions of the word those stages build."""
+    for st in stages:
+        arr = concat_stage(arr, st, fill)
+    return arr
+
+
 def build_word(
     schedule: Schedule,
     depth: int | None = None,
@@ -379,7 +390,8 @@ def morse_schedule(r: int, depth: int, seed_word: Word) -> Schedule:
         raise ConfigurationError(f"r = {r} must divide the seed length {seed_word.h}")
     stages = []
     h = seed_word.h
-    for _ in range(depth):
+    for n in range(depth):
+        check_draw_height(f"morse stage {n}", h)  # refused as a height, not as a rotation
         stages.append(Stage(q=r, rotations=tuple((y * h) // r for y in range(r))))
         h *= r
     return Schedule(seed_word.alphabet, seed_word, tuple(stages), family_tag="morse")

@@ -557,6 +557,35 @@ def test_dense_evaluation_above_the_limit_exits_3(argv, tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["geometry"], ["rank"],
+    ["simplicity", "--labels", "0=1,1=-1,2=0", "--base", "1", "--diag-depth", "2"],
+], ids=["geometry", "rank", "simplicity"])
+def test_schedule_with_a_rotation_int64_cannot_hold_exits_2(argv, tmp_path):
+    # A rotation of 2**70 used to reach np.asarray(..., dtype=np.int64) and
+    # exit 1 with an OverflowError traceback.
+    stages = [{"q": 3, "rotations": [0, 2**70, 1], "spacers": []},
+              {"q": 3, "rotations": [0, 1, 2], "spacers": []}]
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps({"alphabet": {"symbols": ["0", "1", "2"], "spacer_symbol": None},
+                                "seed_word": "012", "stages": stages}), encoding="utf-8")
+    out = tmp_path / "o"
+    res = _icelab([*argv, "--schedule", str(path), "--out", str(out)])
+    assert res.returncode == 2, res.stderr
+    assert "below 2**63" in res.stderr and "Traceback" not in res.stderr
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_ensemble_threads_below_one_exits_2_before_out_is_created(threads, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["ensemble", "--task", "jumps", "--seeds", "2", "--h", "16", "--q-list", "4",
+            "--threads", threads, "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert "--threads: " + threads + " is below 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("which", ["missing", "directory", "empty"])
 def test_unreadable_schedule_file_exits_2(which, tmp_path):
     path = {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path),
@@ -1123,12 +1152,13 @@ def test_csv_writer_workers_stay_within_the_recorded_peak(tmp_path):
 @linux_only
 def test_simplicity_peak_rss_per_symbol(tmp_path):
     # h_N = 2,204,496.  The bound is two complex arrays of length h_N (f and
-    # g, 16 B each per symbol) plus one int64 coordinate array (8 B): 40 B per
-    # symbol above a bare import.  Measured on a 2-core Linux box (Python 3.11,
-    # numpy 2.4): the manifest read 35.8 B per symbol above the 33.7 MB of
-    # `import icelab.cli`, as x (8 B) is dropped once f, the far mask and
-    # the bases are gathered, before g exists.  A third complex array (u
-    # formed out of place) read 51.7 B.
+    # g, 16 B each per symbol) plus 8 B, once one int64 coordinate array: 40 B
+    # per symbol above a bare import.  Measured on a 2-core Linux box (Python
+    # 3.11, numpy 2.4): the manifest read 35.6 B per symbol above the 35.0 MB
+    # of `import icelab.cli`.  The peak is f carried up through the last
+    # stage (q = 7) while g exists: f, g and the 16/7 B of f on W_3.  Gathering
+    # f, the far mask and the bases through the int64 level-(n+1) coordinates
+    # read 35.8 B, and a third complex array (u formed out of place) 51.7 B.
     argv = ["simplicity", "--family", "random", "--qs", "9,729,16,7", "--seed", "5",
             "--seed-word", "012", "--alphabet", "012",
             "--labels", "0=1,1=-0.5+0.8660254037844386j,2=-0.5-0.8660254037844386j",

@@ -402,19 +402,22 @@ def test_simplicity_bitwise_equals_reference(trit_word, trit_labels, seed, n, qs
     assert [repr(x) for x in got] == [repr(x) for x in ref]
 
 
-def test_simplicity_projects_once(trit_word, trit_labels, monkeypatch):
-    # One coordinate array: the signed chart of the level-(n+1) coordinates.
+def test_simplicity_projects_nothing(trit_word, trit_labels, monkeypatch):
+    # No coordinate array: f, the far mask and g are carried up from tables
+    # on W_{n+1}, and the junction patch reads the carried base mask.
     calls = []
-    real = il.correlation.project_all
+    real = il.dynamics.project_all
 
     def counting(pc, n, *args):
         calls.append(n)
         return real(pc, n, *args)
 
-    monkeypatch.setattr(il.correlation, "project_all", counting)
+    monkeypatch.setattr(il.dynamics, "project_all", counting)
+    monkeypatch.setattr(corr, "project_positions", counting)
+    assert not hasattr(corr, "project_all")
     sch = il.random_schedule([9, 27, 5, 4], 1, trit_word)
     il.simplicity_diagnostic(sch, trit_labels, 1, 4)
-    assert calls == [2]
+    assert calls == []
 
 
 def _per_j_base_returns(bases, size, fn):
@@ -469,32 +472,98 @@ def test_blocked_base_returns_at_the_default_block(seed):
     assert np.array_equal(got.view(np.int64), _per_j_base_returns(bases, size, fn).view(np.int64))
 
 
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    qs=st.lists(st.sampled_from([1, 3, 5, 7, 9]), min_size=2, max_size=4),
-    n=st.integers(min_value=0, max_value=1),
-)
-@settings(max_examples=60, deadline=None)
-def test_chart_gathers_equal_the_signed_chart_route(trit_word, seed, qs, n):
-    sch = il.random_schedule(qs, seed, trit_word)
-    pc = il.ProjectionChain.build(sch)
-    h = sch.height(n)
+def _gather_and_scatter(schedule, n, depth, fn):
+    """Oracle for ``_far_half_arrays``: f, the far mask and g by gathers from
+    the signed chart at the level-(n+1) coordinates and one scatter of g over
+    all of h_N, as the diagnostic computed them before the tables were
+    carried up."""
+    x = il.project_all(il.ProjectionChain.build(schedule, depth), n + 1)
+    chart = il.signed_levels(schedule, n)
+    w = (fn.size - 1) // 2
+    bases = np.flatnonzero((chart == 0)[x])
+    return fn[chart][x], (np.abs(chart) > w)[x], corr._base_returns(bases, x.size, fn)
+
+
+def _rotated_schedule(rng, h0, qs, zeros):
+    """Pure stages with uniform rotations, each one zero with probability ``zeros``."""
+    alphabet = il.Alphabet(("0", "1"))
+    stages, h = [], h0
+    for q in qs:
+        stages.append(il.Stage(q, rng.integers(0, h, q) * (rng.random(q) >= zeros)))
+        h *= q
+    return il.Schedule(alphabet, il.word_from_text(alphabet, "01" * (h0 // 2) + "0"), stages)
+
+
+def _assert_far_half_arrays_match(sch, n, depth, seed, block=corr._JUNCTION_BLOCK):
     rng = np.random.default_rng(seed)
+    h = sch.height(n)
     fn = rng.standard_normal(h) + 1j * rng.standard_normal(h)
-    f, far, bases = corr._chart_gathers(sch, n, il.project_all(pc, n + 1), fn)
-    s = corr._signed_chart(sch, n, il.project_all(pc, n + 1))
-    assert np.array_equal(f.view(np.int64), fn[s].view(np.int64))
-    assert np.array_equal(far, np.abs(s) > (h - 1) // 2)
-    assert np.array_equal(bases, np.flatnonzero(s == 0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corr, "_JUNCTION_BLOCK", block)
+        got = corr._far_half_arrays(sch, n, depth, fn)
+    ref = _gather_and_scatter(sch, n, depth, fn)
+    assert np.array_equal(got[0].view(np.int64), ref[0].view(np.int64))
+    assert np.array_equal(got[1], ref[1])
+    assert np.array_equal(got[2].view(np.int64), ref[2].view(np.int64))
+
+
+_HEIGHTS = st.sampled_from([1, 3, 5, 9, 27])
+_COPIES = st.lists(st.sampled_from([1, 2, 3, 5, 9]), min_size=1, max_size=4)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), h0=_HEIGHTS, qs=_COPIES,
+       zeros=st.sampled_from([0.0, 0.5, 1.0]), n=st.integers(min_value=0, max_value=3),
+       extra=st.integers(min_value=1, max_value=3), block=st.sampled_from([1, 64, 2**16]))
+@settings(max_examples=150, deadline=None)
+def test_far_half_arrays_equal_the_gather_and_scatter_route(seed, h0, qs, zeros, n, extra,
+                                                           block):
+    # q = 1 stages, zero rotations (every one at zeros = 1), depths n+1 .. n+3,
+    # h_0 = 27 under q = 1 stages, whose junction rows overlap, and patches
+    # of one row or a few rows per block.
+    rng = np.random.default_rng(seed)
+    n = n % len(qs)
+    sch = _rotated_schedule(rng, h0, qs, zeros)
+    if sch.height(n) % 2:
+        _assert_far_half_arrays_match(sch, n, min(len(qs), n + extra), seed, block)
+
+
+@pytest.mark.parametrize("rotations", [(0, 1, 2), (5, 30, 61), (20, 7, 26), (1, 28, 53)])
+def test_far_half_arrays_at_jumps_closer_than_the_window(rotations):
+    # h_n = 27 (w = 13).  W_2 = rot(W_1, 11) is one copy, so the row of
+    # 4w = 52 positions around its end wraps the 27-cycle.  In W_4 each
+    # rotated copy of W_3 carries W_3's jumps of the level-1 coordinate next
+    # to its own end, 1 to 3 steps apart.
+    alphabet = il.Alphabet(("0", "1"))
+    stages = [il.Stage(1, (5,)), il.Stage(1, (11,)), il.Stage(2, (0, 11)), il.Stage(3, rotations)]
+    sch = il.Schedule(alphabet, il.word_from_text(alphabet, "01" * 13 + "0"), stages)
+    x = il.project_all(il.ProjectionChain.build(sch), 1)
+    assert np.diff(np.flatnonzero(~il.dynamics._plain_steps(x, 27))).min() <= 3
+    for depth in (1, 2, 3, 4):
+        _assert_far_half_arrays_match(sch, 0, depth, 7)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31), h0=_HEIGHTS, qs=_COPIES,
+       zeros=st.sampled_from([0.0, 0.5, 1.0]))
+@settings(max_examples=50, deadline=None)
+def test_steps_that_are_not_plain_end_a_copy(seed, h0, qs, zeros):
+    # What _far_half_arrays patches: in W_{m+1} the level-m coordinate
+    # advances by +1 (mod h_m) at every step but the last of a copy.
+    sch = _rotated_schedule(np.random.default_rng(seed), h0, qs, zeros)
+    for m in range(sch.depth):
+        h = sch.height(m)
+        x = il.project_all(il.ProjectionChain.build(sch, m + 1), m)
+        jumps = np.flatnonzero(~il.dynamics._plain_steps(x, h))
+        assert np.all(jumps % h == h - 1)
 
 
 @pytest.mark.parametrize("word, labels", [("000", {"0": 1.0}), ("012", {"0": 2, "1": 2, "2": 2})])
 def test_simplicity_refuses_a_constant_lift_before_projecting(word, labels, monkeypatch):
-    # f2 = 0, which every ratio divides by: refused before the coordinates exist.
+    # f2 = 0, which every ratio divides by: refused before any table on
+    # W_{n+1} exists, so before anything is carried up to h_N.
     def no_projection(*args):
         raise AssertionError("projected a constant lift")
 
-    monkeypatch.setattr(il.correlation, "project_all", no_projection)
+    monkeypatch.setattr(il.correlation, "signed_levels", no_projection)
     sch = il.random_schedule([3, 9, 5], 1, il.word_from_text(il.Alphabet(tuple("012")), word))
     for depth in (1, 3):
         with pytest.raises(ConfigurationError, match="f2 = 0"):

@@ -72,17 +72,6 @@ def test_from_stage_refuses_spacers():
     assert not ib.cyclic
 
 
-def test_poincare_permutation_is_cyclic():
-    perm = il.poincare_permutation(il.Stage(6, (0, 1, 2, 2, 0, 1)))
-    assert sorted(perm) == list(range(6))
-    # single 6-cycle
-    x, seen = 0, []
-    for _ in range(6):
-        seen.append(x)
-        x = perm[x]
-    assert x == 0 and len(set(seen)) == 6
-
-
 # ---------------------------------------------------------------------------
 # Jump matrices
 # ---------------------------------------------------------------------------
