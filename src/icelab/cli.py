@@ -558,21 +558,26 @@ def _cmd_geometry(out_dir: Path, args) -> tuple[str | None, str | None]:
     report = None
     if args.body_base is not None and args.body_depth is not None:
         report = ice.body_report(sch, args.body_base, args.body_depth, force=args.force)
-    col_rows, summary = [], {}
+    icebergs, summary = [], {}
     for n in range(sch.depth):
         ib = ice.from_stage(sch, n, allow_spacers=True)
-        for k, c in ib.counts:
-            col_rows.append((sh, n, k, c, c / ib.q))
-        jm = ice.jump_matrix(sch.stages[n], sch.height(n))
+        icebergs.append(ib)
+        jm = ice.jump_matrix(sch.stages[n], ib.h)
         summary[str(n)] = {
-            "h": sch.height(n),
+            "h": ib.h,
             "q": ib.q,
             "cyclic": ib.cyclic,
             "uniformity_deviation": ice.uniformity_deviation(ib),
             "jump_uniformity_deviation": ice.jump_uniformity_deviation(jm),
         }
+    sizes = [ib.cuts.size for ib in icebergs]
+    empty = [np.empty(0, dtype=np.int64)]  # a depth-0 schedule has no stage to join
     _write_csv(out_dir / "columns.csv",
-               ["schedule_hash", "stage", "cut_value", "count", "weight"], col_rows)
+               ["schedule_hash", "stage", "cut_value", "count", "weight"],
+               _Columns([sh] * sum(sizes), np.repeat(np.arange(sch.depth), sizes),
+                        np.concatenate(empty + [ib.cuts for ib in icebergs]),
+                        np.concatenate(empty + [ib.counts for ib in icebergs]),
+                        np.concatenate(empty + [ib.counts / ib.q for ib in icebergs])))
     payload: dict = {"schedule_hash": sh, "stages": summary}
     if report is not None:
         payload["body"] = {
@@ -823,7 +828,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
             out = []
             for idx, q in enumerate(qs):
                 rng = np.random.default_rng([seed, idx])
-                st = words_mod.Stage(q=q, rotations=rng.integers(0, args.h, q).tolist())
+                st = words_mod.Stage(q=q, rotations=rng.integers(0, args.h, q))
                 dev = ice.jump_uniformity_deviation(ice.jump_matrix(st, args.h))
                 out.append((seed, "", q, dev))
             return out

@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dynamics import ProjectionChain, project_positions
-from .errors import ConfigurationError
+from .dynamics import project_positions
+from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
 from .words import Schedule, Word, build_word, concat_stage, concat_stages
 
 #: Zero-mean lift tolerance: |sum of values| <= ZERO_MEAN_TOL * h.
@@ -231,10 +231,8 @@ def recursion_rhs(series: CorrelationSeries, stage, s: int) -> complex:
         raise ConfigurationError("recursion_rhs supports pure stages only")
     if not 1 <= s <= stage.q - 1:
         raise ConfigurationError(f"shift s={s} outside [1, {stage.q - 1}]")
-    h = series.h
-    rots = np.asarray(stage.rotations, dtype=np.int64) % h
-    diffs = (rots - np.roll(rots, s)) % h
-    return complex(series.values[diffs].mean())
+    rots = stage.rotations  # in [0, 2**63), so their int64 differences cannot wrap
+    return complex(series.values[(rots - np.roll(rots, s)) % series.h].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +487,8 @@ def simplicity_diagnostic(
     ``f`` becomes ``u``.
     """
     h = _check_far_half(schedule, n, depth)
-    pc = ProjectionChain.build(schedule, depth, force=force)
+    h_N = schedule.height(depth)
+    refuse_above(f"h_{depth} (far-half arrays f, g and the far mask)", h_N, MAX_SYMBOLS, force)
     fn = _far_half_base_function(schedule, labels, n, force)
     if depth == n:
         f2_level = float(np.mean(np.abs(fn) ** 2))
@@ -499,7 +498,6 @@ def simplicity_diagnostic(
             u2=0.0, v2=0.0, uv=0j, fv=0j,
         )
 
-    h_N = pc.heights[depth]
     f, far, g = _far_half_arrays(schedule, n, depth, fn)
 
     def avg(x: np.ndarray, y: np.ndarray) -> complex:

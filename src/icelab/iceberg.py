@@ -12,13 +12,11 @@ reports: combinatorial lower bound and exact count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import Schedule, Stage, _count_rank_rows
+from .words import Schedule, Stage, _count_rank_rows, _read_only
 
 
 # ---------------------------------------------------------------------------
@@ -26,34 +24,35 @@ from .words import Schedule, Stage, _count_rank_rows
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iceberg:
-    """Column histogram of one stage: cut value -> copy count.
-
-    ``counts`` maps each distinct rotation value (reduced into ``[0, h)``) to
-    the number of copies using it; weights are the counts divided by ``q``,
-    hence multiples of ``1/q`` summing to 1.  ``cyclic`` is False when the
-    stage carries spacers (the cross-section is then only a histogram, not a
-    cyclic tower).
+    """Column histogram of one stage: read-only int64 arrays of the distinct
+    rotation values (reduced into ``[0, h)``), increasing, and their copy
+    counts; weights are the counts divided by ``q``, hence multiples of
+    ``1/q`` summing to 1.  ``cyclic`` is False when the stage carries spacers
+    (the cross-section is then only a histogram, not a cyclic tower).
     """
 
     h: int
     q: int
-    counts: tuple[tuple[int, int], ...]  # sorted (cut value, count) pairs
+    cuts: np.ndarray
+    counts: np.ndarray
     cyclic: bool = True
 
     def __post_init__(self) -> None:
-        if any(c < 1 for _, c in self.counts):
+        cuts, counts = _read_only(self.cuts), _read_only(self.counts)
+        if cuts.ndim != 1 or cuts.shape != counts.shape:
+            raise ConfigurationError("cuts and counts must be 1-d arrays of one length")
+        if cuts.size and counts.min() < 1:
             raise ConfigurationError("column counts must be positive")
-        if sum(c for _, c in self.counts) != self.q:
+        if int(counts.sum()) != self.q:
             raise ConfigurationError("column counts must sum to q")
-        if any(not 0 <= k < self.h for k, _ in self.counts):
+        if cuts.size and (cuts.min() < 0 or cuts.max() >= self.h):
             raise ConfigurationError("cut values must lie in [0, h)")
-        if any(a >= b for (a, _), (b, _) in zip(self.counts, self.counts[1:])):
+        if np.any(cuts[1:] <= cuts[:-1]):
             raise ConfigurationError("cut values must be distinct and increasing")
-
-    def column_weight_exact(self) -> dict[int, Fraction]:
-        return {k: Fraction(c, self.q) for k, c in self.counts}
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "counts", counts)
 
 
 def from_stage(schedule: Schedule, n: int, *, allow_spacers: bool = False) -> Iceberg:
@@ -67,10 +66,8 @@ def from_stage(schedule: Schedule, n: int, *, allow_spacers: bool = False) -> Ic
         raise ConfigurationError(
             f"stage {n} carries spacers; pass allow_spacers=True for the histogram"
         )
-    h = schedule.height(n)
-    vals, cnts = np.unique(schedule.rotations_mod(n), return_counts=True)
-    counts = tuple(zip(vals.tolist(), cnts.tolist()))
-    return Iceberg(h=h, q=st.q, counts=counts, cyclic=st.pure)
+    cuts, counts = np.unique(schedule.rotations_mod(n), return_counts=True)
+    return Iceberg(h=schedule.height(n), q=st.q, cuts=cuts, counts=counts, cyclic=st.pure)
 
 
 def uniformity_deviation(ib: Iceberg) -> float:
@@ -79,8 +76,7 @@ def uniformity_deviation(ib: Iceberg) -> float:
     Exact: ranges over ``[0, 2)``, zero iff every cut class carries weight
     exactly ``1/h``.
     """
-    counts = np.array([c for _, c in ib.counts], dtype=np.int64)
-    return _l1_from_uniform(counts, np.full(counts.size, ib.q, dtype=np.int64), ib.h, ib.q)
+    return _l1_from_uniform(ib.counts, np.full(ib.counts.size, ib.q), ib.h, ib.q)
 
 
 def _l1_from_uniform(c: np.ndarray, rows: np.ndarray, h: int, q: int) -> float:
@@ -102,28 +98,24 @@ def _l1_from_uniform(c: np.ndarray, rows: np.ndarray, h: int, q: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpMatrix:
     """Transition counts between cut values along the copy order.
 
-    Cell ``(a, b)`` counts indices ``y`` with ``rot[y] = a`` and
-    ``rot[(y+1) mod q] = b`` (rotations reduced mod ``h``).  Total count is
-    ``q``; the row sums reproduce the cut histogram.
+    ``cells`` is a read-only ``(k, 3)`` int64 array of sorted rows ``(a, b,
+    count)``: ``count`` indices ``y`` have ``rot[y] = a`` and ``rot[(y+1) mod
+    q] = b`` (rotations reduced mod ``h``).  The counts sum to ``q``.
     """
 
     h: int
     q: int
-    cells: tuple[tuple[int, int, int], ...]  # sorted (a, b, count) triples
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
-        if sum(map(itemgetter(2), self.cells)) != self.q:
+        cells = _read_only(self.cells)
+        if int(cells[:, 2].sum()) != self.q:
             raise ConfigurationError("jump-matrix cells must sum to q")
-
-    def row_sums(self) -> dict[int, int]:
-        rows: dict[int, int] = {}
-        for a, _, c in self.cells:
-            rows[a] = rows.get(a, 0) + c
-        return rows
+        object.__setattr__(self, "cells", cells)
 
 
 def jump_matrix(st: Stage, h: int) -> JumpMatrix:
@@ -135,11 +127,9 @@ def jump_matrix(st: Stage, h: int) -> JumpMatrix:
     """
     if h < 1:
         raise ConfigurationError("height must be positive")
-    al = np.asarray(st.rotations, dtype=np.int64) % h
-    values, ranks = np.unique(al, return_inverse=True)
+    values, ranks = np.unique(st.rotations % h, return_inverse=True)
     (a, b), counts = _count_rank_rows((ranks, np.roll(ranks, -1)), values.size)
-    cells = tuple(zip(values[a].tolist(), values[b].tolist(), counts.tolist()))
-    return JumpMatrix(h=h, q=st.q, cells=cells)
+    return JumpMatrix(h=h, q=st.q, cells=np.stack((values[a], values[b], counts), axis=1))
 
 
 def jump_uniformity_deviation(jm: JumpMatrix) -> float:
@@ -148,7 +138,7 @@ def jump_uniformity_deviation(jm: JumpMatrix) -> float:
     ``sum_a (row_a / q) * sum_b |N[a][b]/row_a - 1/h|`` with empty rows
     skipped; exact, value in ``[0, 2)``.
     """
-    a, _, c = (np.array(col, dtype=np.int64) for col in zip(*jm.cells))
+    a, _, c = jm.cells.T
     sources, row_of = np.unique(a, return_inverse=True)
     row_sums = np.zeros(sources.size, dtype=np.int64)
     np.add.at(row_sums, row_of, c)

@@ -59,9 +59,8 @@ class RectangleCertificate:
 
 def _cut_classes(ib: Iceberg) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct cut classes (rotation 0 -> class h, moved last) with copy counts."""
-    ks, cs = np.array(ib.counts, dtype=np.int64).reshape(-1, 2).T
-    last = np.argsort(ks == 0, kind="stable")
-    return np.where(ks == 0, ib.h, ks)[last], cs[last]
+    last = np.argsort(ib.cuts == 0, kind="stable")
+    return np.where(ib.cuts == 0, ib.h, ib.cuts)[last], ib.counts[last]
 
 
 def _certificate(ib: Iceberg, k_lo: int, k_hi: int, weight_count: int) -> RectangleCertificate:

@@ -134,7 +134,27 @@ def word_from_text(alphabet: Alphabet, text: str) -> Word:
     return Word(alphabet, idx)
 
 
-@dataclass(frozen=True)
+def _stage_array(values, name: str) -> np.ndarray:
+    """A stage field as a new read-only int64 array.  A list or tuple of Python
+    or numpy integers passes through an object array, so ``2**70`` is refused,
+    not wrapped; an array must be 1-d, of an integer dtype (bool is not one)."""
+    if not isinstance(values, np.ndarray):
+        values = np.array(list(map(operator.index, values)), dtype=object)
+    elif values.dtype.kind not in "iu" or values.ndim != 1:
+        raise TypeError(f"{name} is a {values.ndim}-d {values.dtype} array")
+    if values.size and (values.min() < 0 or values.max() >= 2**63):
+        raise ConfigurationError(f"{name} must be non-negative and below 2**63 (int64)")
+    return _read_only(values.astype(np.int64))
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only int64 array; an int64 array is viewed, not copied."""
+    arr = np.asarray(values, dtype=np.int64).view()
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Stage:
     """One construction stage: ``q`` rotated copies with per-copy spacer runs.
 
@@ -142,36 +162,30 @@ class Stage:
     current height at application time); ``spacers[y]`` is the number of
     spacer symbols appended after copy ``y``.
 
-    All three fields hold Python ints.  Integers of any kind are accepted
-    (numpy integer scalars and arrays included); a float, a string or any
-    other non-integer is refused, never truncated, and so is a rotation or
-    spacer count that int64 cannot hold.
+    Both are read-only int64 arrays of length ``q``, copied from a list, a
+    tuple or an integer array; anything but integers in ``[0, 2**63)`` is
+    refused, never truncated (``_stage_array``).  Stages compare by identity.
     """
 
     q: int
-    rotations: tuple[int, ...]
-    spacers: tuple[int, ...] = ()
+    rotations: np.ndarray
+    spacers: np.ndarray = ()
 
     def __post_init__(self) -> None:
         try:
             q = operator.index(self.q)
-            rot = tuple(map(operator.index, self.rotations))
-            spc = tuple(map(operator.index, self.spacers))
+            rot = _stage_array(self.rotations, "rotations")
+            spc = _stage_array(self.spacers, "spacer counts")
         except TypeError as exc:
             raise ConfigurationError(f"stage fields must be integers: {exc}") from None
         if q < 1:
             raise ConfigurationError("stage needs q >= 1")
-        spc = spc or (0,) * q
-        if len(rot) != q:
+        if rot.size != q:
             raise ConfigurationError("stage needs exactly q rotations")
-        if len(spc) != q:
+        if spc.size not in (0, q):
             raise ConfigurationError("stage needs exactly q spacer counts")
-        if min(rot) < 0:
-            raise ConfigurationError("rotations must be non-negative")
-        if min(spc) < 0:
-            raise ConfigurationError("spacer counts must be non-negative")
-        if max(rot) >= 2**63 or max(spc) >= 2**63:
-            raise ConfigurationError("rotations and spacer counts must be below 2**63 (int64)")
+        if not spc.any():  # no spacers: a zero broadcast, which takes no memory
+            spc = np.broadcast_to(np.int64(0), (q,))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "rotations", rot)
         object.__setattr__(self, "spacers", spc)
@@ -183,8 +197,8 @@ class Stage:
 
     @cached_property
     def total_spacers(self) -> int:
-        """Sum of the spacer runs, computed once (the fields are frozen)."""
-        return sum(self.spacers)
+        """Sum of the spacer runs, exact (an int64 sum could wrap), computed once."""
+        return sum(self.spacers.tolist()) if self.spacers.any() else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +239,7 @@ class Schedule:
 
     def rotations_mod(self, n: int) -> np.ndarray:
         """Stage-``n`` rotations reduced into ``[0, h_n)``."""
-        h = self.height(n)
-        return np.asarray(self.stages[n].rotations, dtype=np.int64) % h
+        return self.stages[n].rotations % self.height(n)
 
     def stage_starts(self, n: int) -> np.ndarray:
         """Start offsets of the ``q_n`` copies inside ``W_{n+1}``, plus ``h_{n+1}``.
@@ -234,10 +247,7 @@ class Schedule:
         ``starts[y] = y*h_n + sum(spacers[:y])``; length ``q_n + 1`` with the
         sentinel ``starts[q_n] = h_{n+1}``.
         """
-        st = self.stages[n]
-        h = self.height(n)
-        lens = np.asarray([h + s for s in st.spacers], dtype=np.int64)
-        return np.concatenate(([0], np.cumsum(lens)))
+        return np.concatenate(([0], np.cumsum(self.stages[n].spacers + self.height(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +270,19 @@ def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None) -> np.ndarray:
 
     Result = ``rot(A, a_0) f^{s_0} rot(A, a_1) f^{s_1} ... rot(A, a_{q-1}) f^{s_{q-1}}``
     where ``f`` is ``fill`` (read only when the stage has spacers).  Rotations
-    are reduced mod ``len(arr)`` here, at application time.  Words are this
-    loop on symbol arrays with the spacer symbol as fill; level-``n``
-    coordinates are this loop on ``arange(h_n)`` with the dynamics' spacer
-    mark as fill.  Each copy and run is written straight into the result.
+    are reduced mod ``len(arr)`` here, at application time, all at once, and
+    read as Python ints.  Words are this loop on symbol arrays with the spacer
+    symbol as fill; level-``n`` coordinates are this loop on ``arange(h_n)``
+    with the dynamics' spacer mark as fill.  Each copy and run is written
+    straight into the result.
     """
     h = arr.size
     out = np.empty(stage.q * h + stage.total_spacers, dtype=arr.dtype)
     pos = 0
-    for y in range(stage.q):
-        a = stage.rotations[y] % h
+    for a, s in zip((stage.rotations % h).tolist(), stage.spacers.tolist()):
         out[pos: pos + h - a] = arr[a:]
         out[pos + h - a: pos + h] = arr[:a]
         pos += h
-        s = stage.spacers[y]
         if s:
             out[pos: pos + s] = fill
             pos += s
@@ -423,8 +432,7 @@ def random_schedule(qs: Sequence[int], seed: int, seed_word: Word) -> Schedule:
         check_draw_height(f"random stage {n}", h)
     stages = []
     for n, (q, h) in enumerate(zip(qs, heights)):
-        rot = np.random.default_rng([int(seed), n]).integers(0, h, size=q)
-        stages.append(Stage(q=q, rotations=rot.tolist()))
+        stages.append(Stage(q, np.random.default_rng([int(seed), n]).integers(0, h, size=q)))
     return Schedule(
         seed_word.alphabet, seed_word, tuple(stages), family_tag="random", rng_seed=int(seed)
     )
@@ -461,7 +469,7 @@ def rank_one_schedule(
         if q < 1:
             raise ConfigurationError("rank-one stage needs q >= 1")
         if kind == "staircase":
-            spc = tuple(range(q))
+            spc = np.arange(q)
         elif kind == "ornstein":
             if seed is None:
                 raise ConfigurationError("ornstein family needs an rng seed")
@@ -470,12 +478,11 @@ def rank_one_schedule(
             check_draw_height(f"ornstein stage {n}", h)  # h_n depends on earlier draws
             alpha_max = h // ratio
             rng = np.random.default_rng([int(seed), n])
-            draws = np.sort(rng.integers(0, alpha_max + 1, size=q + 1))
-            spc = tuple(int(s) for s in np.diff(draws))
+            spc = np.diff(np.sort(rng.integers(0, alpha_max + 1, size=q + 1)))
         else:
             raise ConfigurationError(f"unknown rank-one family {kind!r}")
-        stages.append(Stage(q=q, rotations=(0,) * q, spacers=spc))
-        h_next = q * h + sum(spc)
+        stages.append(Stage(q=q, rotations=np.zeros(q, dtype=np.int64), spacers=spc))
+        h_next = q * h + stages[-1].total_spacers
         running *= h_next / (q * h)
         if running > DEFAULT_MEASURE_CAP:
             raise ConfigurationError(
@@ -508,8 +515,8 @@ def schedule_to_dict(schedule: Schedule) -> dict:
         "stages": [
             {
                 "q": st.q,
-                "rotations": list(st.rotations),
-                "spacers": list(st.spacers),
+                "rotations": st.rotations.tolist(),
+                "spacers": st.spacers.tolist(),
             }
             for st in schedule.stages
         ],

@@ -177,7 +177,7 @@ def test_criterion_07():
         gap = abs(float(cert.area) - float(il.beta_morse(r)))
         assert gap <= 1 / h, f"r={r}: |area - beta| = {gap:.3e} > 1/{h}"
 
-    uniform = il.Iceberg(h=101, q=101, counts=tuple((k, 1) for k in range(101)), cyclic=True)
+    uniform = il.Iceberg(h=101, q=101, cuts=np.arange(101), counts=[1] * 101, cyclic=True)
     assert float(il.best_subtower_rectangle(uniform).area) >= 0.245
 
     rng = np.random.default_rng(7)
@@ -185,10 +185,7 @@ def test_criterion_07():
         h = int(rng.integers(2, 65))
         q = int(rng.integers(1, 65))
         vals, cnts = np.unique(rng.integers(0, h, q), return_counts=True)
-        ib = il.Iceberg(
-            h=h, q=q, counts=tuple((int(v), int(c)) for v, c in zip(vals, cnts)),
-            cyclic=True,
-        )
+        ib = il.Iceberg(h=h, q=q, cuts=vals, counts=cnts, cyclic=True)
         assert il.best_subtower_rectangle(ib).area == il.brute_force_rectangle(ib).area
 
 

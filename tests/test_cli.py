@@ -1206,6 +1206,23 @@ def test_rank_peak_rss_per_cell(tmp_path):
 
 
 @linux_only
+def test_geometry_peak_rss_per_copy(tmp_path):
+    # Stage 1 has 10^6 copies with 645,135 distinct cuts.  Stage data are
+    # int64 arrays, and the peak is set inside jump_matrix (its np.unique
+    # and rank-pair sort), not by the columns.csv table.  Measured on a
+    # 2-core Linux box (Python 3.11, numpy 2.4): the manifest read about 110 B
+    # per copy above a bare import; the bound leaves 27 % slack.  With a
+    # Python tuple per rotation, cut and jump cell it read about 457 B.
+    argv = ["geometry", "--family", "random", "--qs", "1024,1000000", "--seed", "0",
+            "--seed-word", "0123" * 256, "--alphabet", "0123", "--out", str(tmp_path / "o")]
+    bare = _peak_rss_bytes("import icelab.cli")
+    _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    per_copy = (manifest["peak_rss_mb"] * 2**20 - bare) / 10**6
+    assert per_copy <= 140, f"{per_copy:.1f} B per copy"
+
+
+@linux_only
 def test_correlate_peak_rss_per_row(tmp_path):
     # correlation.csv has 262,144 rows, held as columns: the schedule-hash
     # list, int64 stage and t, and the float64 re and im views of the series

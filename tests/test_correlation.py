@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import icelab as il
 from icelab import correlation as corr
-from icelab.errors import ConfigurationError
+from icelab.errors import ConfigurationError, ResourceRefusal
 
 from conftest import OMEGA, intact_twin
 
@@ -554,6 +554,25 @@ def test_steps_that_are_not_plain_end_a_copy(seed, h0, qs, zeros):
         x = il.project_all(il.ProjectionChain.build(sch, m + 1), m)
         jumps = np.flatnonzero(~il.dynamics._plain_steps(x, h))
         assert np.all(jumps % h == h - 1)
+
+
+def test_simplicity_refusal_names_the_far_half_arrays(trit_labels, monkeypatch):
+    # MAX_SYMBOLS prices the length-h_N arrays f, g and the far mask; the
+    # diagnostic builds no coordinates.  A stand-in limit one below h_3 = 405.
+    def no_lift(*args):
+        raise AssertionError("lifted W_n before the guard")
+
+    sch = il.random_schedule([3, 9, 5], 1, il.word_from_text(il.Alphabet(tuple("012")), "012"))
+    monkeypatch.setattr(il.correlation, "MAX_SYMBOLS", 404)
+    with monkeypatch.context() as m:
+        m.setattr(il.correlation, "_far_half_base_function", no_lift)
+        with pytest.raises(ResourceRefusal) as exc:
+            il.simplicity_diagnostic(sch, trit_labels, 1, 3)
+    assert str(exc.value) == ("h_3 (far-half arrays f, g and the far mask) = 405 > 404; "
+                              "pass --force to proceed")
+    assert il.simplicity_diagnostic(sch, trit_labels, 1, 3, force=True).h_N == 405
+    monkeypatch.setattr(il.correlation, "MAX_SYMBOLS", 405)
+    assert il.simplicity_diagnostic(sch, trit_labels, 1, 3).h_N == 405
 
 
 @pytest.mark.parametrize("word, labels", [("000", {"0": 1.0}), ("012", {"0": 2, "1": 2, "2": 2})])

@@ -23,10 +23,8 @@ def test_cat_stage0_columns(cat_schedule):
     ib = il.from_stage(cat_schedule, 0)
     # rotations (0,1,2,2,0,1) on h=3: values 0,1,2 twice each
     assert ib.h == 3 and ib.q == 6
-    assert ib.counts == ((0, 2), (1, 2), (2, 2))
-    assert ib.column_weight_exact() == {
-        0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)
-    }
+    assert ib.cuts.tolist() == [0, 1, 2] and ib.counts.tolist() == [2, 2, 2]
+    assert [Fraction(c, ib.q) for c in ib.counts.tolist()] == [Fraction(1, 3)] * 3
 
 
 def test_cat_stage0_uniformity_zero(cat_schedule):
@@ -36,12 +34,12 @@ def test_cat_stage0_uniformity_zero(cat_schedule):
 
 def test_single_column_deviation():
     # One column of weight 1 on h=4: |1 - 1/4| + 3/4 = 3/2.
-    ib = il.Iceberg(h=4, q=1, counts=((2, 1),), cyclic=True)
+    ib = il.Iceberg(h=4, q=1, cuts=[2], counts=[1], cyclic=True)
     assert il.uniformity_deviation(ib) == pytest.approx(1.5)
 
 
 def test_uniform_iceberg_deviation_zero():
-    ib = il.Iceberg(h=5, q=5, counts=tuple((k, 1) for k in range(5)), cyclic=True)
+    ib = il.Iceberg(h=5, q=5, cuts=np.arange(5), counts=[1] * 5, cyclic=True)
     assert il.uniformity_deviation(ib) == 0.0
 
 
@@ -49,8 +47,9 @@ def test_uniform_iceberg_deviation_zero():
 def test_iceberg_refuses_a_count_below_one(counts):
     # The rectangle sweep relies on every column having a copy: a zero or
     # negative count would let a reversed cut window (i > j) score highest.
+    cuts, cnts = zip(*counts)
     with pytest.raises(ConfigurationError, match="positive"):
-        il.Iceberg(h=4, q=sum(c for _, c in counts), counts=counts, cyclic=True)
+        il.Iceberg(h=4, q=sum(cnts), cuts=cuts, counts=cnts, cyclic=True)
 
 
 @pytest.mark.parametrize("counts", [((3, 1), (1, 1)), ((1, 1), (1, 1))],
@@ -60,8 +59,31 @@ def test_iceberg_refuses_cut_values_out_of_order(counts):
     # distinct, increasing values of a histogram: (3, 1), (1, 1) made the
     # sweep raise "cut window outside [1, h]", and (1, 1), (1, 1) gave a
     # deviation of 1.0 where weight 1 at cut 1 on h = 4 has 1.5.
+    cuts, cnts = zip(*counts)
     with pytest.raises(ConfigurationError, match="distinct and increasing"):
-        il.Iceberg(h=4, q=2, counts=counts, cyclic=True)
+        il.Iceberg(h=4, q=2, cuts=cuts, counts=cnts, cyclic=True)
+
+
+@pytest.mark.parametrize("cuts, counts", [([1], [1, 1]), ([0, 1], [2]), ([[0, 1]], [[1, 1]])],
+                         ids=["more-counts", "more-cuts", "2-d"])
+def test_iceberg_refuses_cuts_and_counts_of_other_shapes(cuts, counts):
+    # Without the pairs of the old format nothing else ties a count to its
+    # cut: [1] with [1, 1] passed every other check and the sweep read one
+    # column of weight 1/2.
+    with pytest.raises(ConfigurationError, match="one length"):
+        il.Iceberg(h=4, q=2, cuts=cuts, counts=counts, cyclic=True)
+
+
+def test_iceberg_and_jump_matrix_fields_are_read_only(cat_schedule):
+    ib = il.from_stage(cat_schedule, 0)
+    jm = il.jump_matrix(cat_schedule.stages[0], 3)
+    assert ib.cuts.dtype == ib.counts.dtype == jm.cells.dtype == np.int64
+    for arr in (ib.cuts, ib.counts, jm.cells[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    counts = np.array([1, 1])  # an Iceberg never sets its caller's flags
+    il.Iceberg(h=4, q=2, cuts=[0, 1], counts=counts)
+    assert counts.flags.writeable
 
 
 def test_from_stage_refuses_spacers():
@@ -81,7 +103,7 @@ def test_jump_matrix_counts(cat_schedule):
     st_ = cat_schedule.stages[0]  # rotations (0,1,2,2,0,1)
     jm = il.jump_matrix(st_, 3)
     # successive pairs cyclically: (0,1),(1,2),(2,2),(2,0),(0,1),(1,0)
-    cells = dict(((a, b), c) for a, b, c in jm.cells)
+    cells = {(a, b): c for a, b, c in jm.cells.tolist()}
     assert cells == {(0, 1): 2, (1, 2): 1, (2, 2): 1, (2, 0): 1, (1, 0): 1}
     assert sum(cells.values()) == 6
 
@@ -90,7 +112,7 @@ def test_jump_matrix_row_sums_match_histogram(cat_schedule):
     st_ = cat_schedule.stages[0]
     jm = il.jump_matrix(st_, 3)
     hist = {0: 2, 1: 2, 2: 2}
-    assert jm.row_sums() == hist
+    assert {a: int(jm.cells[jm.cells[:, 0] == a, 2].sum()) for a in hist} == hist
 
 
 def test_jump_deviation_identity_rotations():
@@ -107,11 +129,11 @@ def test_jump_deviation_single_copy():
     assert dev == pytest.approx(2 * (1 - 1 / 8))
 
 
-def _row_unique_cells(st_: il.Stage, h: int) -> tuple[tuple[int, int, int], ...]:
+def _row_unique_cells(st_: il.Stage, h: int) -> np.ndarray:
     """Jump cells by a row-wise ``np.unique`` of the (cut, next cut) pairs (the reference)."""
-    al = np.asarray(st_.rotations, dtype=np.int64) % h
+    al = st_.rotations % h
     pairs, cnts = np.unique(np.stack([al, np.roll(al, -1)], axis=1), axis=0, return_counts=True)
-    return tuple((int(a), int(b), int(c)) for (a, b), c in zip(pairs, cnts))
+    return np.column_stack((pairs, cnts))
 
 
 @given(
@@ -126,7 +148,8 @@ def test_jump_matrix_matches_row_unique_reference(h, q, distinct, seed):
     # common when the pool is small; above h = 2**31.5 a key a*h + b overflows int64.
     rng = np.random.default_rng(seed)
     st_ = il.Stage(q, rng.choice(rng.integers(0, 2**40, distinct), q))
-    assert il.jump_matrix(st_, h).cells == _row_unique_cells(st_, h)
+    cells = il.jump_matrix(st_, h).cells
+    assert cells.dtype == np.int64 and np.array_equal(cells, _row_unique_cells(st_, h))
 
 
 def test_jump_deviation_decreases_with_q():
@@ -309,26 +332,27 @@ def test_histogram_invariants(h, q, seed):
     w0 = il.word_from_text(il.BINARY, "01" * (h // 2) + "0" * (h % 2))
     sch = il.Schedule(il.BINARY, w0, (st_,))
     ib = il.from_stage(sch, 0)
-    assert sum(c for _, c in ib.counts) == q
+    assert ib.counts.sum() == q
     dev = il.uniformity_deviation(ib)
     assert 0.0 <= dev < 2.0
     jm = il.jump_matrix(st_, h)
-    assert sum(c for _, _, c in jm.cells) == q
+    assert jm.cells[:, 2].sum() == q
     jdev = il.jump_uniformity_deviation(jm)
     assert 0.0 <= jdev < 2.0
 
 
 def _fraction_uniformity(ib: il.Iceberg) -> float:
     """Per-item ``Fraction`` formula of the uniformity deviation (the oracle)."""
-    dev = sum(abs(Fraction(c, ib.q) - Fraction(1, ib.h)) for _, c in ib.counts)
+    dev = sum(abs(Fraction(c, ib.q) - Fraction(1, ib.h)) for c in ib.counts.tolist())
     return float(dev + Fraction(ib.h - len(ib.counts), ib.h))
 
 
 def _fraction_jump_uniformity(jm: il.JumpMatrix) -> float:
     """Per-item ``Fraction`` formula of the jump uniformity deviation (the oracle)."""
-    dev = Fraction(0)
-    for a, row in jm.row_sums().items():
-        cs = [c for a2, _, c in jm.cells if a2 == a]
+    cells, dev = jm.cells.tolist(), Fraction(0)
+    for a in {a for a, _, _ in cells}:
+        cs = [c for a2, _, c in cells if a2 == a]
+        row = sum(cs)
         inner = sum(abs(Fraction(c, row) - Fraction(1, jm.h)) for c in cs)
         dev += Fraction(row, jm.q) * (inner + Fraction(jm.h - len(cs), jm.h))
     return float(dev)
@@ -345,7 +369,7 @@ def test_deviations_match_fraction_oracle(h, q, spread, seed):
     # Rotations drawn from [0, min(h, spread)) cover both sparse and crowded columns.
     rots = np.random.default_rng(seed).integers(0, min(h, spread), q)
     vals, cnts = np.unique(rots, return_counts=True)
-    ib = il.Iceberg(h=h, q=q, counts=tuple((int(k), int(c)) for k, c in zip(vals, cnts)))
+    ib = il.Iceberg(h=h, q=q, cuts=vals, counts=cnts)
     jm = il.jump_matrix(il.Stage(q=q, rotations=tuple(int(a) for a in rots)), h)
     assert il.uniformity_deviation(ib) == _fraction_uniformity(ib)
     assert il.jump_uniformity_deviation(jm) == _fraction_jump_uniformity(jm)

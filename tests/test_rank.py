@@ -17,8 +17,7 @@ def random_iceberg(rng, h_max=32, q_max=48) -> il.Iceberg:
     h = int(rng.integers(2, h_max + 1))
     q = int(rng.integers(1, q_max + 1))
     vals, cnts = np.unique(rng.integers(0, h, q), return_counts=True)
-    counts = tuple((int(v), int(c)) for v, c in zip(vals, cnts))
-    return il.Iceberg(h=h, q=q, counts=counts, cyclic=True)
+    return il.Iceberg(h=h, q=q, cuts=vals, counts=cnts, cyclic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -27,14 +26,14 @@ def random_iceberg(rng, h_max=32, q_max=48) -> il.Iceberg:
 
 
 def test_uniform_101():
-    ib = il.Iceberg(h=101, q=101, counts=tuple((k, 1) for k in range(101)), cyclic=True)
+    ib = il.Iceberg(h=101, q=101, cuts=np.arange(101), counts=[1] * 101, cyclic=True)
     cert = il.best_subtower_rectangle(ib)
     assert cert.area == Fraction(2601, 10201)
     assert float(cert.area) >= 0.245
 
 
 def test_single_column_is_full():
-    ib = il.Iceberg(h=7, q=3, counts=((2, 3),), cyclic=True)
+    ib = il.Iceberg(h=7, q=3, cuts=[2], counts=[3], cyclic=True)
     cert = il.best_subtower_rectangle(ib)
     assert cert.area == 1
     assert cert.weight == 1
@@ -63,7 +62,7 @@ def test_certificate_geometry_valid():
 
 
 def test_certificate_serialization():
-    ib = il.Iceberg(h=5, q=2, counts=((1, 1), (3, 1)), cyclic=True)
+    ib = il.Iceberg(h=5, q=2, cuts=[1, 3], counts=[1, 1], cyclic=True)
     cert = il.best_subtower_rectangle(ib)
     d = cert.to_dict()
     assert set(d) == {"columns", "levels", "area", "weight"}
@@ -72,7 +71,7 @@ def test_certificate_serialization():
 
 
 def test_sweep_refuses_non_cyclic():
-    ib = il.Iceberg(h=4, q=2, counts=((1, 2),), cyclic=False)
+    ib = il.Iceberg(h=4, q=2, cuts=[1], counts=[2], cyclic=False)
     with pytest.raises(ConfigurationError):
         il.best_subtower_rectangle(ib)
 
@@ -94,10 +93,7 @@ def test_sweep_matches_brute_small():
 def test_sweep_matches_brute_h64():
     rng = np.random.default_rng(12)
     vals, cnts = np.unique(rng.integers(0, 64, 96), return_counts=True)
-    ib = il.Iceberg(
-        h=64, q=96, counts=tuple((int(v), int(c)) for v, c in zip(vals, cnts)),
-        cyclic=True,
-    )
+    ib = il.Iceberg(h=64, q=96, cuts=vals, counts=cnts, cyclic=True)
     a = il.best_subtower_rectangle(ib)
     b = il.brute_force_rectangle(ib)
     assert a.area == b.area
@@ -138,7 +134,7 @@ def tied_icebergs(draw) -> il.Iceberg:
     else:
         cuts = sorted(draw(st.sets(st.integers(0, h - 1), min_size=1)))
     c = draw(st.integers(1, 3))
-    return il.Iceberg(h=h, q=c * len(cuts), counts=tuple((k, c) for k in cuts), cyclic=True)
+    return il.Iceberg(h=h, q=c * len(cuts), cuts=cuts, counts=[c] * len(cuts), cyclic=True)
 
 
 @given(ib=tied_icebergs())

@@ -3,7 +3,6 @@ fresh interpreter."""
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -30,10 +29,3 @@ def test_simplicity_scan_predicts_every_depth():
     for r in rows:
         gap, predicted = float(r[6]), float(r[7])
         assert abs(gap - predicted) <= 1e-3 * max(gap, 1e-12)
-
-
-def test_decay_ensemble():
-    lines = run_script("decay_ensemble.py", "--seeds", "2", "--q", "8")
-    assert [line.split()[:2] for line in lines[:2]] == [["seed", "0"], ["seed", "1"]]
-    assert lines[-1].startswith("median slope over 2 seeds: ")
-    assert math.isfinite(float(lines[-1].rsplit(" ", 1)[1]))

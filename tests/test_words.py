@@ -143,19 +143,53 @@ def test_subword_distribution_matches_row_unique_reference(h, letters, seed, dat
     dict(q=2, rotations=(0, 1), spacers="12"),
     dict(q=2.0, rotations=(0, 1)),
     dict(q=1, rotations=3),
+    dict(q=2, rotations=np.zeros((2, 1), dtype=np.int64)),
+    dict(q=2, rotations=np.array([True, False])),
+    dict(q=2, rotations=np.array([0, 1], dtype=object)),
+    dict(q=2, rotations=(0, 1), spacers=np.array([0.0, 1.0])),
 ], ids=["float-rotations", "float-array", "str-rotations", "float-spacers", "str-spacers",
-        "float-q", "scalar-rotations"])
+        "float-q", "scalar-rotations", "2d-array", "bool-array", "object-array",
+        "float-spacer-array"])
 def test_stage_refuses_non_integers(kwargs):
     with pytest.raises(ConfigurationError, match="stage fields must be integers"):
         il.Stage(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(q=1, rotations=np.array([2**63], dtype=np.uint64)), r"below 2\*\*63"),
+    (dict(q=2, rotations=(0, 2**70)), r"below 2\*\*63"),
+    (dict(q=1, rotations=(0,), spacers=np.array([2**64 - 1], dtype=np.uint64)), r"below 2\*\*63"),
+    (dict(q=2, rotations=(0, -1)), "non-negative"),
+    (dict(q=2, rotations=(0,)), "exactly q rotations"),
+    (dict(q=2, rotations=(0, 1), spacers=(1,)), "exactly q spacer counts"),
+], ids=["uint64-2**63", "int-2**70", "uint64-spacer", "negative", "short", "short-spacers"])
+def test_stage_refuses_values_outside_int64_and_wrong_lengths(kwargs, match):
+    with pytest.raises(ConfigurationError, match=match):
+        il.Stage(**kwargs)
+
+
+def _fields(st_: il.Stage) -> tuple:
+    return st_.q, st_.rotations.tolist(), st_.spacers.tolist()
+
+
 def test_stage_accepts_numpy_integer_arrays():
     st_ = il.Stage(np.int64(2), np.array([0, 1]), np.array([1, 2], dtype=np.uint8))
-    assert st_ == il.Stage(2, (0, 1), (1, 2))
-    assert all(type(v) is int for v in (st_.q,) + st_.rotations + st_.spacers)
-    assert st_.total_spacers == 3 and not st_.pure
+    assert _fields(st_) == _fields(il.Stage(2, (0, 1), (1, 2))) == (2, [0, 1], [1, 2])
+    assert type(st_.q) is int and st_.rotations.dtype == st_.spacers.dtype == np.int64
+    assert st_.total_spacers == 3 and type(st_.total_spacers) is int and not st_.pure
     assert il.Stage(2, np.array([1, 0]), np.zeros(2, dtype=np.int32)).pure
+
+
+def test_stage_fields_are_read_only_copies():
+    rot, spc = np.array([5, 1, 2]), np.array([0, 3, 0])
+    st_ = il.Stage(3, rot, spc)
+    rot[0], spc[1] = 9, 9  # the caller's arrays, changed after construction
+    assert _fields(st_) == (3, [5, 1, 2], [0, 3, 0])
+    pure = il.Stage(3, [5, 1, 2])
+    for arr in (st_.rotations, st_.spacers, pure.rotations, pure.spacers):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 7
+    assert pure.spacers.tolist() == [0, 0, 0] and pure.spacers.strides == (0,)
 
 
 def test_schedule_document_refuses_a_fractional_rotation(cat_schedule):
@@ -193,7 +227,7 @@ def test_morse_rotations_divisible_by_block():
     heights = sch.heights()
     for n, stage in enumerate(sch.stages):
         assert all(a % (heights[n] // 4) == 0 for a in stage.rotations)
-        assert stage.rotations == tuple(y * heights[n] // 4 for y in range(4))
+        assert stage.rotations.tolist() == [y * heights[n] // 4 for y in range(4)]
 
 
 def test_random_schedule_rotations_in_range():
@@ -214,7 +248,7 @@ def test_random_schedule_deterministic():
     w0 = il.word_from_text(il.BINARY, "01")
     a = il.random_schedule([5, 7], 99, w0)
     b = il.random_schedule([5, 7], 99, w0)
-    assert a.stages == b.stages
+    assert il.schedule_to_json(a) == il.schedule_to_json(b)
 
 
 def test_random_schedule_heights_up_to_int64_range():
@@ -249,8 +283,8 @@ def test_schedule_refuses_a_stage_height_outside_int64():
 def test_staircase_schedule():
     sch = il.rank_one_schedule("staircase", [4])
     st = sch.stages[0]
-    assert st.rotations == (0, 0, 0, 0)
-    assert st.spacers == (0, 1, 2, 3)
+    assert st.rotations.tolist() == [0, 0, 0, 0]
+    assert st.spacers.tolist() == [0, 1, 2, 3]
     assert sch.heights() == [1, 4 + 6]
 
 
@@ -265,7 +299,7 @@ def test_ornstein_schedule_properties():
     sch = il.rank_one_schedule("ornstein", [5, 4], seed=11)
     heights = sch.heights()
     for n, st in enumerate(sch.stages):
-        assert st.rotations == (0,) * st.q
+        assert st.rotations.tolist() == [0] * st.q
         assert all(s >= 0 for s in st.spacers)
         assert all(s <= heights[n] // 4 + 1 for s in st.spacers)
         assert heights[n + 1] == st.q * heights[n] + sum(st.spacers)
@@ -303,7 +337,8 @@ def test_build_word_guardrail():
 def test_schedule_roundtrip(cat_schedule):
     text = il.schedule_to_json(cat_schedule)
     back = il.schedule_from_json(text)
-    assert back.stages == cat_schedule.stages
+    assert [_fields(st_) for st_ in back.stages] == [_fields(st_) for st_ in cat_schedule.stages]
+    assert il.schedule_to_json(back) == text
     assert back.seed_word.text == "CAT"
     assert il.schedule_hash(back) == il.schedule_hash(cat_schedule)
 
