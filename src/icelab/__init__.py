@@ -54,6 +54,7 @@ from .dynamics import (
     project,
     project_all,
     project_positions,
+    regular_indices,
     step,
     symbols_range,
 )
@@ -117,7 +118,7 @@ __all__ = [
     # dynamics
     "SPACER_MARK", "ProjectionChain", "StepResult",
     "project_positions", "project", "project_all", "step", "inverse_step",
-    "jump_positions", "orbit_coding", "coverage_statistic", "symbols_range",
+    "jump_positions", "regular_indices", "orbit_coding", "coverage_statistic", "symbols_range",
     # correlation
     "LevelFunction", "CorrelationSeries", "StageDecay", "DecayProfile",
     "SimplicityReport",

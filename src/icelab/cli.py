@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -543,9 +544,7 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
             coding = dyn.orbit_coding(pc, start, length, level)
             (out_dir / "coding.txt").write_text(coding.text + "\n", encoding="utf-8")
         if args.jump_trace:
-            reg = np.full(pc.heights[depth], depth, dtype=np.int64)
-            for n in range(depth - 1, -1, -1):
-                reg[dyn._plain_steps(dyn.project_all(pc, n), pc.heights[n])] = n
+            reg = dyn.regular_indices(pc)
             pos = np.flatnonzero(reg > 0)
             _write_csv(out_dir / "jumps.csv", ["schedule_hash", "position", "regular_index"],
                        _Columns([sh] * pos.size, pos, reg[pos]))
@@ -809,6 +808,13 @@ def _cmd_rank(out_dir: Path, args) -> tuple[str | None, str | None]:
     return sh, f"rectangle area {float(cert.area):.6f}"
 
 
+def _price_fan_out(args, positions: int, what: str) -> None:
+    """Refuse, before any draw, ``min(--threads, --seeds)`` tasks of ``positions``
+    each running at once above ``MAX_SYMBOLS``."""
+    tasks = min(args.threads, args.seeds)
+    refuse_above(f"{what} x {tasks} concurrent tasks", tasks * positions, MAX_SYMBOLS, args.force)
+
+
 def _fan_out(task, seeds: list[int], threads: int) -> list:
     """``task(seed)`` for every seed on a pool of ``threads`` workers, in seed order."""
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -823,6 +829,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
     if args.task == "jumps":
         words_mod.check_draw_height("jumps task --h", args.h)
         qs = _counts("--q-list", args.q_list, args.force)
+        _price_fan_out(args, max(qs), "largest --q-list entry")
 
         def run_jump(seed: int) -> list[tuple]:
             out = []
@@ -846,9 +853,12 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
     if args.task == "decay":
         labels = _parse_labels(args.labels)
         qs = _parse_qs(args)
+        seed_word = _seed_word_from_args(args, "01", None)
+        _price_fan_out(args, seed_word.h * math.prod(qs[:args.to_stage]),
+                       f"h_{args.to_stage} (word symbols)")
 
         def run_decay(seed: int) -> tuple:
-            sch = words_mod.random_schedule(qs, seed, _seed_word_from_args(args, "01", None))
+            sch = words_mod.random_schedule(qs, seed, seed_word)
             profile = corr.decay_profile(
                 sch, labels, args.from_stage, args.to_stage, force=args.force
             )
@@ -865,9 +875,12 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
     # simplicity task
     labels = _parse_labels(args.labels)
     qs = _parse_qs(args)
+    seed_word = _seed_word_from_args(args, "012", None)
+    _price_fan_out(args, seed_word.h * math.prod(qs[:args.diag_depth]),
+                   f"h_{args.diag_depth} (far-half arrays f, g and the far mask)")
 
     def run_simplicity(seed: int) -> tuple:
-        sch = words_mod.random_schedule(qs, seed, _seed_word_from_args(args, "012", None))
+        sch = words_mod.random_schedule(qs, seed, seed_word)
         rep = corr.simplicity_diagnostic(sch, labels, args.base, args.diag_depth, force=args.force)
         return (seed, words_mod.schedule_hash(sch), rep.fg_ratio, rep.g_ratio,
                 rep.uv_ratio, rep.fv_ratio, rep.uv_norm_gap)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import Schedule, Word, build_word, concat_stages
+from .words import Schedule, Word, build_word, concat_stage, concat_stages
 
 #: Reserved projection value for spacer positions.
 SPACER_MARK = -1
@@ -51,15 +51,19 @@ def project_positions(
     if arr.size and (arr.min() < 0 or arr.max() >= heights[from_level]):
         raise ConfigurationError("positions outside the truncation")
     for n in range(from_level - 1, to_level - 1, -1):
-        h = heights[n]
-        starts = schedule.stage_starts(n)
-        rots = schedule.rotations_mod(n)
-        safe = np.maximum(arr, 0)
-        y = np.searchsorted(starts, safe, side="right") - 1
-        off = safe - starts[y]
-        nxt = np.where(off < h, (off + rots[y]) % h, np.int64(SPACER_MARK))
-        arr = np.where(arr >= 0, nxt, np.int64(SPACER_MARK))
+        arr = _project_down(schedule, arr, n, heights[n])
     return arr
+
+
+def _project_down(schedule: Schedule, arr: np.ndarray, n: int, h: int) -> np.ndarray:
+    """Level-``n`` coordinates of level-``(n+1)`` coordinates, marks carried (``h = h_n``)."""
+    starts = schedule.stage_starts(n)
+    rots = schedule.rotations_mod(n)
+    safe = np.maximum(arr, 0)
+    y = np.searchsorted(starts, safe, side="right") - 1
+    off = safe - starts[y]
+    nxt = np.where(off < h, (off + rots[y]) % h, np.int64(SPACER_MARK))
+    return np.where(arr >= 0, nxt, np.int64(SPACER_MARK))
 
 
 @dataclass(eq=False)
@@ -114,15 +118,22 @@ class StepResult:
     regular_index: int
 
 
+def _plain_pair(cur: np.ndarray, nxt: np.ndarray, h: int) -> np.ndarray:
+    """The plain-step predicate of level-``n`` coordinates (``h = h_n``).
+
+    A step from ``cur`` to ``nxt`` is plain when neither is a spacer mark and
+    ``nxt`` is ``cur + 1 mod h``.
+    """
+    return (cur != SPACER_MARK) & (nxt != SPACER_MARK) & (nxt == (cur + 1) % h)
+
+
 def _plain_steps(cur: np.ndarray, h: int) -> np.ndarray:
     """Plain-step mask of a cycle of level-``n`` coordinates.
 
     ``cur[p]`` is the level-``n`` coordinate of the ``p``-th point of a cycle
-    (wrapping at the end); entry ``p`` is True when the next point's
-    coordinate is ``cur[p] + 1 mod h`` and neither is a spacer mark.
+    (wrapping at the end); entry ``p`` is ``_plain_pair`` of it and the next.
     """
-    nxt = np.roll(cur, -1)
-    return (cur != SPACER_MARK) & (nxt != SPACER_MARK) & (nxt == (cur + 1) % h)
+    return _plain_pair(cur, np.roll(cur, -1), h)
 
 
 def _letters(schedule: Schedule, coords: np.ndarray) -> np.ndarray:
@@ -167,10 +178,9 @@ def step(pc: ProjectionChain, x: int) -> StepResult:
     h_N = pc.heights[pc.depth]
     x = int(x) % h_N
     succ = (x + 1) % h_N
-    # [x, succ] as a two-point cycle: entry 0 of its mask is the step x -> succ.
     pair = np.array([x, succ])
     coords = [project_positions(pc.schedule, pair, pc.depth, n) for n in range(pc.depth)]
-    jumps = tuple(not _plain_steps(c, pc.heights[n])[0] for n, c in enumerate(coords))
+    jumps = tuple(not _plain_pair(c[0], c[1], pc.heights[n]) for n, c in enumerate(coords))
     regular = next((n for n, j in enumerate(jumps) if not j), pc.depth)
     return StepResult(successor=succ, jumps=jumps, regular_index=regular)
 
@@ -186,6 +196,42 @@ def jump_positions(pc: ProjectionChain, n: int) -> np.ndarray:
     if not 0 <= n < pc.depth:
         raise ConfigurationError(f"level {n} outside [0, {pc.depth})")
     return np.nonzero(~_plain_steps(project_all(pc, n), pc.heights[n]))[0]
+
+
+def regular_indices(pc: ProjectionChain) -> np.ndarray:
+    """Regular index of every step ``p -> p + 1`` of the truncation shift.
+
+    Entry ``p`` is the smallest level ``n < depth`` at which the step is plain,
+    or ``depth`` when it is plain at none.  Built by concatenation, as the
+    words are: every step of the cycle ``W_0`` is plain at level 0, and stage
+    ``m`` carries the array of ``W_m`` up with ``concat_stage``, filling the
+    spacer runs with ``m + 1`` (a spacer step is plain only above level
+    ``m``).  A step inside a copy is a step of ``W_m`` and keeps its index, so
+    only the last position of each copy is patched: ``m + 1`` before a spacer
+    run, otherwise the lowest plain level of the step from ``(a_y - 1) mod h_m``
+    to ``a_{y+1} mod h_m``.  When those two are a plain step of ``W_m`` its
+    index is read off the carried array; otherwise both points are walked down
+    one level at a time, as ``project_positions`` walks.  Cost O(h_depth),
+    plus at most ``m`` levels of walk for each junction of stage ``m``.
+    """
+    sch, heights = pc.schedule, pc.heights
+    reg = np.zeros(heights[0], dtype=np.int64)
+    for m in range(pc.depth):
+        stage, h = sch.stages[m], heights[m]
+        rots = sch.rotations_mod(m)
+        cur, nxt = (rots - 1) % h, np.roll(rots, -1)
+        joined = stage.spacers == 0
+        val = np.full(stage.q, m + 1, dtype=np.int64)
+        plain = joined & _plain_pair(cur, nxt, h)
+        val[plain] = reg[cur[plain]]
+        walk = np.flatnonzero(joined & ~plain)
+        cur, nxt = cur[walk], nxt[walk]
+        for n in range(m - 1, -1, -1) if walk.size else ():
+            cur, nxt = (_project_down(sch, c, n, heights[n]) for c in (cur, nxt))
+            val[walk[_plain_pair(cur, nxt, heights[n])]] = n
+        reg = concat_stage(reg, stage, m + 1)
+        reg[sch.stage_starts(m)[:-1] + (h - 1)] = val
+    return reg
 
 
 def orbit_coding(pc: ProjectionChain, start: int, length: int, m: int) -> Word:

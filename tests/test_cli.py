@@ -586,6 +586,52 @@ def test_ensemble_threads_below_one_exits_2_before_out_is_created(threads, tmp_p
     assert not out.exists()
 
 
+class _FannedOut(Exception):
+    """Raised by a stand-in ``_fan_out``: the ensemble was admitted."""
+
+
+def _no_fan_out(task, seeds, threads):
+    raise _FannedOut
+
+
+# Options of each task and the positions one task holds: q for jumps, h_N
+# of the truncation it builds for decay and simplicity.
+_FAN_OUT = {
+    "jumps": (["--h", "16", "--q-list", "4,8"], 8),
+    "decay": (["--qs", "4,4,2", "--seed-word", "01", "--labels", "0=1,1=-1",
+               "--from-stage", "0", "--to-stage", "2"], 2 * 4 * 4),
+    "simplicity": (["--qs", "9,27,4", "--labels", "0=1,1=-1,2=0", "--base", "1",
+                    "--diag-depth", "3"], 3 * 9 * 27 * 4),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_FAN_OUT))
+def test_ensemble_prices_its_concurrent_tasks_before_any_draw(task, monkeypatch, tmp_path,
+                                                              capsys):
+    options, positions = _FAN_OUT[task]
+    monkeypatch.setattr(cli, "MAX_SYMBOLS", 2 * positions - 1)  # stand-in limit
+    monkeypatch.setattr(cli, "_fan_out", _no_fan_out)
+    argv = ["ensemble", "--task", task, "--seeds", "3", *options, "--out", str(tmp_path / "o")]
+    assert cli.run([*argv, "--threads", "2"]) == 3
+    err = capsys.readouterr().err
+    assert f"x 2 concurrent tasks = {2 * positions} > {2 * positions - 1}" in err
+    assert list((tmp_path / "o").iterdir()) == []
+    # One thread, or one seed on two threads, holds one task at a time;
+    # --force lifts the refusal.
+    for extra in (["--threads", "1"], ["--threads", "2", "--seeds", "1"],
+                  ["--threads", "2", "--force"]):
+        with pytest.raises(_FannedOut):
+            cli.run([*argv, *extra])
+
+
+def test_benchmark_ensemble_is_admitted(monkeypatch, tmp_path):
+    # Two threads of h_N = 16 * 256 * 256 positions each, at the real limit.
+    monkeypatch.setattr(cli, "_fan_out", _no_fan_out)
+    (command,) = [c for c in _WORKLOADS["deep-tower"](4711) if c.args[0] == "ensemble"]
+    with pytest.raises(_FannedOut):
+        cli.run([*command.args, "--out", str(tmp_path / "o")])
+
+
 @pytest.mark.parametrize("which", ["missing", "directory", "empty"])
 def test_unreadable_schedule_file_exits_2(which, tmp_path):
     path = {"missing": str(tmp_path / "missing.json"), "directory": str(tmp_path),
@@ -1184,6 +1230,24 @@ def test_decay_peak_rss_per_symbol(tmp_path):
     run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     per_symbol = (run - bare) / (16 * 64 * 64 * 32)
     assert per_symbol < 62, f"{per_symbol:.1f} B per symbol"
+
+
+@linux_only
+def test_build_jump_trace_peak_rss_per_symbol(tmp_path):
+    # h_N = 2^22.  The regular indices are one int64 array carried up by
+    # concatenation (8 B per symbol, plus the 4 B of the stage below while
+    # the top stage is built); the words, words.csv and the jumps.csv table
+    # come on top.  Measured on a 2-core Linux box (Python 3.11, numpy 2.4):
+    # the manifest read 27.1 B per symbol above a bare import; the bound
+    # leaves 33 % slack.  A whole int64 coordinate array and plain-step mask
+    # per level, scanned for every level, read 57.9 B.
+    argv = ["build", "--family", "morse", "--r", "2", "--depth", "21", "--seed-word", "01",
+            "--alphabet", "01", "--jump-trace", "--out", str(tmp_path / "o")]
+    bare = _peak_rss_bytes("import icelab.cli")
+    _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    per_symbol = (manifest["peak_rss_mb"] * 2**20 - bare) / 2**22
+    assert per_symbol < 36, f"{per_symbol:.1f} B per symbol"
 
 
 @linux_only

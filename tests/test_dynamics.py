@@ -134,6 +134,63 @@ def test_plain_step_mask_shared_by_step_jumps_and_cli(tmp_path):
     assert [(int(r[1]), int(r[2])) for r in rows] == expected
 
 
+def _regular_indices_by_level(pc: il.ProjectionChain) -> np.ndarray:
+    """Oracle: one whole coordinate array and plain-step mask per level."""
+    reg = np.full(pc.heights[pc.depth], pc.depth, dtype=np.int64)
+    for n in range(pc.depth - 1, -1, -1):
+        reg[il.dynamics._plain_steps(il.project_all(pc, n), pc.heights[n])] = n
+    return reg
+
+
+@st.composite
+def _junction_schedules(draw) -> il.Schedule:
+    # Spacer and pure stages, q = 1 stages, and rotations up to 3 h_n - 1.
+    seed = draw(st.text(alphabet="01", min_size=1, max_size=4))
+    stages, h = [], len(seed)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        q = draw(st.integers(min_value=1, max_value=4))
+        rots = draw(st.lists(st.integers(0, 3 * h - 1), min_size=q, max_size=q))
+        spacers = draw(st.just(()) | st.lists(st.integers(0, 2), min_size=q, max_size=q))
+        stages.append(il.Stage(q, rots, spacers))
+        h = q * h + stages[-1].total_spacers
+    return il.Schedule(il.BINARY_SPACER, il.word_from_text(il.BINARY_SPACER, seed), tuple(stages))
+
+
+@given(sch=_junction_schedules(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_regular_indices_match_the_per_level_route(sch, data):
+    depth = data.draw(st.integers(min_value=0, max_value=sch.depth))
+    pc = il.ProjectionChain.build(sch, depth)
+    reg = il.regular_indices(pc)
+    assert reg.dtype == np.int64
+    assert np.array_equal(reg, _regular_indices_by_level(pc))
+
+
+def test_regular_indices_of_a_depth_zero_chain_are_zero():
+    sch = il.morse_schedule(2, 3, il.word_from_text(il.BINARY, "0110"))
+    assert il.regular_indices(il.ProjectionChain.build(sch, 0)).tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_build_jump_trace_below_the_schedule_depth(depth, tmp_path):
+    # Rotations of h_n and more, a q = 1 stage and spacer runs, truncated by --depth.
+    w0 = il.word_from_text(il.BINARY_SPACER, "010")
+    sch = il.Schedule(il.BINARY_SPACER, w0, (
+        il.Stage(3, (5, 3, 7), (1, 0, 0)), il.Stage(1, (13,)), il.Stage(2, (4, 21), (0, 2)),
+    ))
+    path = tmp_path / "s.json"
+    il.save_schedule(sch, path)
+    out = tmp_path / "o"
+    assert cli.run(["build", "--schedule", str(path), "--depth", str(depth), "--out", str(out),
+                    "--jump-trace"]) == 0
+    with open(out / "jumps.csv", newline="", encoding="utf-8") as fh:
+        rows = [(int(r[1]), int(r[2])) for r in list(csv.reader(fh))[1:]]
+    reg = _regular_indices_by_level(il.ProjectionChain.build(sch, depth))
+    pos = np.flatnonzero(reg > 0)
+    assert rows == list(zip(pos.tolist(), reg[pos].tolist()))
+    assert bool(rows) == (depth > 0)
+
+
 def test_step_cycles_whole_truncation(cat_chain_2):
     x = 0
     for _ in range(54):
