@@ -29,6 +29,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from datetime import datetime, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -38,6 +39,7 @@ from . import __version__
 from . import correlation as corr
 from . import dynamics as dyn
 from . import iceberg as ice
+from . import numtext
 from . import rank as rank_mod
 from . import spectral as spx
 from . import words as words_mod
@@ -55,10 +57,11 @@ OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
 # ---------------------------------------------------------------------------
 
 
-#: Rows formatted per ``_csv_lines`` call.  A chunk's slice of each column
-#: becomes Python scalars and cell strings only while it is formatted.  On
-#: ``correlate``'s 262,144 rows, 65,536-row chunks took the peak RSS from 55
-#: to 83 MB; 4,096-row chunks peak as 512-row ones do, at the transform.
+#: Rows formatted per ``_csv_lines`` call.  A chunk's cells exist as bytes
+#: and strings only while it is formatted, and ``numtext`` holds a few hundred
+#: bytes of temporaries per array cell.  On ``correlate``'s 262,144 rows the
+#: peak RSS read 52.9 MB with 4,096-row chunks, 52.5 MB with 512-row ones and
+#: 92.9 MB with 65,536-row ones.
 _CSV_CHUNK = 4096
 
 
@@ -67,8 +70,8 @@ class _Columns:
 
     Each column is a 1-d numpy ``int64`` or ``float64`` array or a list of
     ``int``, ``float`` or ``str``, and all have the same length.  No Python
-    object exists per row: a chunk of rows becomes Python scalars only when
-    ``_csv_lines`` formats it.
+    object exists per row of an array column: ``_csv_lines`` formats a
+    chunk's slice of it as an array, and only the finished lines are strings.
     """
 
     def __init__(self, *columns) -> None:
@@ -79,20 +82,20 @@ class _Columns:
     def __len__(self) -> int:
         return len(self.columns[0]) if self.columns else 0
 
-    def slices(self, lo: int, hi: int) -> list[list]:
-        """Rows ``lo:hi`` of every column, as lists of Python scalars."""
-        return [col[lo:hi].tolist() if isinstance(col, np.ndarray) else col[lo:hi]
-                for col in self.columns]
+    def slices(self, lo: int, hi: int) -> list:
+        """Rows ``lo:hi`` of every column: array slices (views) and list slices."""
+        return [col[lo:hi] for col in self.columns]
 
 
 def _is_text(path: Path, name: str, col) -> bool:
     """Whether ``col`` holds text; ``TypeError`` unless the writer formats its kind exactly.
 
-    A float is written with ``str``, which is ``repr`` (shortest round trip),
-    but a numpy scalar such as ``np.float64`` (a ``float`` subclass) would
-    appear as ``np.float64(...)``, and a bool as ``True``.  So an array must
-    be ``int64`` or ``float64``, and a list must hold exactly ``int``,
-    ``float`` or ``str``; a list is homogeneous, so its first cell suffices.
+    ``numtext`` formats ``int64`` and ``float64`` arrays only.  A list cell
+    is written with ``str``, which is ``repr`` (shortest round trip) for a
+    float, but a numpy scalar such as ``np.float64`` (a ``float`` subclass)
+    would appear as ``np.float64(...)``, and a bool as ``True``.  So a list
+    must hold exactly ``int``, ``float`` or ``str``; a list is homogeneous,
+    so its first cell suffices.
     """
     if isinstance(col, np.ndarray):
         if col.ndim == 1 and col.dtype in (np.int64, np.float64):
@@ -124,11 +127,40 @@ def _quote_text(col: list[str], alone: bool):
     return map(quoted.__getitem__, col)
 
 
-def _csv_lines(columns: list[list], text: list[bool]) -> str:
-    """Equal-length column slices as csv lines; numbers by ``str``."""
+def _array_cells(run: list[np.ndarray]) -> list[str]:
+    """Adjacent int64 and float64 array slices as one string per row, cells joined by commas.
+
+    ``numtext`` gives each cell's bytes, padded with 0xFF, in one uint8
+    matrix with a comma after each cell and a newline ending each row;
+    removing the padding leaves the rows.
+    """
+    cells = [numtext.float_cells(col) if col.dtype == np.float64 else numtext.int_cells(col)
+             for col in run]
+    rows = np.empty((len(run[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
+    at = 0
+    for c in cells:
+        rows[:, at:at + c.shape[1]] = c
+        rows[:, at + c.shape[1]] = ord(",")
+        at += c.shape[1] + 1
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\xff").decode("ascii").split("\n")[:-1]
+
+
+def _csv_lines(columns: list, text: list[bool]) -> str:
+    """Equal-length column slices as csv lines.
+
+    Text is quoted by ``_quote_text`` and list numbers written with ``str``;
+    each run of adjacent array columns becomes one string per row through
+    ``_array_cells``.
+    """
     alone = len(text) == 1
-    cells = [_quote_text(col, alone) if is_text else map(str, col)
-             for col, is_text in zip(columns, text)]
+    cells = []
+    for arrays, group in groupby(zip(columns, text), lambda pair: isinstance(pair[0], np.ndarray)):
+        if arrays:
+            cells.append(_array_cells([col for col, _ in group]))
+        else:
+            cells += [_quote_text(col, alone) if is_text else map(str, col)
+                      for col, is_text in group]
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -174,9 +206,9 @@ def _write_csv(path: Path, header: Sequence[str], table: _Columns | list[tuple])
     ``table`` is a ``_Columns``, or a list of row tuples, which is turned into
     list columns once on entry; either way ``len(table)`` is the number of
     rows.  Every column's kind is checked (``_is_text``) before the file
-    is opened.  Each chunk of ``_CSV_CHUNK`` rows is formatted a column at a
-    time: its slice of each column becomes Python scalars (``tolist``) and
-    then cells (``str``, or ``_quote_text`` for text).
+    is opened.  Each chunk of ``_CSV_CHUNK`` rows is formatted by
+    ``_csv_lines``: array columns by ``numtext``, list columns by ``str`` or,
+    for text, ``_quote_text``.
 
     Formatting holds the GIL, so the chunks are split into one contiguous
     span per usable CPU: this process writes the first, a forked worker writes
@@ -531,6 +563,7 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
     rows = [(sh, n, w.h, w.text) for n, w in enumerate(stages)]
     _write_csv(out_dir / "words.csv", ["schedule_hash", "stage", "h", "word"], rows)
     words_mod.save_schedule(sch, out_dir / "schedule.json")
+    del stages, rows  # neither the coding nor the jump trace reads the words
 
     wants_coding = any(
         v is not None for v in (args.coding_start, args.coding_length, args.coding_level)
@@ -548,7 +581,7 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
             pos = np.flatnonzero(reg > 0)
             _write_csv(out_dir / "jumps.csv", ["schedule_hash", "position", "regular_index"],
                        _Columns([sh] * pos.size, pos, reg[pos]))
-    return sh, f"built {depth + 1} stages, h_N = {stages[-1].h}"
+    return sh, f"built {depth + 1} stages, h_N = {sch.heights()[depth]}"
 
 
 def _cmd_geometry(out_dir: Path, args) -> tuple[str | None, str | None]:

@@ -314,6 +314,11 @@ GOLDEN_RUNS = {
                       "--seed", "11", "--seed-word", "0123", "--alphabet", "0123"],
     "correlate": ["correlate", "--family", "random", "--qs", "4,4,8", "--seed", "3", "--seed-word",
                   "01", "--alphabet", "01", "--labels", "0=1,1=-1", "--check-recursion"],
+    # 8,748 rows: three chunks of the csv writer, two spans on two CPUs, and
+    # cells in exponent form, negative cells and 0.0.
+    "correlate-chunks": ["correlate", "--family", "random", "--qs", "27,27,4", "--seed", "5",
+                         "--seed-word", "012", "--alphabet", "012", "--labels", CUBE_LABELS,
+                         "--stage", "3"],
     "decay": ["decay", "--family", "random", "--qs", "16,16,8", "--seed", "7", "--seed-word",
               "0123", "--alphabet", "0123", "--labels", QUARTER_LABELS, "--from-stage", "0",
               "--to-stage", "3"],
@@ -360,6 +365,9 @@ GOLDEN_SHA256 = {
     "correlate": {
         "correlation.csv": "8131bd7bc26303fabe80de6cd27c45c789764e5a136724b5a0bc95d5f2101209",
         "recursion.csv": "7499230269d5dc9c3d9bbbe47d493b165a7129bcc120282f9b406f8f38882faf",
+    },
+    "correlate-chunks": {
+        "correlation.csv": "90fb31ab332ed8e0eaeeb014739937adf1237e7339f845e401721fbe6c54a6ac",
     },
     "decay": {
         "decay.csv": "67e5e702f958f2c13551a172306213f4dae753718e363f7196fd43fe572bc085",

@@ -1236,18 +1236,20 @@ def test_decay_peak_rss_per_symbol(tmp_path):
 def test_build_jump_trace_peak_rss_per_symbol(tmp_path):
     # h_N = 2^22.  The regular indices are one int64 array carried up by
     # concatenation (8 B per symbol, plus the 4 B of the stage below while
-    # the top stage is built); the words, words.csv and the jumps.csv table
-    # come on top.  Measured on a 2-core Linux box (Python 3.11, numpy 2.4):
-    # the manifest read 27.1 B per symbol above a bare import; the bound
-    # leaves 33 % slack.  A whole int64 coordinate array and plain-step mask
-    # per level, scanned for every level, read 57.9 B.
+    # the top stage is built), and the jumps.csv table comes on top; the
+    # words and the words.csv rows are dropped before either is built.
+    # Measured on a 2-core Linux box (Python 3.11, numpy 2.4): the manifest
+    # read 17.4 B per symbol above a bare import; the bound leaves 32 %
+    # slack.  Keeping the words alive read 27.3 B, and a whole int64
+    # coordinate array and plain-step mask per level, scanned for every
+    # level, read 57.9 B.
     argv = ["build", "--family", "morse", "--r", "2", "--depth", "21", "--seed-word", "01",
             "--alphabet", "01", "--jump-trace", "--out", str(tmp_path / "o")]
     bare = _peak_rss_bytes("import icelab.cli")
     _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
     per_symbol = (manifest["peak_rss_mb"] * 2**20 - bare) / 2**22
-    assert per_symbol < 36, f"{per_symbol:.1f} B per symbol"
+    assert per_symbol < 23, f"{per_symbol:.1f} B per symbol"
 
 
 @linux_only
