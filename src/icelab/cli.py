@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -379,117 +380,10 @@ def _schedule_from_args(args) -> words_mod.Schedule:
     if args.family == "random":
         seed_word = _seed_word_from_args(args, "01", None)
         return words_mod.random_schedule(_parse_qs(args), args.seed, seed_word)
-    seed_word = _seed_word_from_args(args, "0", "1")
-    if args.family == "staircase":
-        return words_mod.rank_one_schedule("staircase", _parse_qs(args), seed_word=seed_word)
+    seed_word = _seed_word_from_args(args, "0", "1")  # staircase ignores seed and ratio
     return words_mod.rank_one_schedule(
-        "ornstein", _parse_qs(args), seed_word=seed_word, seed=args.seed, ratio=args.ratio
+        args.family, _parse_qs(args), seed_word=seed_word, seed=args.seed, ratio=args.ratio
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``icelab`` parser: each subcommand accepts only the options it reads."""
-    parser = argparse.ArgumentParser(
-        prog="icelab",
-        description="Rotated-word hierarchies: geometry, dynamics, correlations, spectra, rank.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # Shared options live in parent parsers: ``stage`` holds those _parse_qs and
-    # _seed_word_from_args read, ``schedule`` adds those _schedule_from_args reads.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out",
-                        help=f"output directory (default ${OUTPUT_DIR_ENV} or ./icelab-out)")
-    common.add_argument("--force", action="store_true",
-                        help="lift the symbol, grid-point and dense-evaluation size limits")
-    common.add_argument("--overwrite", action="store_true",
-                        help="allow replacing existing outputs")
-    stage = argparse.ArgumentParser(add_help=False)
-    stage.add_argument("--depth", type=int, help="number of stages")
-    copies = stage.add_mutually_exclusive_group()
-    copies.add_argument("--q", type=int, help="copies per stage (with --depth)")
-    copies.add_argument("--qs", help="comma list of per-stage copy counts")
-    stage.add_argument("--seed-word", dest="seed_word", help="seed word text")
-    stage.add_argument("--alphabet", help="alphabet symbols as a string of characters")
-    stage.add_argument("--spacer-symbol", dest="spacer_symbol", help="spacer symbol character")
-    schedule = argparse.ArgumentParser(add_help=False, parents=[stage])
-    source = schedule.add_mutually_exclusive_group()
-    source.add_argument("--schedule", help="schedule JSON file")
-    source.add_argument("--family", choices=["morse", "random", "staircase", "ornstein"],
-                        help="generate the schedule from a named family")
-    schedule.add_argument("--r", type=int, help="morse cut count r")
-    schedule.add_argument("--seed", type=int, help="random and ornstein families: rng seed")
-    schedule.add_argument("--ratio", type=int, default=4, help="ornstein spacer bound h/ratio")
-    labels = argparse.ArgumentParser(add_help=False)
-    labels.add_argument("--labels", help="label map SYMBOL=VALUE[,SYMBOL=VALUE...]")
-    zero_mean = argparse.ArgumentParser(add_help=False)
-    zero_mean.add_argument("--zero-mean", dest="zero_mean", action="store_true",
-                           help="subtract the mean when lifting labels")
-
-    p = sub.add_parser("build", parents=[common, schedule],
-                       help="materialise words; optional codings and jump traces")
-    p.add_argument("--coding-start", type=int, help="orbit coding start position")
-    p.add_argument("--coding-length", type=int, help="orbit coding length")
-    p.add_argument("--coding-level", type=int, help="orbit coding word level")
-    p.add_argument("--jump-trace", action="store_true", help="emit per-position jump trace CSV")
-
-    p = sub.add_parser("geometry", parents=[common, schedule],
-                       help="iceberg histograms, uniformity, jumps, body reports")
-    p.add_argument("--body-base", type=int, help="base stage n for the body report")
-    p.add_argument("--body-depth", type=int, help="depth r for the body report")
-
-    p = sub.add_parser("correlate", parents=[common, schedule, labels, zero_mean],
-                       help="correlation series and the stage recursion check")
-    p.add_argument("--stage", type=int, help="stage to correlate (default: all feasible)")
-    p.add_argument("--check-recursion", action="store_true",
-                   help="verify the stage recursion identity for all shifts")
-
-    p = sub.add_parser("decay", parents=[common, schedule, labels],
-                       help="correlation decay profile across stages")
-    p.add_argument("--from-stage", dest="from_stage", type=int)
-    p.add_argument("--to-stage", dest="to_stage", type=int)
-    p.add_argument("--statistic", choices=["max", "median", "rms"], default="median")
-
-    p = sub.add_parser("simplicity", parents=[common, schedule, labels],
-                       help="far-half diagnostic report")
-    p.add_argument("--base", type=int, help="stage n of the diagnostic")
-    p.add_argument("--diag-depth", dest="diag_depth", type=int, help="truncation depth N")
-
-    p = sub.add_parser("spectrum", parents=[common, schedule, labels, zero_mean],
-                       help="Riesz products, flatness metrics, merit factors")
-    p.add_argument("--mode", choices=["riesz", "flat", "merit"])
-    p.add_argument("--base", type=int, default=0, help="riesz: base stage n0")
-    p.add_argument("--last", type=int, help="riesz: last stage factor (default: depth-1)")
-    grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--grid-size", dest="grid_size", type=int, default=2**14,
-                      help="circle grid size (power of two)")
-    grid.add_argument("--line", nargs=3, metavar=("A", "B", "POINTS"),
-                      help="use a line grid on [A, B] with POINTS points")
-    p.add_argument("--check-oracle", action="store_true",
-                   help="riesz: compare against the direct word-spectrum oracle")
-    p.add_argument("--exp-n", dest="exp_n", help="flat: comma list of term counts n")
-    p.add_argument("--eps", type=float, default=0.1, help="flat: exponential parameter")
-    p.add_argument("--merit-stages", dest="merit_stages", help="merit: comma list of stages")
-
-    p = sub.add_parser("rank", parents=[common, schedule],
-                       help="rectangle certificate of a stage iceberg")
-    p.add_argument("--stage", type=int, default=0, help="stage to certify")
-
-    # Each seed draws its own random schedule, so no schedule source is taken.
-    p = sub.add_parser("ensemble", parents=[common, stage, labels],
-                       help="seed fan-out for decay, jumps, or simplicity")
-    p.add_argument("--threads", type=_pool_size, default=1, help="worker pool size (>= 1)")
-    p.add_argument("--task", choices=["decay", "jumps", "simplicity"])
-    p.add_argument("--seeds", type=int, help="number of seeds")
-    p.add_argument("--base-seed", dest="base_seed", type=int, default=0)
-    p.add_argument("--h", type=int, help="jumps: fixed height h")
-    p.add_argument("--q-list", dest="q_list", help="jumps: comma list of q values")
-    p.add_argument("--from-stage", dest="from_stage", type=int, help="decay: first stage")
-    p.add_argument("--to-stage", dest="to_stage", type=int, help="decay: last stage")
-    p.add_argument("--base", type=int, help="simplicity: stage n")
-    p.add_argument("--diag-depth", dest="diag_depth", type=int, help="simplicity: depth N")
-
-    return parser
 
 
 # What each subcommand, --mode, --task and schedule source reads besides --out,
@@ -497,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 # makes exclusive, "--a+--b" reads --b only with --a and then needs it, and a
 # trailing "!" needs the option (or one of the two).  A run reads the row of its
 # subcommand and every row named "OPTION VALUE" by an option given that these read.
+# A subcommand's parser takes the options of every row it can reach (build_parser).
 _COPIES = "--qs|--q+--depth! --seed-word --alphabet --spacer-symbol"
 _SOURCE = "--schedule|--family!"
 _READS = {
@@ -511,6 +406,7 @@ _READS = {
     "--mode flat": "--exp-n! --eps --line",
     "--mode merit": f"{_SOURCE} --labels! --merit-stages",
     "rank": f"{_SOURCE} --stage",
+    # Each seed draws its own random schedule, so ensemble takes no schedule source.
     "ensemble": "--task! --seeds! --base-seed --threads",
     "--task jumps": "--h! --q-list!",
     "--task decay": f"--labels! --from-stage! --to-stage! {_COPIES}",
@@ -520,6 +416,93 @@ _READS = {
     "--family staircase": _COPIES,
     "--family ornstein": f"--seed! --ratio {_COPIES}",
 }
+
+# Each option's add_argument keywords; one with "OPTION VALUE" rows takes their values.
+_OPTIONS = {
+    "--out": dict(help=f"output directory (default ${OUTPUT_DIR_ENV} or ./icelab-out)"),
+    "--force": dict(action="store_true",
+                    help="lift the symbol, grid-point and dense-evaluation size limits"),
+    "--overwrite": dict(action="store_true", help="allow replacing existing outputs"),
+    "--depth": dict(type=int, help="number of stages"),
+    "--q": dict(type=int, help="copies per stage (with --depth)"),
+    "--qs": dict(help="comma list of per-stage copy counts"),
+    "--seed-word": dict(help="seed word text"),
+    "--alphabet": dict(help="alphabet symbols as a string of characters"),
+    "--spacer-symbol": dict(help="spacer symbol character"),
+    "--schedule": dict(help="schedule JSON file"),
+    "--family": dict(help="generate the schedule from a named family"),
+    "--r": dict(type=int, help="morse cut count r"),
+    "--seed": dict(type=int, help="random and ornstein families: rng seed"),
+    "--ratio": dict(type=int, default=4, help="ornstein spacer bound h/ratio"),
+    "--labels": dict(help="label map SYMBOL=VALUE[,SYMBOL=VALUE...]"),
+    "--zero-mean": dict(action="store_true", help="subtract the mean when lifting labels"),
+    "--coding-start": dict(type=int, help="orbit coding start position"),
+    "--coding-length": dict(type=int, help="orbit coding length"),
+    "--coding-level": dict(type=int, help="orbit coding word level"),
+    "--jump-trace": dict(action="store_true", help="emit per-position jump trace CSV"),
+    "--body-base": dict(type=int, help="base stage n for the body report"),
+    "--body-depth": dict(type=int, help="depth r for the body report"),
+    "--stage": dict(type=int,
+                    help="stage to correlate (default: all feasible) or certify (default: 0)"),
+    "--check-recursion": dict(action="store_true",
+                              help="verify the stage recursion identity for all shifts"),
+    "--from-stage": dict(type=int, help="first stage of the decay fit"),
+    "--to-stage": dict(type=int, help="last stage of the decay fit"),
+    "--statistic": dict(choices=["max", "median", "rms"], default="median"),
+    "--base": dict(type=int, help="stage n of the diagnostic, or riesz base stage n0 (default: 0)"),
+    "--diag-depth": dict(type=int, help="truncation depth N of the far-half diagnostic"),
+    "--mode": dict(),
+    "--last": dict(type=int, help="riesz: last stage factor (default: depth-1)"),
+    "--grid-size": dict(type=int, default=2**14, help="circle grid size (power of two)"),
+    "--line": dict(nargs=3, metavar=("A", "B", "POINTS"),
+                   help="use a line grid on [A, B] with POINTS points"),
+    "--check-oracle": dict(action="store_true",
+                           help="riesz: compare against the direct word-spectrum oracle"),
+    "--exp-n": dict(help="flat: comma list of term counts n"),
+    "--eps": dict(type=float, default=0.1, help="flat: exponential parameter"),
+    "--merit-stages": dict(help="merit: comma list of stages"),
+    "--threads": dict(type=_pool_size, default=1, help="worker pool size (>= 1)"),
+    "--task": dict(),
+    "--seeds": dict(type=int, help="number of seeds"),
+    "--base-seed": dict(type=int, default=0),
+    "--h": dict(type=int, help="jumps: fixed height h"),
+    "--q-list": dict(help="jumps: comma list of q values"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``icelab`` parser.  A subcommand takes --out, --force, --overwrite and the
+    options of its ``_READS`` row and of the "OPTION VALUE" rows of each option named,
+    each "--a|--b" clause as one mutually exclusive group."""
+    parser = argparse.ArgumentParser(
+        prog="icelab",
+        description="Rotated-word hierarchies: geometry, dynamics, correlations, spectra, rank.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    values = {}  # option -> the values of its "OPTION VALUE" rows
+    for option, value in (key.split() for key in _READS if key.startswith("--")):
+        values.setdefault(option, []).append(value)
+    groups = {}  # option -> the options of its "--a|--b" clause
+    for clause in " ".join(_READS.values()).split():
+        leads = [alt.split("+")[0] for alt in clause.rstrip("!").split("|")]
+        groups.update(dict.fromkeys(leads, leads) if len(leads) > 1 else {})
+    # One action per option, shared by the subcommands that take it as parents= shares
+    # them; made in an argument group, which skips the formatter check a parser runs.
+    options, actions = argparse.ArgumentParser(add_help=False).add_argument_group(), {}
+    for option, keywords in _OPTIONS.items():
+        choices = {"choices": values[option]} if option in values else {}
+        actions[option] = options.add_argument(option, **keywords, **choices)
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        rows = ["--out --force --overwrite", _READS[name]]
+        for row in rows:
+            for option in re.findall(r"--[a-z-]+", row):
+                if option not in p._option_string_actions:  # else added, maybe with its group
+                    group = p.add_mutually_exclusive_group() if option in groups else p
+                    for each in groups.get(option, [option]):
+                        group._add_action(actions[each])
+                        rows += [_READS[f"{each} {value}"] for value in values.get(each, [])]
+    return parser
 
 
 def _parse_run(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
@@ -641,16 +624,7 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
                      sum((sch.stages[n].q - 1) * heights[n + 1] for n in checked),
                      MAX_DENSE_TERMS, args.force)
     built = words_mod.build_word(sch, top, force=args.force)
-
-    def owned_series(n: int) -> np.ndarray:
-        # A lift this command owns is transformed in place, as decay_profile
-        # does, so no copy of it is alive beside the transform.
-        buf = corr._lifted_values(labels, built[n], args.zero_mean)
-        if args.zero_mean:
-            corr._check_zero_mean(buf)
-        return corr._correlate_owned(buf)
-
-    v = np.concatenate([owned_series(n) for n in stages])
+    v = np.concatenate([corr._lifted_series(labels, built, n, args.zero_mean) for n in stages])
     sizes = [heights[n] for n in stages]
     _write_csv(out_dir / "correlation.csv", ["schedule_hash", "stage", "t", "re", "im"],
                _Columns([sh] * v.size, np.repeat(stages, sizes),
@@ -661,7 +635,8 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
         res_rows, worst = [], 0.0
         for n in checked:
             st = sch.stages[n]
-            series = corr.CorrelationSeries(n=n, values=owned_series(n))
+            series = corr.CorrelationSeries(
+                n=n, values=corr._lifted_series(labels, built, n, args.zero_mean))
             f_hi = corr.lift(labels, built[n + 1], n + 1, zero_mean=args.zero_mean)
             shifts = list(range(1, st.q))
             lhs = corr.correlation_at_lags(f_hi, lags=[s * heights[n] for s in shifts])
@@ -784,16 +759,17 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
     # riesz mode
     labels = _parse_labels(args.labels)
     grid = _grid_from_args(args, args.force)
+    base = args.base if args.base is not None else 0
     last = args.last if args.last is not None else sch.depth - 1
-    spx.check_riesz_stages(sch, args.base, last)
+    spx.check_riesz_stages(sch, base, last)
     direct = None
     if args.check_oracle:
         # The oracle builds the deeper word: its size guard must refuse before any work.
         direct = spx.direct_word_spectrum(
-            sch, labels, last + 1, grid, args.base, zero_mean=args.zero_mean, force=args.force
+            sch, labels, last + 1, grid, base, zero_mean=args.zero_mean, force=args.force
         )
     product = spx.riesz_partial_product(
-        sch, labels, args.base, last, grid, zero_mean=args.zero_mean, force=args.force
+        sch, labels, base, last, grid, zero_mean=args.zero_mean, force=args.force
     )
     axis = grid.angles() if isinstance(grid, spx.CircleGrid) else grid.points()
     _write_csv(out_dir / "spectrum.csv",
@@ -820,15 +796,16 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
 def _cmd_rank(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     sh = words_mod.schedule_hash(sch)
-    ib = ice.from_stage(sch, args.stage)
+    stage = args.stage if args.stage is not None else 0
+    ib = ice.from_stage(sch, stage)
     cert = rank_mod.best_subtower_rectangle(ib)
     payload = cert.to_dict()
     payload["schedule_hash"] = sh
-    payload["stage"] = args.stage
+    payload["stage"] = stage
     payload["h"] = cert.h
     payload["multiplicity_bound"] = rank_mod.multiplicity_bound(cert.area)
     if sch.family_tag == "morse":
-        r = sch.stages[args.stage].q
+        r = sch.stages[stage].q
         beta = rank_mod.beta_morse(r)
         payload["beta_morse"] = float(beta)
         payload["beta_gap"] = abs(float(cert.area) - float(beta))
@@ -836,7 +813,7 @@ def _cmd_rank(out_dir: Path, args) -> tuple[str | None, str | None]:
     _write_csv(out_dir / "rank.csv",
                ["schedule_hash", "stage", "h", "cut_lo", "cut_hi", "level_lo", "level_hi",
                 "weight", "area"],
-               [(sh, args.stage, cert.h, cert.cut_lo, cert.cut_hi, cert.level_lo,
+               [(sh, stage, cert.h, cert.cut_lo, cert.cut_hi, cert.level_lo,
                  cert.level_hi, float(cert.weight), float(cert.area))])
     return sh, f"rectangle area {float(cert.area):.6f}"
 
@@ -933,16 +910,16 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
 # Each command writes into the staging directory it is given, reads its options
 # (--force, --threads, ...) from the parsed arguments, and returns its schedule
 # hash (for the manifest) and its summary line; run() prints the line only once
-# the outputs are published.
+# the outputs are published.  Beside each command is its subcommand's help.
 _COMMANDS = {
-    "build": _cmd_build,
-    "geometry": _cmd_geometry,
-    "correlate": _cmd_correlate,
-    "decay": _cmd_decay,
-    "simplicity": _cmd_simplicity,
-    "spectrum": _cmd_spectrum,
-    "rank": _cmd_rank,
-    "ensemble": _cmd_ensemble,
+    "build": (_cmd_build, "materialise words; optional codings and jump traces"),
+    "geometry": (_cmd_geometry, "iceberg histograms, uniformity, jumps, body reports"),
+    "correlate": (_cmd_correlate, "correlation series and the stage recursion check"),
+    "decay": (_cmd_decay, "correlation decay profile across stages"),
+    "simplicity": (_cmd_simplicity, "far-half diagnostic report"),
+    "spectrum": (_cmd_spectrum, "Riesz products, flatness metrics, merit factors"),
+    "rank": (_cmd_rank, "rectangle certificate of a stage iceberg"),
+    "ensemble": (_cmd_ensemble, "seed fan-out for decay, jumps, or simplicity"),
 }
 
 
@@ -957,7 +934,7 @@ def run(argv: Sequence[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        schedule_hash, summary = _COMMANDS[args.command](staging, args)
+        schedule_hash, summary = _COMMANDS[args.command][0](staging, args)
         _publish(staging, out_dir, args.overwrite)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,12 @@ from .dynamics import project_positions
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
 from .words import Schedule, Word, build_word, concat_stage, concat_stages
 
-#: Zero-mean lift tolerance: |sum of values| <= ZERO_MEAN_TOL * h.
+#: Values per ``np.vdot`` in ``_block_sums``: at most OpenBLAS's threading
+#: threshold (about 10,000), so no product is split across threads.
+_VDOT_BLOCK = 8192
+
+#: Zero-mean lift tolerance: |sum of values| <= ZERO_MEAN_TOL * h * max(m, 1), where
+#: m is the largest |real| or |imag| part of a value, so the bound grows with the labels.
 ZERO_MEAN_TOL = 1e-12
 
 #: Values per in-place ``|F|^2`` product in ``_correlate_owned`` (1 MiB of complex128).
@@ -81,7 +86,17 @@ class LevelFunction:
 
 
 def _check_zero_mean(values: np.ndarray) -> None:
-    if abs(values.sum()) > ZERO_MEAN_TOL * values.size:
+    """Raise unless ``values`` sum to zero within ``ZERO_MEAN_TOL``.
+
+    Centring leaves a rounding residual that grows with the values, so the
+    bound is relative to their largest real or imaginary part, read from a
+    float view of them (a copy only for a strided array).  It stays absolute
+    below 1: labels equal on every letter centre to residues far below their
+    own size, and those must pass on to the caller's own check.
+    """
+    parts = np.ravel(values).view(np.float64)
+    scale = max(1.0, parts.max(), -parts.min())
+    if abs(values.sum()) > ZERO_MEAN_TOL * values.size * scale:
         raise ConfigurationError("zero_mean flag set but values do not sum to zero")
 
 
@@ -197,13 +212,47 @@ def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.nda
     return buf
 
 
+def _lifted_series(labels: Mapping[str, complex], words: list, n: int, zero_mean: bool,
+                   drop: bool = False) -> np.ndarray:
+    """The autocorrelation series of the lift of ``words[n]``, computed in the lift.
+
+    The lift is a buffer this call owns: with ``zero_mean`` it is checked as
+    ``LevelFunction`` would check it, then ``_correlate_owned`` transforms it
+    in place, so no copy of it is alive beside the transform.  With ``drop``,
+    ``words[n]`` is set to None once lifted, so the word is not alive then either.
+    """
+    buf = _lifted_values(labels, words[n], zero_mean)
+    if drop:
+        words[n] = None
+    if zero_mean:
+        _check_zero_mean(buf)
+    return _correlate_owned(buf)
+
+
+def _block_sums(size: int, products) -> complex | np.ndarray:
+    """Sums over ``range(size)`` of ``np.vdot`` products, with bits that do not
+    depend on the BLAS thread count.
+
+    OpenBLAS splits a product of more than about 10,000 values across its
+    threads, which changes the last bits of the sum.  So ``products(lo, hi)``
+    gives an ``np.vdot`` value, or a tuple of them, over positions
+    ``lo:hi``, one block of ``_VDOT_BLOCK`` positions at a time, and each is
+    added in block order from the first block's value (a ``0j`` start would
+    turn -0.0 into +0.0): a product of at most ``_VDOT_BLOCK`` values is
+    ``np.vdot``'s, bit for bit.  A block's work runs while its slices are in
+    cache.
+    """
+    parts = np.array([products(lo, lo + _VDOT_BLOCK) for lo in range(0, size, _VDOT_BLOCK)])
+    return np.add.accumulate(parts)[-1]
+
+
 def correlation_at_lags(
     f: LevelFunction, g: LevelFunction | None = None, lags: Sequence[int] = ()
 ) -> np.ndarray:
     """Exact per-lag correlations (direct inner products, no transform).
 
     Each lag's ``np.roll(g, t)`` is written into one buffer allocated per
-    call, so ``vdot`` sees the same operands as with a fresh roll per lag.
+    call, so ``np.vdot`` sees the same operands as with a fresh roll per lag.
     """
     if g is None:
         g = f
@@ -216,7 +265,7 @@ def correlation_at_lags(
         t = int(t) % h
         rolled[:t] = g.values[h - t:]
         rolled[t:] = g.values[: h - t]
-        out[i] = np.vdot(rolled, f.values) / h
+        out[i] = _block_sums(h, lambda lo, hi: np.vdot(rolled[lo:hi], f.values[lo:hi])) / h
     return out
 
 
@@ -283,9 +332,9 @@ def decay_profile(
     zero-mean).  Requires a pure schedule and at least three stages for the
     least-squares fit of ``log statistic`` against ``log h_n``.
 
-    Each stage's lift is a buffer this function owns: it is checked to be
-    zero-mean as ``LevelFunction`` would check it, then transformed in place
-    into the correlation series, and ``W_n`` is dropped once it is lifted.
+    Each stage's lift is a buffer that ``_lifted_series`` owns: it is checked
+    to be zero-mean as ``LevelFunction`` would check it, then transformed in
+    place into the correlation series, and ``W_n`` is dropped once it is lifted.
     So at most one length-``h_n`` complex array (plus the FFT's own
     workspace) is alive at a time.
     """
@@ -302,10 +351,7 @@ def decay_profile(
     words = build_word(schedule, n_hi, force=force)
     rows = []
     for n in range(n_lo, n_hi + 1):
-        buf = _lifted_values(labels, words[n], zero_mean=True)
-        words[n] = None  # W_n is not read again once lifted
-        _check_zero_mean(buf)
-        series = _correlate_owned(buf)
+        series = _lifted_series(labels, words, n, zero_mean=True, drop=True)
         h = series.size
         sel = np.abs(series[h // 4: 3 * h // 4 + 1])
         mean_square = np.mean(sel**2)
@@ -484,7 +530,8 @@ def simplicity_diagnostic(
     ``f``, the far mask and ``g`` are carried up from tables on ``W_{n+1}``
     (``_far_half_arrays``); no coordinate array is built.  The sums are taken
     with two complex arrays of length ``h_N`` alive: ``g`` becomes ``v`` and
-    ``f`` becomes ``u``.
+    ``f`` becomes ``u``, one block at a time, and ``_block_sums`` adds up the
+    seven products of the blocks.
     """
     h = _check_far_half(schedule, n, depth)
     h_N = schedule.height(depth)
@@ -500,33 +547,34 @@ def simplicity_diagnostic(
 
     f, far, g = _far_half_arrays(schedule, n, depth, fn)
 
-    def avg(x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.vdot(y, x) / h_N)
+    def block(lo: int, hi: int) -> tuple:
+        # v = (g - f) + u is formed in g and u in f, each sum taken while its
+        # operands exist, with the bits of the out-of-place forms: g - f is the
+        # exact negation of f - g, so |g - f|^2 is |f - g|^2; and g starts at
+        # +0.0 and only adds, so g - f holds no -0.0 and adding f only where
+        # far adds u = f*[far] bit for bit.
+        f_b, g_b, far_b = f[lo:hi], g[lo:hi], far[lo:hi]
+        f2, g2 = np.vdot(f_b, f_b), np.vdot(g_b, g_b)
+        v = np.subtract(g_b, f_b, out=g_b)
+        fg_diff2 = np.vdot(v, v)
+        np.add(v, f_b, out=v, where=far_b)
+        fv = np.vdot(v, f_b)
+        u = f_b
+        np.copyto(u, 0.0, where=np.logical_not(far_b, out=far_b))  # far is not read again
+        return f2, g2, fg_diff2, fv, np.vdot(u, u), np.vdot(v, v), np.vdot(v, u)
 
-    # v = (g - f) + u is formed in g and u in f, each sum taken while its
-    # operands exist, with the bits of the out-of-place forms: g - f is the
-    # exact negation of f - g, so |g - f|^2 is |f - g|^2; and g starts at +0.0
-    # and only adds, so g - f holds no -0.0 and adding f only where far adds
-    # u = f*[far] bit for bit.
-    f2 = avg(f, f).real
-    g2 = avg(g, g).real
-    v = np.subtract(g, f, out=g)
-    fg_diff2 = avg(v, v).real
-    np.add(v, f, out=v, where=far)
-    fv = avg(f, v)
-    u = f
-    np.copyto(u, 0.0, where=np.logical_not(far, out=far))  # far is not read again
+    f2, g2, fg_diff2, fv, u2, v2, uv = (complex(s / h_N) for s in _block_sums(h_N, block))
     return SimplicityReport(
         n=n,
         depth=depth,
         h_n=h,
         h_N=h_N,
-        f2=f2,
-        g2=g2,
-        fg_diff2=fg_diff2,
-        u2=avg(u, u).real,
-        v2=avg(v, v).real,
-        uv=avg(u, v),
+        f2=f2.real,
+        g2=g2.real,
+        fg_diff2=fg_diff2.real,
+        u2=u2.real,
+        v2=v2.real,
+        uv=uv,
         fv=fv,
     )
 

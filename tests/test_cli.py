@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -133,6 +134,22 @@ def test_correlate_checks_zero_mean_of_its_lifts(cat_file, tmp_path, monkeypatch
         *flags, "--out", str(tmp_path / "o"),
     ])
     assert code == expected
+
+
+_LARGE_LABELS = ["--family", "random", "--qs", "9,27,16", "--seed", "1", "--seed-word", "012",
+                 "--alphabet", "012", "--labels", "0=100000,1=30000,2=-77000"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("decay", ["--from-stage", "0", "--to-stage", "3"]),
+    ("simplicity", ["--base", "1", "--diag-depth", "3"]),
+    ("correlate", ["--zero-mean"]),
+])
+def test_zero_mean_check_scales_with_the_labels(command, flags, tmp_path, capsys):
+    # Centring labels of size 1e5 leaves a residual sum far above 1e-12 * h;
+    # the same labels divided by 1e5 always passed.
+    assert cli.run([command, *_LARGE_LABELS, *flags, "--out", str(tmp_path / "o")]) == 0
+    assert "zero_mean" not in capsys.readouterr().err
 
 
 def test_rank_morse(tmp_path):
@@ -328,6 +345,27 @@ def test_every_row_of_the_declaration_is_reachable():
     assert {key for command in _PARSERS for key in _reachable(command)} == set(cli._READS)
 
 
+def test_choices_are_the_values_of_the_option_rows():
+    # --mode, --task and --family take exactly the values of their "OPTION VALUE" rows.
+    choices = {opt: a.choices for p in _PARSERS.values() for a in p._actions
+               for opt in a.option_strings if opt in ("--mode", "--task", "--family")}
+    rows = {opt: [key.split()[1] for key in cli._READS if key.split()[0] == opt]
+            for opt in choices}
+    assert choices == rows and len(choices) == 3
+
+
+def test_readme_cli_table_has_a_row_for_every_declaration_row():
+    # Rows read "| `decay` | ..." or, for a mode or task, "| `spectrum --mode riesz` | ...";
+    # `--schedule FILE` reads nothing more and so has no row in cli._READS.  A row
+    # naming a key that cli._READS no longer has is as stale as a missing one.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    cells = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    keys = [cell.partition(" ")[2] if cell.split()[0] in _PARSERS and " " in cell else cell
+            for cell in cells]
+    assert sorted(keys) == sorted([*cli._READS, "--schedule FILE"])
+
+
 def _benchmark_workloads() -> dict:
     """``WORKLOADS`` of ``perfbench/workloads.py``, loaded by path (it imports only the stdlib)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -508,6 +546,26 @@ def test_simplicity_of_a_constant_lift_exits_2(argv, tmp_path):
     assert res.returncode == 2, res.stderr
     assert "f2 = 0" in res.stderr and "Traceback" not in res.stderr
     assert list(out.iterdir()) == []
+
+
+def test_simplicity_payload_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # h_N = 32,805.  OpenBLAS splits an np.vdot of more than about 10,000 values
+    # across its threads; whole-array products wrote a different simplicity.json
+    # under 1 and 2 threads.
+    argv = ["simplicity", "--family", "random", "--qs", "9,27,5,9", "--seed", "1",
+            "--seed-word", "012", "--alphabet", "012",
+            "--labels", "0=1,1=-0.5+0.8660254037844386j,2=-0.5-0.8660254037844386j",
+            "--base", "1", "--diag-depth", "4"]
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-c", "from icelab.cli import main; main()", *argv,
+                        "--out", str(out)], env=env, check=True, capture_output=True, timeout=120)
+        digests.add(tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                          for name in ("simplicity.json", "simplicity.csv")))
+    assert len(digests) == 1
 
 
 _EQUAL_LABELS = ["--qs", "3,9,5", "--seed-word", "012", "--alphabet", "012",

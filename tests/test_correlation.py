@@ -278,6 +278,16 @@ def test_decay_checks_zero_mean_of_its_lift(monkeypatch, trit_word, trit_labels)
         il.decay_profile(sch, trit_labels, 0, 2)
 
 
+def test_decay_slope_does_not_depend_on_the_label_scale(trit_word):
+    # Labels of size 1e5 centre with a residual sum far above 1e-12 * h, which
+    # the zero-mean check refused while the bound did not scale with them.
+    sch = il.random_schedule([9, 27, 16], 1, trit_word)
+    labels = {"0": 1.0, "1": 0.3, "2": -0.77}
+    slope = il.decay_profile(sch, labels, 0, 3).slope
+    scaled = il.decay_profile(sch, {k: v * 1e5 for k, v in labels.items()}, 0, 3).slope
+    assert abs(scaled - slope) <= 1e-9
+
+
 def test_decay_requires_three_stages(trit_word, trit_labels):
     sch = il.random_schedule([27], 3, trit_word)
     with pytest.raises(ConfigurationError):
@@ -381,7 +391,11 @@ def _reference_simplicity(schedule, labels, n, depth):
     v = g - f + u
 
     def avg(x, y):
-        return complex(np.vdot(y, x) / h_N)
+        # np.vdot of consecutive 8,192-value blocks, added in order from the first.
+        total = np.vdot(y[:8192], x[:8192])
+        for lo in range(8192, h_N, 8192):
+            total += np.vdot(y[lo: lo + 8192], x[lo: lo + 8192])
+        return complex(total / h_N)
 
     return (avg(f, f).real, avg(g, g).real, avg(f - g, f - g).real,
             avg(u, u).real, avg(v, v).real, avg(u, v), avg(f, v))
