@@ -44,6 +44,7 @@ from . import numtext
 from . import rank as rank_mod
 from . import spectral as spx
 from . import words as words_mod
+from .correlation import _usable_cpus
 from .errors import (
     MAX_DENSE_TERMS, MAX_GRID_POINTS, MAX_SYMBOLS, ConfigurationError, ResourceRefusal,
     refuse_above,
@@ -51,6 +52,11 @@ from .errors import (
 
 #: Environment variable naming the default output directory.
 OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
+
+#: Version of the payload bytes, recorded in ``manifest.json``.  At 2 the values
+#: computed from transforms longer than 2^18 (``decay``, ``ensemble --task decay``,
+#: ``correlate``) come from the blocked transform and differ from 1 in their last bits.
+PAYLOAD_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +171,6 @@ def _csv_lines(columns: list, text: list[bool]) -> str:
     return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _write_span(fh, table: _Columns, text: list[bool], lo: int, hi: int) -> None:
     """Rows ``lo:hi`` as UTF-8 csv lines, a chunk at a time; ``hi`` ends a chunk or the rows."""
     for start in range(lo, hi, _CSV_CHUNK):
@@ -217,7 +216,8 @@ def _write_csv(path: Path, header: Sequence[str], table: _Columns | list[tuple])
     appended in order.  Every chunk is formatted as it would be alone, so the
     bytes do not depend on the split.  One chunk, one CPU or no ``os.fork``
     means one span and no worker.  No pool thread is alive at a fork:
-    ``_fan_out``'s pool has shut down before any command writes.
+    ``_fan_out``'s pool and the transform kernel's have shut down before any
+    command writes.
     """
     if not isinstance(table, _Columns):
         table = _Columns(*map(list, zip(*table)))
@@ -290,6 +290,7 @@ def _write_manifest(out_dir: Path, command: str, argv: Sequence[str],
         "command": command,
         "argv": list(argv),
         "schedule_hash": schedule_hash,
+        "payload_version": PAYLOAD_VERSION,
         "versions": {
             "icelab": __version__,
             "python": sys.version.split()[0],
@@ -338,20 +339,24 @@ def _counts(option: str, text: str, force: bool) -> list[int]:
     """
     counts = _int_list(option, text)
     for n in counts:
+        if n < 1:
+            raise ConfigurationError(f"{option} entry {n} is below 1")
         refuse_above(f"{option} entry", n, MAX_SYMBOLS, force)
     return counts
 
 
-def _pool_size(text: str) -> int:
-    """``--threads``: an integer of at least 1, checked by argparse, so a bad
-    value exits 2 before ``--out`` is created."""
-    try:
-        threads = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"{threads} is below 1")
-    return threads
+def _int_from(low: int):
+    """An argparse type: an integer of at least ``low``, so a bad value exits 2
+    before ``--out`` is created (``--threads`` from 1, seeds from 0)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
 
 
 def _parse_qs(args) -> list[int]:
@@ -432,7 +437,7 @@ _OPTIONS = {
     "--schedule": dict(help="schedule JSON file"),
     "--family": dict(help="generate the schedule from a named family"),
     "--r": dict(type=int, help="morse cut count r"),
-    "--seed": dict(type=int, help="random and ornstein families: rng seed"),
+    "--seed": dict(type=_int_from(0), help="random and ornstein families: rng seed (>= 0)"),
     "--ratio": dict(type=int, default=4, help="ornstein spacer bound h/ratio"),
     "--labels": dict(help="label map SYMBOL=VALUE[,SYMBOL=VALUE...]"),
     "--zero-mean": dict(action="store_true", help="subtract the mean when lifting labels"),
@@ -454,17 +459,17 @@ _OPTIONS = {
     "--mode": dict(),
     "--last": dict(type=int, help="riesz: last stage factor (default: depth-1)"),
     "--grid-size": dict(type=int, default=2**14, help="circle grid size (power of two)"),
-    "--line": dict(nargs=3, metavar=("A", "B", "POINTS"),
+    "--line": dict(nargs=3, type=float, metavar=("A", "B", "POINTS"),
                    help="use a line grid on [A, B] with POINTS points"),
     "--check-oracle": dict(action="store_true",
                            help="riesz: compare against the direct word-spectrum oracle"),
     "--exp-n": dict(help="flat: comma list of term counts n"),
     "--eps": dict(type=float, default=0.1, help="flat: exponential parameter"),
     "--merit-stages": dict(help="merit: comma list of stages"),
-    "--threads": dict(type=_pool_size, default=1, help="worker pool size (>= 1)"),
+    "--threads": dict(type=_int_from(1), default=1, help="worker pool size (>= 1)"),
     "--task": dict(),
     "--seeds": dict(type=int, help="number of seeds"),
-    "--base-seed": dict(type=int, default=0),
+    "--base-seed": dict(type=_int_from(0), default=0, help="first seed (>= 0)"),
     "--h": dict(type=int, help="jumps: fixed height h"),
     "--q-list": dict(help="jumps: comma list of q values"),
 }
@@ -713,7 +718,10 @@ def _cmd_simplicity(out_dir: Path, args) -> tuple[str | None, str | None]:
 
 def _grid_from_args(args, force: bool) -> spx.Grid:
     if args.line:
-        a, b, m = float(args.line[0]), float(args.line[1]), int(args.line[2])
+        a, b, m = args.line
+        if not m.is_integer():
+            raise ConfigurationError(f"--line POINTS {m!r} is not an integer")
+        m = int(m)
         refuse_above("grid points", m, MAX_GRID_POINTS, force)
         return spx.LineGrid(a, b, m)
     refuse_above("grid points", args.grid_size, MAX_GRID_POINTS, force)

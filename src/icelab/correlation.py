@@ -24,7 +24,11 @@ sums over block junctions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,11 +42,19 @@ from .words import Schedule, Word, build_word, concat_stage, concat_stages
 _VDOT_BLOCK = 8192
 
 #: Zero-mean lift tolerance: |sum of values| <= ZERO_MEAN_TOL * h * max(m, 1), where
-#: m is the largest |real| or |imag| part of a value, so the bound grows with the labels.
+#: m is the largest |real| or |imag| part of a lifted label (of a value, for values given
+#: directly), so the bound grows with the labels.
 ZERO_MEAN_TOL = 1e-12
 
-#: Values per in-place ``|F|^2`` product in ``_correlate_owned`` (1 MiB of complex128).
+#: Values per block of ``_correlate_owned``'s passes and per in-place ``|F|^2``
+#: product (1 MiB of complex128).
 _PRODUCT_CHUNK = 2**16
+
+#: Transforms up to this length run in one piece, as pocketfft's 1-d route.
+_ONE_PIECE = 2**18
+
+#: ``exp(-2 pi i q / 4)`` for the quarter turns ``q`` of ``_unit_roots``.
+_QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 
 #: Bases per block of the ``_base_returns`` scatter: a block's returns span
 #: about ``_RETURN_BLOCK * h_n`` complex values (1.8 MB at h_n = 27), which
@@ -64,19 +76,21 @@ class LevelFunction:
     """A complex function on ``Z_{h_n}`` lifted from alphabet labels.
 
     Spacer positions carry the value 0.  When ``zero_mean`` is set the values
-    sum to (numerically) zero.
+    sum to (numerically) zero, relative to ``scale``: the largest part of the
+    labels they were centred from (default: of the values themselves).
     """
 
     n: int
     values: np.ndarray
     zero_mean: bool = False
+    scale: InitVar[float | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, scale: float | None) -> None:
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 or vals.size == 0:
             raise ConfigurationError("level function needs a non-empty 1-d value vector")
         if self.zero_mean:
-            _check_zero_mean(vals)
+            _check_zero_mean(vals, scale)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -85,18 +99,20 @@ class LevelFunction:
         return int(self.values.size)
 
 
-def _check_zero_mean(values: np.ndarray) -> None:
+def _check_zero_mean(values: np.ndarray, scale: float | None = None) -> None:
     """Raise unless ``values`` sum to zero within ``ZERO_MEAN_TOL``.
 
-    Centring leaves a rounding residual that grows with the values, so the
-    bound is relative to their largest real or imaginary part, read from a
-    float view of them (a copy only for a strided array).  It stays absolute
-    below 1: labels equal on every letter centre to residues far below their
-    own size, and those must pass on to the caller's own check.
+    Centring leaves a rounding residual that grows with the values it was
+    taken from, so the bound is relative to ``scale``, the largest real or
+    imaginary part of the lifted labels.  Labels of 100000.1 and 100000
+    centre to values near 0.1 with the residual of 1e5.  Without ``scale``
+    it is the values' own largest part, read from a float view of them (a
+    copy only for a strided array).  It stays absolute below 1.
     """
-    parts = np.ravel(values).view(np.float64)
-    scale = max(1.0, parts.max(), -parts.min())
-    if abs(values.sum()) > ZERO_MEAN_TOL * values.size * scale:
+    if scale is None:
+        parts = np.ravel(values).view(np.float64)
+        scale = max(parts.max(), -parts.min())
+    if abs(values.sum()) > ZERO_MEAN_TOL * values.size * max(1.0, scale):
         raise ConfigurationError("zero_mean flag set but values do not sum to zero")
 
 
@@ -109,11 +125,14 @@ def lift(
     positions are forced to 0.  With ``zero_mean`` the mean over non-spacer
     positions is subtracted there (spacers stay 0, the total sum becomes 0).
     """
-    return LevelFunction(n=n, values=_lifted_values(labels, word, zero_mean), zero_mean=zero_mean)
+    values, scale = _lifted_values(labels, word, zero_mean)
+    return LevelFunction(n=n, values=values, zero_mean=zero_mean, scale=scale)
 
 
-def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool) -> np.ndarray:
-    """The values ``lift`` wraps, as a fresh writable array the caller owns."""
+def _lifted_values(labels: Mapping[str, complex], word: Word,
+                   zero_mean: bool) -> tuple[np.ndarray, float]:
+    """The values ``lift`` wraps, as a fresh writable array the caller owns,
+    and the largest real or imaginary part of the labels lifted."""
     alpha = word.alphabet
     spacer = alpha.spacer_index
     table = np.zeros(len(alpha.symbols), dtype=np.complex128)
@@ -130,6 +149,8 @@ def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool) -
     if missing:
         raise ConfigurationError(f"labels missing for symbols {missing!r}")
     values = table[word.symbols]
+    parts = table[present].view(np.float64)
+    scale = float(max(parts.max(), -parts.min()))
     if zero_mean:
         if spacer is None:
             values -= values.mean()
@@ -137,7 +158,7 @@ def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool) -
             mask = word.symbols != spacer
             if mask.any():
                 values = np.where(mask, values - values[mask].mean(), 0.0)
-    return values
+    return values, scale
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +206,136 @@ def cyclic_correlation(
     return CorrelationSeries(n=f.n, values=_correlate_owned(f.values.copy(), other))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _root_divisor(n: int) -> int:
+    """The largest divisor of ``n`` not above its square root."""
+    d = math.isqrt(n)
+    while n % d:
+        d -= 1
+    return d
+
+
+def _spans(n: int, width: int) -> list[slice]:
+    """``range(n)`` cut into consecutive slices of ``width`` (at least 1) indices."""
+    width = max(1, width)
+    return [slice(lo, lo + width) for lo in range(0, n, width)]
+
+
+def _unit_roots(m: np.ndarray, h: int, inverse: bool) -> np.ndarray:
+    """``exp(-2 pi i m / h)`` for integers ``0 <= m < h``, conjugated with ``inverse``.
+
+    The angle is taken from the nearest quarter turn ``q``, as the exact
+    integer ``4m - qh`` over ``4h``, so it lies within pi/4 and is rounded
+    once; the quarter turn is then applied exactly.
+    """
+    q = (4 * m + h // 2) // h
+    roots = np.exp((4 * m - q * h) * ((0.5j if inverse else -0.5j) * np.pi / h))
+    roots *= (_QUARTER_TURNS.conj() if inverse else _QUARTER_TURNS)[q % 4]
+    return roots
+
+
+def _turn(block: np.ndarray, c0: int, h: int, inverse: bool = False) -> np.ndarray:
+    """Multiply the columns ``c0 ...`` of the ``(n2, n1)`` view, as the
+    contiguous ``block``, by their twiddles ``exp(-2 pi i k c / h)`` (row ``k``,
+    column ``c``; conjugated with ``inverse``) in place, and return ``block``.
+
+    Row ``k = k_hi b + k_lo`` splits each twiddle into two small exact-angle
+    tables, ``exp(-2 pi i k_hi b c / h)`` and ``exp(-2 pi i k_lo c / h)``, where
+    ``b`` is ``_root_divisor(n2)``: about ``2 sqrt(n2)`` roots per column.
+    """
+    n2, width = block.shape
+    b = _root_divisor(n2)
+    c = np.arange(c0, c0 + width)
+    cube = block.reshape(n2 // b, b, width)
+    cube *= _unit_roots(np.arange(0, n2, b)[:, None, None] * c, h, inverse)
+    cube *= _unit_roots(np.arange(b)[:, None] * c, h, inverse)
+    return block
+
+
+def _via_copy(view: np.ndarray, step, c0: int) -> None:
+    """Write ``step(copy, c0)`` over ``view``, the columns ``c0 ...`` of the
+    ``(n2, n1)`` view, where ``copy`` is a contiguous copy of them: a
+    transform down the columns then reads a block in cache, not one value
+    from each of ``n2`` rows of the tower."""
+    view[...] = step(view.copy(), c0)
+
+
+def _times_conj(spectrum: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
+    """``spectrum *= conj(other)`` in place (``other`` is conjugated in place),
+    and return ``spectrum``; ``other = None`` forms ``|spectrum|^2`` in place
+    ``_PRODUCT_CHUNK`` values at a time."""
+    if other is not None:
+        spectrum *= np.conj(other, out=other)
+        return spectrum
+    flat = spectrum.reshape(-1)
+    for lo in range(0, flat.size, _PRODUCT_CHUNK):
+        part = flat[lo: lo + _PRODUCT_CHUNK]
+        part *= np.conj(part)
+    return spectrum
+
+
 def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.ndarray:
     """``ifft(fft(buf) * conj(fft(other))) / h`` computed in ``buf``, which is
     returned; ``other = None`` is the autocorrelation ``ifft(|fft(buf)|^2) / h``.
 
-    ``buf`` must be a writable complex128 vector the caller owns: each stage
-    (forward transform, product with the conjugate, inverse transform,
-    scaling) overwrites it, so no second length-h result is ever alive.  An
-    autocorrelation forms ``|F|^2`` in place ``_PRODUCT_CHUNK`` values at a
-    time, and a cross-correlation conjugates its own transform of ``other``
-    in place, so no length-h conjugate temporary exists either.  The values
-    are bitwise those of the two-transform ``ifft(fft(buf) *
-    conj(fft(other))) / h``; an autocorrelation's product must stay in place,
-    as an out-of-place ``F * conj(F)`` differs in the last bit for h >= 16384.
+    ``buf`` must be a writable complex128 vector the caller owns.  It is
+    viewed as an ``(n2, n1)`` array, ``n2`` the largest divisor of ``h`` not
+    above its square root (1 up to ``_ONE_PIECE``), and transformed by the
+    four-step method (D. H. Bailey, "FFTs in external or hierarchical memory",
+    J. Supercomputing 4, 1990) in three passes over blocks of about
+    ``_PRODUCT_CHUNK`` values:
+
+    1. length-``n2`` transforms down each block of columns, each then
+       multiplied by its twiddles (``_turn``);
+    2. along each block of rows: the length-``n1`` transforms, the product
+       with the conjugate (``_times_conj``), the inverse transforms and the
+       division by ``h``;
+    3. the conjugate twiddles and the inverse transforms down the columns.
+
+    Row ``k``, column ``c`` then holds the spectrum at ``k + n2 c``.  The
+    product needs no other order, so nothing is transposed and no length-h
+    scratch is taken; a column block is transformed in a contiguous copy
+    (``_via_copy``).  A cross-correlation transforms a copy of ``other``.
+
+    With ``n2 = 1`` only pass 2 runs, in one block: pocketfft's 1-d route,
+    bitwise the two-transform ``ifft(fft(buf) * conj(fft(other))) / h``.  An
+    autocorrelation's product must stay in place there, as an out-of-place
+    ``F * conj(F)`` differs in the last bit for h >= 16384.  Longer
+    transforms agree with that route to about 1e-16 of ``C(0)``.
+
+    The blocks of a pass run on ``min(usable CPUs, row blocks)`` threads when
+    the kernel is called on the main thread, and inline on any other, such as
+    an ``ensemble`` task's.  No block boundary depends on the thread count,
+    so neither does any bit.
     """
-    np.fft.fft(buf, out=buf)
-    if other is None:
-        for lo in range(0, buf.size, _PRODUCT_CHUNK):
-            part = buf[lo: lo + _PRODUCT_CHUNK]
-            part *= np.conj(part)
-    else:
-        spectrum = np.fft.fft(other)
-        buf *= np.conj(spectrum, out=spectrum)
-    np.fft.ifft(buf, out=buf)
-    buf /= buf.size
+    h = buf.size
+    n2 = _root_divisor(h) if h > _ONE_PIECE else 1
+    n1 = h // n2
+    views = [x.reshape(n2, n1) for x in ([buf] if other is None else [buf, other.copy()])]
+    a = views[0]
+    cols, rows = _spans(n1, _PRODUCT_CHUNK // n2), _spans(n2, _PRODUCT_CHUNK // n1)
+    down = lambda s, c0: _turn(np.fft.fft(s, axis=0, out=s), c0, h)
+    across = lambda r: np.divide(np.fft.ifft(
+        _times_conj(*[np.fft.fft(x[r], axis=1, out=x[r]) for x in views]),
+        axis=1, out=a[r]), h, out=a[r])
+    up = lambda s, c0: np.fft.ifft(_turn(s, c0, h, inverse=True), axis=0, out=s)
+    passes = [(across, rows)]
+    if n2 > 1:
+        passes = [(lambda c: [_via_copy(x[:, c], down, c.start) for x in views], cols),
+                  (across, rows),
+                  (lambda c: _via_copy(a[:, c], up, c.start), cols)]
+    main = threading.current_thread() is threading.main_thread()
+    workers = min(_usable_cpus(), len(rows)) if main else 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for step, blocks in passes:
+            # list() reads every result, so a block's exception is raised here.
+            list(pool.map(step, blocks) if workers > 1 else map(step, blocks))
     return buf
 
 
@@ -221,11 +348,11 @@ def _lifted_series(labels: Mapping[str, complex], words: list, n: int, zero_mean
     in place, so no copy of it is alive beside the transform.  With ``drop``,
     ``words[n]`` is set to None once lifted, so the word is not alive then either.
     """
-    buf = _lifted_values(labels, words[n], zero_mean)
+    buf, scale = _lifted_values(labels, words[n], zero_mean)
     if drop:
         words[n] = None
     if zero_mean:
-        _check_zero_mean(buf)
+        _check_zero_mean(buf, scale)
     return _correlate_owned(buf)
 
 
@@ -335,8 +462,7 @@ def decay_profile(
     Each stage's lift is a buffer that ``_lifted_series`` owns: it is checked
     to be zero-mean as ``LevelFunction`` would check it, then transformed in
     place into the correlation series, and ``W_n`` is dropped once it is lifted.
-    So at most one length-``h_n`` complex array (plus the FFT's own
-    workspace) is alive at a time.
+    So at most one length-``h_n`` complex array is alive at a time.
     """
     if n_hi - n_lo + 1 < 3:
         raise ConfigurationError("decay fit needs at least 3 stages")

@@ -61,6 +61,8 @@ def from_stage(schedule: Schedule, n: int, *, allow_spacers: bool = False) -> Ic
     Spacer stages are refused unless ``allow_spacers`` is set, in which case
     the rotation histogram is returned flagged non-cyclic.
     """
+    if not 0 <= n < schedule.depth:
+        raise ConfigurationError(f"stage {n} outside [0, {schedule.depth})")
     st = schedule.stages[n]
     if not st.pure and not allow_spacers:
         raise ConfigurationError(
@@ -195,6 +197,8 @@ def body_report(schedule: Schedule, n: int, r: int, force: bool = False) -> Body
     ``W_{n+1}`` and back holds sum of ``q_m * (m - n)`` positions, which q = 1
     stages leave unbounded by any word: refused above ``MAX_SYMBOLS``.
     """
+    if n < 0:
+        raise ConfigurationError(f"body base n={n} is negative")
     if r < 1:
         raise ConfigurationError("body depth r must be >= 1")
     if n + r > schedule.depth:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,93 @@ def test_fft_route_bitwise_equals_two_transform_product(h):
     buf = f.values.copy()
     assert corr._correlate_owned(buf) is buf
     assert buf.tobytes() == ref.tobytes()
+
+
+# The first prime above 2**18: a prime length has no divisor to block by, and
+# twice it only two rows.
+_PRIME = 262147
+
+
+@pytest.mark.parametrize("h", [2**19, 3 * 2**18, _PRIME, 2 * _PRIME])
+def test_blocked_kernel_matches_the_two_transform_product(h):
+    # Above 2**18 the kernel runs the four-step transform on an (n2, n1) view;
+    # reference: pocketfft's two-transform product.  The error scale is
+    # |f| |g| / h, the Cauchy-Schwarz bound on |C(t)|: C(0) itself for an
+    # autocorrelation, and for the cross-correlation g = f + noise, within a
+    # factor 1.5 of |C(0)| as well.
+    rng = np.random.default_rng(h)
+    f = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    g = f + 0.5 * (rng.standard_normal(h) + 1j * rng.standard_normal(h))
+    assert corr._root_divisor(h) == {2**19: 512, 3 * 2**18: 768, _PRIME: 1, 2 * _PRIME: 2}[h]
+    for other in (None, g):
+        y = f if other is None else other
+        ref = np.fft.ifft(np.fft.fft(f) * np.conj(np.fft.fft(y))) / h
+        got = corr._correlate_owned(f.copy(), other)
+        scale = np.linalg.norm(f) * np.linalg.norm(y) / h
+        assert scale <= 1.5 * abs(ref[0])
+        assert np.abs(got - ref).max() <= 1e-15 * scale
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("h", [4096, _PRIME, 10**6])
+def test_twiddles_are_rounded_from_a_reduced_angle(h):
+    # Reference: cos and sin in long double.  An angle taken over the whole
+    # turn, exp(-2j * pi * m / h), is off by up to 1.2e-15; reduced to within
+    # pi/4 of a quarter turn, by under 4e-16, and the quarter turns are exact.
+    m = np.arange(h)
+    angle = -2 * np.pi * np.longdouble(1) * m / h
+    ref = np.cos(angle) + 1j * np.sin(angle)
+    got = corr._unit_roots(m, h, inverse=False)
+    assert np.abs(got - ref).max() < 4e-16
+    assert np.array_equal(corr._unit_roots(m, h, inverse=True), got.conj())
+    if h % 4 == 0:
+        quarters = corr._unit_roots(np.arange(4) * (h // 4), h, inverse=False)
+        assert quarters.tolist() == [1, -1j, -1, 1j]
+
+
+class _SpyPool(corr.ThreadPoolExecutor):
+    """The kernel's pool, recording its size and how many blocks it is handed."""
+
+    sizes: list = []
+    blocks: list = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.blocks.append(fn)
+        return super().submit(fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("h", [2**19, 3 * 2**18])
+def test_blocked_kernel_bits_do_not_depend_on_the_threads(h, monkeypatch):
+    # The same bytes on the main thread with 1 and 2 usable CPUs, and inline
+    # in a worker thread, as in an ensemble task.  The pool never has more
+    # workers than CPUs; with one CPU, or off the main thread, it is handed
+    # no block.
+    rng = np.random.default_rng(h)
+    f = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    g = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    monkeypatch.setattr(corr, "ThreadPoolExecutor", _SpyPool)
+    for other in (None, g):
+        got = set()
+        for cpus in (1, 2):
+            monkeypatch.setattr(corr, "_usable_cpus", lambda: cpus)
+            _SpyPool.sizes, _SpyPool.blocks = [], []
+            got.add(corr._correlate_owned(f.copy(), other).tobytes())
+            assert _SpyPool.sizes == [cpus]
+            assert bool(_SpyPool.blocks) == (cpus > 1)
+            _SpyPool.sizes, _SpyPool.blocks = [], []
+            worker = []
+            thread = threading.Thread(target=lambda: worker.append(
+                corr._correlate_owned(f.copy(), other).tobytes()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive() and len(worker) == 1
+            got.update(worker)
+            assert _SpyPool.sizes == [1] and _SpyPool.blocks == []
+        assert len(got) == 1
 
 
 def test_delta_correlation():
@@ -286,6 +375,16 @@ def test_decay_slope_does_not_depend_on_the_label_scale(trit_word):
     slope = il.decay_profile(sch, labels, 0, 3).slope
     scaled = il.decay_profile(sch, {k: v * 1e5 for k, v in labels.items()}, 0, 3).slope
     assert abs(scaled - slope) <= 1e-9
+
+
+def test_level_function_zero_mean_check_still_refuses_a_nonzero_sum():
+    # The bound is relative to the largest part of the values (1e5 here):
+    # a sum of 1 is far above 1e-12 * h * 1e5.
+    with pytest.raises(ConfigurationError, match="zero_mean"):
+        il.LevelFunction(n=0, values=np.array([1e5 + 1, -1e5]), zero_mean=True)
+    with pytest.raises(ConfigurationError, match="zero_mean"):
+        il.LevelFunction(n=0, values=np.array([1e5 + 1, -1e5]), zero_mean=True, scale=1e5)
+    assert il.LevelFunction(n=0, values=np.array([1e5, -1e5]), zero_mean=True).zero_mean
 
 
 def test_decay_requires_three_stages(trit_word, trit_labels):
