@@ -363,6 +363,7 @@ def _parse_qs(args) -> list[int]:
     if args.qs is not None:
         return _counts("--qs", args.qs, args.force)
     refuse_above("--q (copies per stage)", args.q, MAX_SYMBOLS, args.force)
+    refuse_above("--depth (stages of --q copies)", args.depth, MAX_SYMBOLS, args.force)
     return [args.q] * args.depth
 
 
@@ -428,7 +429,7 @@ _OPTIONS = {
     "--force": dict(action="store_true",
                     help="lift the symbol, grid-point and dense-evaluation size limits"),
     "--overwrite": dict(action="store_true", help="allow replacing existing outputs"),
-    "--depth": dict(type=int, help="number of stages"),
+    "--depth": dict(type=_int_from(0), help="number of stages (>= 0)"),
     "--q": dict(type=int, help="copies per stage (with --depth)"),
     "--qs": dict(help="comma list of per-stage copy counts"),
     "--seed-word": dict(help="seed word text"),
@@ -826,16 +827,22 @@ def _cmd_rank(out_dir: Path, args) -> tuple[str | None, str | None]:
     return sh, f"rectangle area {float(cert.area):.6f}"
 
 
+def _pool_size(args) -> int:
+    """Workers of the ensemble's pool, and so its concurrent tasks: at most
+    ``--threads``, the seeds and the usable CPUs."""
+    return min(args.threads, args.seeds, _usable_cpus())
+
+
 def _price_fan_out(args, positions: int, what: str) -> None:
-    """Refuse, before any draw, ``min(--threads, --seeds)`` tasks of ``positions``
-    each running at once above ``MAX_SYMBOLS``."""
-    tasks = min(args.threads, args.seeds)
+    """Refuse, before any draw, ``_pool_size`` tasks of ``positions`` each
+    running at once above ``MAX_SYMBOLS``."""
+    tasks = _pool_size(args)
     refuse_above(f"{what} x {tasks} concurrent tasks", tasks * positions, MAX_SYMBOLS, args.force)
 
 
-def _fan_out(task, seeds: list[int], threads: int) -> list:
-    """``task(seed)`` for every seed on a pool of ``threads`` workers, in seed order."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+def _fan_out(task, seeds: list[int], args) -> list:
+    """``task(seed)`` for every seed on a pool of ``_pool_size`` workers, in seed order."""
+    with ThreadPoolExecutor(max_workers=_pool_size(args)) as pool:
         return list(pool.map(task, seeds))
 
 
@@ -858,7 +865,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
                 out.append((seed, "", q, dev))
             return out
 
-        rows = [row for chunk in _fan_out(run_jump, seeds, args.threads) for row in chunk]
+        rows = [row for chunk in _fan_out(run_jump, seeds, args) for row in chunk]
         _write_csv(out_dir / "ensemble.csv",
                    ["seed", "schedule_hash", "q", "jump_deviation"], rows)
         medians = {
@@ -882,7 +889,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
             )
             return (seed, words_mod.schedule_hash(sch), profile.slope)
 
-        results = _fan_out(run_decay, seeds, args.threads)
+        results = _fan_out(run_decay, seeds, args)
         _write_csv(out_dir / "ensemble.csv",
                    ["seed", "schedule_hash", "slope"], results)
         median_slope = float(np.median([r[2] for r in results]))
@@ -895,7 +902,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
     qs = _parse_qs(args)
     seed_word = _seed_word_from_args(args, "012", None)
     _price_fan_out(args, seed_word.h * math.prod(qs[:args.diag_depth]),
-                   f"h_{args.diag_depth} (far-half arrays f, g and the far mask)")
+                   f"h_{args.diag_depth} (positions of the far-half sums)")
 
     def run_simplicity(seed: int) -> tuple:
         sch = words_mod.random_schedule(qs, seed, seed_word)
@@ -903,7 +910,7 @@ def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
         return (seed, words_mod.schedule_hash(sch), rep.fg_ratio, rep.g_ratio,
                 rep.uv_ratio, rep.fv_ratio, rep.uv_norm_gap)
 
-    results = _fan_out(run_simplicity, seeds, args.threads)
+    results = _fan_out(run_simplicity, seeds, args)
     _write_csv(out_dir / "ensemble.csv",
                ["seed", "schedule_hash", "fg_ratio", "g_ratio", "uv_ratio", "fv_ratio",
                 "uv_norm_gap"], results)

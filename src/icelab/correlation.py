@@ -14,8 +14,9 @@ f_(n)(j) * T^j b_n`` where ``b_n`` is the indicator of the base level.  The
 remainder splits as ``g = f - u + v`` with ``u`` the restriction of ``f`` to
 the far half of the signed-level chart; the report carries all seven inner
 products of the decomposition.  ``f``, the far mask and ``g`` are tables on
-``W_{n+1}`` carried up to ``W_N`` by the concatenation that builds the words,
-with ``g`` scattered again only near the junctions between copies.
+``W_{n+1}`` carried up to ``W_{N-1}`` by the concatenation that builds the
+words and read block by block through the last stage's window, with ``g``
+scattered again only near the junctions between copies.
 ``|u|^2 = |v|^2`` while every stage-``n`` copy is intact;
 ``severed_copy_imbalance`` accounts exactly, at any depth, for the gap that
 the copies severed by deeper stages' rotations leave, by telescoping window
@@ -35,7 +36,7 @@ import numpy as np
 
 from .dynamics import project_positions
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import Schedule, Word, build_word, concat_stage, concat_stages
+from .words import Schedule, Stage, Word, build_word, concat_stage
 
 #: Values per ``np.vdot`` in ``_block_sums``: at most OpenBLAS's threading
 #: threshold (about 10,000), so no product is split across threads.
@@ -61,9 +62,13 @@ _QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 #: stay in a core's cache across the block's ``h_n`` passes.
 _RETURN_BLOCK = 4096
 
-#: Row positions per block of ``_patch_junctions``: 64 Ki positions hold
-#: about 2 MB of positions and returns.
+#: Positions per batch of ``_patch_junctions``: its rows hold at most 64 Ki
+#: positions or one row (64 Ki hold about 2 MB of positions and returns), and
+#: they read a span of at most 64 Ki positions plus one row.
 _JUNCTION_BLOCK = 2**16
+
+#: One unrotated copy: ``concat_stage`` through it is the identity.
+_ONE_COPY = Stage(1, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +134,18 @@ def lift(
     return LevelFunction(n=n, values=values, zero_mean=zero_mean, scale=scale)
 
 
-def _lifted_values(labels: Mapping[str, complex], word: Word,
-                   zero_mean: bool) -> tuple[np.ndarray, float]:
+def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool,
+                   stage: Stage = _ONE_COPY) -> tuple[np.ndarray, float]:
     """The values ``lift`` wraps, as a fresh writable array the caller owns,
-    and the largest real or imaginary part of the labels lifted."""
+    and the largest real or imaginary part of the labels lifted.
+
+    The lift is that of ``concat_stage(word.symbols, stage, spacer)``: of
+    ``word`` itself by default, or of the word a pure ``stage`` builds on it,
+    which is never built.  Its symbols are read ``_PRODUCT_CHUNK`` at a time
+    through ``concat_stage``'s window, and the mean is taken over the whole
+    lift as ``np.mean`` takes it.  Where spacers occur, the mean is that of
+    the values off the spacers, gathered in order, and spacers stay +0.0.
+    """
     alpha = word.alphabet
     spacer = alpha.spacer_index
     table = np.zeros(len(alpha.symbols), dtype=np.complex128)
@@ -144,20 +157,34 @@ def _lifted_values(labels: Mapping[str, complex], word: Word,
     if spacer is not None:
         table[spacer] = 0.0
         labelled[spacer] = True
-    present = np.flatnonzero(np.bincount(word.symbols, minlength=len(alpha.symbols)))
+    counts = np.bincount(word.symbols, minlength=len(alpha.symbols))
+    present = np.flatnonzero(counts)
     missing = [alpha.symbols[i] for i in present if not labelled[i]]
     if missing:
         raise ConfigurationError(f"labels missing for symbols {missing!r}")
-    values = table[word.symbols]
+    h = stage.q * word.h + stage.total_spacers
+    windows = _spans(h, _PRODUCT_CHUNK)
+    symbols = np.empty(min(h, _PRODUCT_CHUNK), dtype=word.symbols.dtype)
+
+    def read(r: slice) -> np.ndarray:
+        hi = min(r.stop, h)
+        return concat_stage(word.symbols, stage, spacer, r.start, hi, symbols[:hi - r.start])
+
+    values = np.empty(h, dtype=np.complex128)
+    for r in windows:
+        np.take(table, read(r), out=values[r], mode="clip")  # unbuffered; no index clips
     parts = table[present].view(np.float64)
     scale = float(max(parts.max(), -parts.min()))
     if zero_mean:
-        if spacer is None:
+        if spacer is None or not (counts[spacer] or stage.total_spacers):
             values -= values.mean()
         else:
-            mask = word.symbols != spacer
-            if mask.any():
-                values = np.where(mask, values - values[mask].mean(), 0.0)
+            kept = np.concatenate([values[r][read(r) != spacer] for r in windows])
+            if kept.size:
+                mean = kept.mean()
+                del kept
+                for r in windows:
+                    np.subtract(values[r], mean, out=values[r], where=read(r) != spacer)
     return values, scale
 
 
@@ -340,15 +367,16 @@ def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.nda
 
 
 def _lifted_series(labels: Mapping[str, complex], words: list, n: int, zero_mean: bool,
-                   drop: bool = False) -> np.ndarray:
-    """The autocorrelation series of the lift of ``words[n]``, computed in the lift.
+                   drop: bool = False, stage: Stage = _ONE_COPY) -> np.ndarray:
+    """The autocorrelation series of the lift of ``words[n]``, or of the word
+    ``stage`` builds on it (``_lifted_values``), computed in the lift.
 
     The lift is a buffer this call owns: with ``zero_mean`` it is checked as
     ``LevelFunction`` would check it, then ``_correlate_owned`` transforms it
     in place, so no copy of it is alive beside the transform.  With ``drop``,
     ``words[n]`` is set to None once lifted, so the word is not alive then either.
     """
-    buf, scale = _lifted_values(labels, words[n], zero_mean)
+    buf, scale = _lifted_values(labels, words[n], zero_mean, stage)
     if drop:
         words[n] = None
     if zero_mean:
@@ -444,6 +472,38 @@ class DecayProfile:
     predicted_ratios: tuple[float, ...]
 
 
+def _central_decay(n: int, series: np.ndarray) -> StageDecay:
+    """Statistics of ``|series|`` over ``[h/4, 3h/4]``, taken in the memory of
+    ``series``, which they overwrite.
+
+    The values are those of ``np.abs`` of the window, ``np.mean`` of its
+    squares, its ``max`` and its ``np.median``, bit for bit.  The ``L``
+    magnitudes are written in forward blocks of ``_PRODUCT_CHUNK``, each
+    through a fresh temporary, on floats ``0 .. L - 1`` of the series' float
+    view: magnitude ``j`` lands in series value ``j // 2``, which is at most
+    ``h/4 + j`` and so already read.  The squares follow on floats ``L ..
+    2L - 1`` (``2L <= 2h``), and the median partitions the magnitudes in
+    place (``np.median``'s ``overwrite_input``, NaN rule included).
+    """
+    h = series.size
+    lo = h // 4
+    size = 3 * h // 4 + 1 - lo
+    floats = series.view(np.float64)
+    mags, squares = floats[:size], floats[size: 2 * size]
+    for j in range(0, size, _PRODUCT_CHUNK):
+        k = min(j + _PRODUCT_CHUNK, size)
+        mags[j:k] = np.abs(series[lo + j: lo + k])
+    mean_square = np.mean(np.square(mags, out=squares))
+    return StageDecay(
+        n=n,
+        h=h,
+        max=float(mags.max()),
+        median=float(np.median(mags, overwrite_input=True)),
+        rms=float(np.sqrt(mean_square)),
+        variance=float(mean_square),
+    )
+
+
 def decay_profile(
     schedule: Schedule,
     labels: Mapping[str, complex],
@@ -461,8 +521,12 @@ def decay_profile(
 
     Each stage's lift is a buffer that ``_lifted_series`` owns: it is checked
     to be zero-mean as ``LevelFunction`` would check it, then transformed in
-    place into the correlation series, and ``W_n`` is dropped once it is lifted.
-    So at most one length-``h_n`` complex array is alive at a time.
+    place into the correlation series, and ``W_n`` is dropped once it is
+    lifted.  Words are built up to ``W_{n_hi - 1}`` only: the lift of
+    ``W_{n_hi}`` is gathered from it through the last stage's window
+    (``_lifted_values``).  The statistics are taken in the series' own
+    memory (``_central_decay``), and each series is released before the
+    next lift, so one length-``h_n`` complex array is alive at a time.
     """
     if n_hi - n_lo + 1 < 3:
         raise ConfigurationError("decay fit needs at least 3 stages")
@@ -474,23 +538,14 @@ def decay_profile(
     if statistic not in ("max", "median", "rms"):
         raise ConfigurationError(f"unknown statistic {statistic!r}")
 
-    words = build_word(schedule, n_hi, force=force)
+    refuse_above(f"h_{n_hi} (word symbols)", schedule.height(n_hi), MAX_SYMBOLS, force)
+    last = n_hi - 1
+    words = build_word(schedule, last, force=force)
     rows = []
-    for n in range(n_lo, n_hi + 1):
-        series = _lifted_series(labels, words, n, zero_mean=True, drop=True)
-        h = series.size
-        sel = np.abs(series[h // 4: 3 * h // 4 + 1])
-        mean_square = np.mean(sel**2)
-        rows.append(
-            StageDecay(
-                n=n,
-                h=h,
-                max=float(sel.max()),
-                median=float(np.median(sel)),
-                rms=float(np.sqrt(mean_square)),
-                variance=float(mean_square),
-            )
-        )
+    for n in range(n_lo, n_hi):  # W_{n_hi - 1} is kept for the last stage's window
+        rows.append(_central_decay(n, _lifted_series(labels, words, n, True, drop=n < last)))
+    rows.append(_central_decay(n_hi, _lifted_series(labels, words, last, True, drop=True,
+                                                    stage=schedule.stages[last])))
 
     stat = np.array([getattr(r, statistic) for r in rows])
     logh = np.log([r.h for r in rows])
@@ -653,15 +708,16 @@ def simplicity_diagnostic(
     before any length-``h_N`` work).  ``depth = n`` returns
     the degenerate exact report (``g = f``, ``u = v = 0``).
 
-    ``f``, the far mask and ``g`` are carried up from tables on ``W_{n+1}``
-    (``_far_half_arrays``); no coordinate array is built.  The sums are taken
-    with two complex arrays of length ``h_N`` alive: ``g`` becomes ``v`` and
-    ``f`` becomes ``u``, one block at a time, and ``_block_sums`` adds up the
-    seven products of the blocks.
+    ``f``, the far mask and ``g`` are tables on ``W_{depth-1}``, carried up
+    from ``W_{n+1}`` and read one ``_VDOT_BLOCK`` block at a time through the
+    last stage's window (``_far_half_windows``); no coordinate array and no
+    length-``h_N`` array is built.  In each block ``g`` becomes ``v`` and
+    ``f`` becomes ``u``, and ``_block_sums`` adds up the seven products of
+    the blocks.
     """
     h = _check_far_half(schedule, n, depth)
     h_N = schedule.height(depth)
-    refuse_above(f"h_{depth} (far-half arrays f, g and the far mask)", h_N, MAX_SYMBOLS, force)
+    refuse_above(f"h_{depth} (positions of the far-half sums)", h_N, MAX_SYMBOLS, force)
     fn = _far_half_base_function(schedule, labels, n, force)
     if depth == n:
         f2_level = float(np.mean(np.abs(fn) ** 2))
@@ -671,7 +727,7 @@ def simplicity_diagnostic(
             u2=0.0, v2=0.0, uv=0j, fv=0j,
         )
 
-    f, far, g = _far_half_arrays(schedule, n, depth, fn)
+    window = _far_half_windows(schedule, n, depth, fn)
 
     def block(lo: int, hi: int) -> tuple:
         # v = (g - f) + u is formed in g and u in f, each sum taken while its
@@ -679,7 +735,7 @@ def simplicity_diagnostic(
         # exact negation of f - g, so |g - f|^2 is |f - g|^2; and g starts at
         # +0.0 and only adds, so g - f holds no -0.0 and adding f only where
         # far adds u = f*[far] bit for bit.
-        f_b, g_b, far_b = f[lo:hi], g[lo:hi], far[lo:hi]
+        f_b, far_b, g_b = window(lo, min(hi, h_N))
         f2, g2 = np.vdot(f_b, f_b), np.vdot(g_b, g_b)
         v = np.subtract(g_b, f_b, out=g_b)
         fg_diff2 = np.vdot(v, v)
@@ -705,60 +761,97 @@ def simplicity_diagnostic(
     )
 
 
-def _far_half_arrays(
-    schedule: Schedule, n: int, depth: int, fn: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``f``, the far mask and ``g`` on ``W_depth``, each a table on ``W_{n+1}``
-    carried up by ``concat_stage`` through stages ``n+1 .. depth-1``.
+def _far_half_windows(schedule: Schedule, n: int, depth: int, fn: np.ndarray):
+    """``window(lo, hi)``: ``f``, the far mask and ``g`` on positions ``lo:hi``
+    of ``W_depth`` (``hi - lo <= _VDOT_BLOCK``), in buffers that the function
+    owns and reuses.
 
-    With ``chart = signed_levels(schedule, n)`` and ``w = (h_n - 1)/2`` the
-    tables are ``fn[chart]`` (negative levels wrap to their plain level), the
-    far mask ``|chart| > w`` and ``g`` of the cyclic ``W_{n+1}``, scattered by
-    ``_base_returns`` from its bases (``chart == 0``).  Concatenation only
-    copies, so ``f`` and the far mask are the tables read at the
-    level-``(n+1)`` coordinates, bit for bit.  ``g`` is carried one stage at
-    a time with the base mask.  If it is ``g`` of the cyclic ``W_m``, its
-    copies in ``W_{m+1}`` are ``g`` of the cyclic ``W_{m+1}`` at every
-    position whose window ``[p - w, p + w]`` stays inside one copy: inside a
-    copy every step is a step of the cyclic ``W_m``, so the window reads the
-    same bases at the same offsets ``j``, and ``_base_returns`` adds them in
-    ascending ``j`` on both cycles.  The positions within ``w`` of a junction
-    between copies are scattered again (``_patch_junctions``).
+    With ``chart = signed_levels(schedule, n)`` and ``w = (h_n - 1)/2`` they
+    come from tables on ``W_{n+1}``: ``fn[chart]`` (negative levels wrap to
+    their plain level), the far mask ``|chart| > w`` and ``g`` of the cyclic
+    ``W_{n+1}``, scattered by ``_base_returns`` from its bases (``chart ==
+    0``).  The tables and the base mask are carried up by ``concat_stage``
+    through stages ``n+1 .. depth-2``, and the window reads the last stage's
+    concatenation of them without building it (at ``depth = n + 1`` it reads
+    ``W_{n+1}`` through ``_ONE_COPY``).  Concatenation only copies, so ``f``
+    and the far mask are the tables read at the level-``(n+1)`` coordinates,
+    bit for bit.  If ``g`` is ``g`` of the cyclic ``W_m``, its copies in
+    ``W_{m+1}`` are ``g`` of the cyclic ``W_{m+1}`` at every position whose
+    window ``[p - w, p + w]`` stays inside one copy: inside a copy every step
+    is a step of the cyclic ``W_m``, so the window reads the same bases at the
+    same offsets ``j``, and ``_base_returns`` adds them in ascending ``j`` on
+    both cycles.  The positions within ``w`` of a junction between copies are
+    scattered again (``_patch_junctions``): after each carried stage over the
+    whole table, and in each window over the last stage's junctions inside it.
 
-    ``g`` is carried up and patched first, so the base mask is gone before
-    ``f`` exists: at most two complex arrays of length ``h_N``, one of
-    length ``h_{depth-1}`` and the masks are alive at once.
+    So two complex tables and two masks of length ``h_{depth-1}`` and one
+    block are alive; nothing has length ``h_N``.
     """
     w = (fn.size - 1) // 2
-    stages = schedule.stages[n + 1: depth]
+    *stages, top = schedule.stages[n + 1: depth] or [_ONE_COPY]
     chart = signed_levels(schedule, n)
     base = chart == 0
     g = _base_returns(np.flatnonzero(base), chart.size, fn)
+    f, far = fn[chart], np.abs(chart) > w
+    del chart
     for st in stages:
-        h = g.size
-        g, base = concat_stage(g, st, None), concat_stage(base, st, None)
-        _patch_junctions(g, np.arange(0, g.size, h), base, fn)
-    del base
-    f = concat_stages(fn[chart], stages)
-    far = concat_stages(np.abs(chart) > w, stages)
-    return f, far, g
+        g = concat_stage(g, st, None)
+        _patch_junctions(g, 0, base, st, fn)
+        f, far, base = (concat_stage(x, st, None) for x in (f, far, base))
+    tables = (f, far, g)
+    buffers = [np.empty(_VDOT_BLOCK, dtype=x.dtype) for x in tables]
+
+    def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        f_b, far_b, g_b = (concat_stage(x, top, None, lo, hi, out[:hi - lo])
+                           for x, out in zip(tables, buffers))
+        _patch_junctions(g_b, lo, base, top, fn)
+        return f_b, far_b, g_b
+
+    return window
 
 
-def _patch_junctions(g: np.ndarray, starts: np.ndarray, base: np.ndarray, fn: np.ndarray) -> None:
-    """Scatter ``g`` again, in place, at the positions whose window crosses a
-    junction between copies: ``p - c in [-w, w)`` for each copy start ``c``.
+def _patch_junctions(g: np.ndarray, lo: int, base: np.ndarray, stage: Stage,
+                     fn: np.ndarray) -> None:
+    """Scatter ``g`` again, in place, where it holds positions ``lo : lo +
+    g.size`` of the concatenation by the pure ``stage`` of a cycle whose base
+    mask is ``base``: at the positions whose window crosses a junction between
+    copies, ``p - c in [-w, w)`` for a copy start ``c`` (the cycle's end,
+    ``c = size``, too).
 
     They are the cores of the rows of ``4w`` positions centred on the starts
-    (``_window_rows``), whose bases are read from ``base``, the base mask of
-    the same cycle.  Rows that overlap write the same values.  The starts are
-    taken ``_JUNCTION_BLOCK // 4w`` at a time, so the patch's memory stays
-    bounded however many copies there are.
+    (``_window_rows``), whose bases are read from ``base`` through
+    ``concat_stage``'s window; cores outside ``g`` are dropped.  Rows that
+    overlap write the same values.  The starts are taken ``_JUNCTION_BLOCK //
+    max(h, 4w)`` at a time (at least one), so a batch's rows and the span of
+    positions they read stay bounded however many copies there are.
     """
     w = (fn.size - 1) // 2
-    rows = max(1, _JUNCTION_BLOCK // max(4 * w, 1))
-    for lo in range(0, starts.size, rows):
-        pos = _window_rows(starts[lo: lo + rows], w, g.size)
-        g[pos[:, w: 3 * w]] = _core_returns(base[pos], fn)
+    h = base.size
+    hi = lo + g.size
+    starts = h * np.arange(max((lo - w) // h + 1, 0), min((hi + w - 1) // h, stage.q) + 1)
+    batch = max(1, _JUNCTION_BLOCK // max(h, 4 * w))
+    for i in range(0, starts.size, batch):
+        c = starts[i: i + batch]
+        first = int(c[0]) - 2 * w
+        span = _cyclic_window(base, stage, first, int(c[-1]) + 2 * w)
+        rows = _window_rows(c - first, w, span.size)
+        core = rows[:, w: 3 * w] + (first - lo)
+        inside = (core >= 0) & (core < g.size)
+        g[core[inside]] = _core_returns(span[rows], fn)[inside]
+
+
+def _cyclic_window(table: np.ndarray, stage: Stage, lo: int, hi: int) -> np.ndarray:
+    """Positions ``lo .. hi - 1``, taken mod its length, of the concatenation
+    of ``table`` by the pure ``stage``, read through ``concat_stage``'s window."""
+    size = stage.q * table.size
+    out = np.empty(hi - lo, dtype=table.dtype)
+    p = lo
+    while p < hi:
+        start = p % size
+        end = min(size, start + hi - p)
+        concat_stage(table, stage, None, start, end, out[p - lo: p - lo + end - start])
+        p += end - start
+    return out
 
 
 def severed_copy_imbalance(

@@ -265,28 +265,68 @@ def rotate(word: Word, alpha: int) -> Word:
     return Word(word.alphabet, np.roll(word.symbols, -alpha))
 
 
-def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None) -> np.ndarray:
+def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None, lo: int = 0,
+                 hi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Apply one stage to an index array: concatenate rotated copies with fill runs.
 
     Result = ``rot(A, a_0) f^{s_0} rot(A, a_1) f^{s_1} ... rot(A, a_{q-1}) f^{s_{q-1}}``
     where ``f`` is ``fill`` (read only when the stage has spacers).  Rotations
-    are reduced mod ``len(arr)`` here, at application time, all at once, and
-    read as Python ints.  Words are this loop on symbol arrays with the spacer
-    symbol as fill; level-``n`` coordinates are this loop on ``arange(h_n)``
-    with the dynamics' spacer mark as fill.  Each copy and run is written
-    straight into the result.
+    are reduced mod ``len(arr)`` here, at application time, and read as
+    Python ints.  Words are this loop on symbol arrays with the spacer symbol
+    as fill; level-``n`` coordinates are this loop on ``arange(h_n)`` with the
+    dynamics' spacer mark as fill.
+
+    Only positions ``lo:hi`` of the result are written (default: all of
+    them), into ``out`` when it is given (``hi - lo`` values), which is
+    returned: a window of a concatenation that is never built.  The loop
+    visits the copies whose span meets the window and writes each copy's two
+    pieces, ``A[a:]`` then ``A[:a]``, and its run; only the first and the last
+    copy are cut to the window (``_put_copy``).
     """
     h = arr.size
-    out = np.empty(stage.q * h + stage.total_spacers, dtype=arr.dtype)
-    pos = 0
-    for a, s in zip((stage.rotations % h).tolist(), stage.spacers.tolist()):
+    size = stage.q * h + stage.total_spacers
+    hi = size if hi is None else hi
+    out = np.empty(hi - lo, dtype=arr.dtype) if out is None else out
+    if stage.pure:
+        first, stop = lo // h, -(-hi // h)
+        start = first * h
+    else:
+        first, stop, start = 0, stage.q, 0
+        if lo or hi < size:  # the copies whose span (copy and run) meets the window
+            ends = np.cumsum(stage.spacers + h)
+            first, last = np.searchsorted(ends, (lo, hi - 1), "right").tolist()
+            start, stop = (int(ends[first - 1]) if first else 0), min(last + 1, stage.q)
+    rotations = (stage.rotations[first:stop] % h).tolist()
+    spacers = stage.spacers[first:stop].tolist()
+    if not rotations:
+        return out
+    # The window can cut only its first and last copy: those between are whole.
+    pos = _put_copy(out, arr, start - lo, rotations[0], spacers[0], fill)
+    for a, s in zip(rotations[1:-1], spacers[1:-1]):
         out[pos: pos + h - a] = arr[a:]
         out[pos + h - a: pos + h] = arr[:a]
         pos += h
         if s:
             out[pos: pos + s] = fill
             pos += s
+    if len(rotations) > 1:
+        _put_copy(out, arr, pos, rotations[-1], spacers[-1], fill)
     return out
+
+
+def _put_copy(out: np.ndarray, arr: np.ndarray, pos: int, a: int, s: int, fill) -> int:
+    """Write ``rot(arr, a)`` and a run of ``s`` fills from offset ``pos`` of
+    ``out``, cut to ``out``, and return the offset after them.  The run must
+    end after offset 0, as the span of any copy a window visits does."""
+    h, n = arr.size, out.size
+    t1 = min(h, n - pos)  # the copy's offsets t0 <= t < t1 lie in out; arr[a:] holds those below h - a
+    t0 = min(max(-pos, 0), t1)
+    m = min(max(h - a, t0), t1)
+    out[pos + t0: pos + m] = arr[a + t0: a + m]
+    out[pos + m: pos + t1] = arr[m - h + a: t1 - h + a]
+    if s:
+        out[max(pos + h, 0): min(pos + h + s, n)] = fill
+    return pos + h + s
 
 
 def concat_stages(arr: np.ndarray, stages: Sequence[Stage], fill: int | None = None) -> np.ndarray:

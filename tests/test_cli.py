@@ -676,16 +676,30 @@ def test_ensemble_threads_below_one_exits_2_before_out_is_created(threads, tmp_p
     ["rank", "--family", "morse", "--r", "2", "--depth", "0"],
     ["geometry", "--family", "random", "--seed", "1", "--q", "2", "--depth", "2",
      "--body-base", "-1", "--body-depth", "1"],
+    ["geometry", "--family", "random", "--seed", "1", "--q", "2", "--depth", "-3"],
 ], ids=["q-list-below-1", "line-not-a-number", "riesz-line-not-a-number", "line-points",
         "negative-seed", "negative-base-seed", "rank-stage-past-depth", "rank-stage-negative",
-        "rank-depth-0", "body-base-negative"])
+        "rank-depth-0", "body-base-negative", "negative-depth"])
 def test_bad_value_exits_2_with_out_empty(argv, tmp_path):
     # Each of these exited 1 with a traceback (numpy's "negative dimensions"
     # or "expected non-negative integer", float('x'), an IndexError) or
-    # exited 0 on a wrapped index (the last stage for -1).
+    # exited 0 on a wrapped index (the last stage for -1, a depth-0 geometry
+    # for --depth -3).
     out = tmp_path / "o"
     assert cli.run([*argv, "--out", str(out)]) == 2
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("family", ["random", "staircase"])
+def test_depth_is_priced_before_the_stage_list_exists(family, tmp_path):
+    # --depth 2^70 exited 1 with an OverflowError from [q] * depth.  It asks
+    # for 2^70 stages of --q copies, so it is refused like --q above the
+    # limit (exit 3), before the list is made.
+    out = tmp_path / "o"
+    argv = ["geometry", "--family", family, "--q", "1", "--depth", str(2**70)]
+    argv += ["--seed", "1"] if family == "random" else []
+    assert cli.run([*argv, "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
 
 
 class _FannedOut(Exception):
@@ -712,6 +726,7 @@ def test_ensemble_prices_its_concurrent_tasks_before_any_draw(task, monkeypatch,
                                                               capsys):
     options, positions = _FAN_OUT[task]
     monkeypatch.setattr(cli, "MAX_SYMBOLS", 2 * positions - 1)  # stand-in limit
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the pool is bounded by them too
     monkeypatch.setattr(cli, "_fan_out", _no_fan_out)
     argv = ["ensemble", "--task", task, "--seeds", "3", *options, "--out", str(tmp_path / "o")]
     assert cli.run([*argv, "--threads", "2"]) == 3
@@ -724,6 +739,49 @@ def test_ensemble_prices_its_concurrent_tasks_before_any_draw(task, monkeypatch,
                   ["--threads", "2", "--force"]):
         with pytest.raises(_FannedOut):
             cli.run([*argv, *extra])
+
+
+class _SerialPool:
+    """Stand-in for ``cli.ThreadPoolExecutor``: records ``max_workers`` and
+    runs the tasks one after another in the calling thread, starting none."""
+
+    opened: list = []  # each test sets a fresh list
+
+    def __init__(self, max_workers):
+        _SerialPool.opened.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("threads, seeds, cpus, workers", [
+    (10**6, 3, 2, 2), (10**6, 3, 64, 3), (1, 3, 64, 1), (4, 8, 2, 2), (2, 8, 64, 2),
+])
+def test_ensemble_pool_is_bounded_by_the_seeds_and_the_cpus(threads, seeds, cpus, workers,
+                                                            monkeypatch, tmp_path, capsys):
+    # --threads 10^6 asks for a million OS threads.  No thread is started
+    # here: the spy pool records the count it is opened with and runs the
+    # tasks serially.  The pool opens min(--threads, --seeds, usable CPUs)
+    # workers, and the price counts the same number of concurrent tasks.
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "opened", [])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    argv = ["ensemble", "--task", "jumps", "--seeds", str(seeds), "--threads", str(threads),
+            "--h", "16", "--q-list", "4,8"]
+    monkeypatch.setattr(cli, "MAX_SYMBOLS", 8 * workers)  # stand-in limit: admitted
+    assert cli.run([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert _SerialPool.opened == [workers]
+    if workers > 1:  # one worker: the --q-list entry of 8 is refused first
+        monkeypatch.setattr(cli, "MAX_SYMBOLS", 8 * workers - 1)
+        assert cli.run([*argv, "--out", str(tmp_path / "r")]) == 3
+        assert f"x {workers} concurrent tasks = {8 * workers} >" in capsys.readouterr().err
+        assert _SerialPool.opened == [workers]
 
 
 def test_benchmark_ensemble_is_admitted(monkeypatch, tmp_path):
@@ -1309,14 +1367,14 @@ def test_csv_writer_workers_stay_within_the_recorded_peak(tmp_path):
 
 @linux_only
 def test_simplicity_peak_rss_per_symbol(tmp_path):
-    # h_N = 2,204,496.  The bound is two complex arrays of length h_N (f and
-    # g, 16 B each per symbol) plus 8 B, once one int64 coordinate array: 40 B
-    # per symbol above a bare import.  Measured on a 2-core Linux box (Python
-    # 3.11, numpy 2.4): the manifest read 35.6 B per symbol above the 35.0 MB
-    # of `import icelab.cli`.  The peak is f carried up through the last
-    # stage (q = 7) while g exists: f, g and the 16/7 B of f on W_3.  Gathering
-    # f, the far mask and the bases through the int64 level-(n+1) coordinates
-    # read 35.8 B, and a third complex array (u formed out of place) 51.7 B.
+    # h_N = 2,204,496.  No array of length h_N exists: f, g, the far mask and
+    # the base mask are tables on W_3 (34 B per W_3 position, 34/7 = 4.9 B
+    # per h_N symbol), read in blocks of 8,192 positions through the last
+    # stage's window.  Measured on a 2-core Linux box (Python 3.11, numpy
+    # 2.4): the manifest read 6.1-6.2 B per symbol above the 35.7 MB of
+    # `import icelab.cli`.  Building f and g (16 B per symbol each) and the
+    # far mask over all of h_N read 35.6 B, gathering them through the int64
+    # level-(n+1) coordinates 35.8 B, and a third complex array 51.7 B.
     argv = ["simplicity", "--family", "random", "--qs", "9,729,16,7", "--seed", "5",
             "--seed-word", "012", "--alphabet", "012",
             "--labels", "0=1,1=-0.5+0.8660254037844386j,2=-0.5-0.8660254037844386j",
@@ -1325,26 +1383,28 @@ def test_simplicity_peak_rss_per_symbol(tmp_path):
     _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
     per_symbol = (manifest["peak_rss_mb"] * 2**20 - bare) / (3 * 9 * 729 * 16 * 7)
-    assert per_symbol < 16 + 16 + 8, f"{per_symbol:.1f} B per symbol"
+    assert per_symbol < 10, f"{per_symbol:.1f} B per symbol"
 
 
 @linux_only
 def test_decay_peak_rss_per_symbol(tmp_path):
     # h_N = 2^21.  Each stage's lift (16 B per symbol) is transformed in
     # place in blocks of 2^16 values, so the transform adds no length-h_N
-    # scratch.  The peak comes after it: the series (16 B), the magnitudes of
-    # its central half (4 B) and one temporary of their statistics (4 B),
-    # 24 B per symbol by tracemalloc.  Measured on a 2-core Linux box (Python
-    # 3.11, numpy 2.4): 27.7-27.9 B per symbol above a bare import; numpy's
-    # 1-d FFT, with about two complex arrays of scratch, read 51.2, and the
-    # lift, its transform and the words all alive through the forward FFT 71.
+    # scratch; the lift of W_3 is gathered through the last stage's window
+    # from W_2, so W_3's symbols are never built; and the statistics are
+    # taken in the series' own memory.  Measured on a 2-core Linux box
+    # (Python 3.11, numpy 2.4): 19.4-19.6 B per symbol above a bare import.
+    # The magnitudes of the central half and a temporary of their statistics
+    # beside the series read 27.7-27.9, numpy's 1-d FFT, with about two
+    # complex arrays of scratch, 51.2, and the lift, its transform and the
+    # words all alive through the forward FFT 71.
     argv = ["decay", "--family", "random", "--qs", "64,64,32", "--seed", "5",
             "--seed-word", "0123" * 4, "--alphabet", "0123", "--labels", "0=1,1=1j,2=-1,3=-1j",
             "--from-stage", "0", "--to-stage", "3", "--out", str(tmp_path / "o")]
     bare = _peak_rss_bytes("import icelab.cli")
     run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     per_symbol = (run - bare) / (16 * 64 * 64 * 32)
-    assert per_symbol < 32, f"{per_symbol:.1f} B per symbol"
+    assert per_symbol < 24, f"{per_symbol:.1f} B per symbol"
 
 
 @linux_only

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import icelab as il
 from icelab import correlation as corr
@@ -358,6 +359,27 @@ def test_decay_large_h_matches_two_transform_reference():
     assert repr(prof.slope) == repr(slope)
 
 
+@pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7, 1000, 1001, 2**19, 2**19 + 3])
+def test_decay_statistics_in_place_equal_numpy(h):
+    # _central_decay overwrites the series with the magnitudes of its central
+    # window and their squares; every statistic keeps the bits of np.abs,
+    # np.mean and np.median of a separate copy, over several blocks of
+    # _PRODUCT_CHUNK magnitudes at h = 2^19, and with a NaN, median's rule.
+    rng = np.random.default_rng(h)
+    scale = 10.0 ** rng.uniform(-5, 5, h)
+    series = scale * (rng.standard_normal(h) + 1j * rng.standard_normal(h))
+    cases = [series]
+    if h > 4:
+        cases.append(series.copy())
+        cases[-1][h // 2] = complex(np.nan, 1.0)
+    for values in cases:
+        sel = np.abs(values[h // 4: 3 * h // 4 + 1])
+        mean_square = np.mean(sel**2)
+        ref = il.StageDecay(n=3, h=h, max=float(sel.max()), median=float(np.median(sel)),
+                            rms=float(np.sqrt(mean_square)), variance=float(mean_square))
+        assert repr(corr._central_decay(3, values.copy())) == repr(ref)
+
+
 def test_decay_checks_zero_mean_of_its_lift(monkeypatch, trit_word, trit_labels):
     # decay_profile transforms a lift it owns rather than a LevelFunction;
     # the zero-mean check still runs on it (a negative tolerance fails it).
@@ -586,7 +608,7 @@ def test_blocked_base_returns_at_the_default_block(seed):
 
 
 def _gather_and_scatter(schedule, n, depth, fn):
-    """Oracle for ``_far_half_arrays``: f, the far mask and g by gathers from
+    """Oracle for ``_far_half_windows``: f, the far mask and g by gathers from
     the signed chart at the level-(n+1) coordinates and one scatter of g over
     all of h_N, as the diagnostic computed them before the tables were
     carried up."""
@@ -607,13 +629,19 @@ def _rotated_schedule(rng, h0, qs, zeros):
     return il.Schedule(alphabet, il.word_from_text(alphabet, "01" * (h0 // 2) + "0"), stages)
 
 
-def _assert_far_half_arrays_match(sch, n, depth, seed, block=corr._JUNCTION_BLOCK):
+def _assert_far_half_windows_match(sch, n, depth, seed, width):
+    # The windows of `width` positions laid end to end over all of h_N, with
+    # the junction patch's batches bounded by the same width.
     rng = np.random.default_rng(seed)
     h = sch.height(n)
     fn = rng.standard_normal(h) + 1j * rng.standard_normal(h)
+    size = sch.height(depth)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corr, "_JUNCTION_BLOCK", block)
-        got = corr._far_half_arrays(sch, n, depth, fn)
+        mp.setattr(corr, "_JUNCTION_BLOCK", width)
+        window = corr._far_half_windows(sch, n, depth, fn)
+        blocks = [[x.copy() for x in window(lo, min(lo + width, size))]
+                  for lo in range(0, size, width)]
+    got = [np.concatenate(parts) for parts in zip(*blocks)]
     ref = _gather_and_scatter(sch, n, depth, fn)
     assert np.array_equal(got[0].view(np.int64), ref[0].view(np.int64))
     assert np.array_equal(got[1], ref[1])
@@ -626,18 +654,20 @@ _COPIES = st.lists(st.sampled_from([1, 2, 3, 5, 9]), min_size=1, max_size=4)
 
 @given(seed=st.integers(min_value=0, max_value=2**31), h0=_HEIGHTS, qs=_COPIES,
        zeros=st.sampled_from([0.0, 0.5, 1.0]), n=st.integers(min_value=0, max_value=3),
-       extra=st.integers(min_value=1, max_value=3), block=st.sampled_from([1, 64, 2**16]))
+       extra=st.integers(min_value=1, max_value=3), width=st.sampled_from([1, 64, 8192]))
 @settings(max_examples=150, deadline=None)
 def test_far_half_arrays_equal_the_gather_and_scatter_route(seed, h0, qs, zeros, n, extra,
-                                                           block):
+                                                           width):
     # q = 1 stages, zero rotations (every one at zeros = 1), depths n+1 .. n+3,
-    # h_0 = 27 under q = 1 stages, whose junction rows overlap, and patches
-    # of one row or a few rows per block.
+    # h_0 = 27 under q = 1 stages, whose junction rows overlap, and windows
+    # of one position, of a few rows and of a whole _block_sums block.  One
+    # position costs 15 us or more, so width 1 runs on cycles up to 2^12.
     rng = np.random.default_rng(seed)
     n = n % len(qs)
     sch = _rotated_schedule(rng, h0, qs, zeros)
+    assume(width > 1 or sch.height(min(len(qs), n + extra)) <= 2**12)
     if sch.height(n) % 2:
-        _assert_far_half_arrays_match(sch, n, min(len(qs), n + extra), seed, block)
+        _assert_far_half_windows_match(sch, n, min(len(qs), n + extra), seed, width)
 
 
 @pytest.mark.parametrize("rotations", [(0, 1, 2), (5, 30, 61), (20, 7, 26), (1, 28, 53)])
@@ -651,15 +681,15 @@ def test_far_half_arrays_at_jumps_closer_than_the_window(rotations):
     sch = il.Schedule(alphabet, il.word_from_text(alphabet, "01" * 13 + "0"), stages)
     x = il.project_all(il.ProjectionChain.build(sch), 1)
     assert np.diff(np.flatnonzero(~il.dynamics._plain_steps(x, 27))).min() <= 3
-    for depth in (1, 2, 3, 4):
-        _assert_far_half_arrays_match(sch, 0, depth, 7)
+    for depth, width in itertools.product((1, 2, 3, 4), (1, 64, 8192)):
+        _assert_far_half_windows_match(sch, 0, depth, 7, width)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31), h0=_HEIGHTS, qs=_COPIES,
        zeros=st.sampled_from([0.0, 0.5, 1.0]))
 @settings(max_examples=50, deadline=None)
 def test_steps_that_are_not_plain_end_a_copy(seed, h0, qs, zeros):
-    # What _far_half_arrays patches: in W_{m+1} the level-m coordinate
+    # What _far_half_windows patches: in W_{m+1} the level-m coordinate
     # advances by +1 (mod h_m) at every step but the last of a copy.
     sch = _rotated_schedule(np.random.default_rng(seed), h0, qs, zeros)
     for m in range(sch.depth):
@@ -670,8 +700,9 @@ def test_steps_that_are_not_plain_end_a_copy(seed, h0, qs, zeros):
 
 
 def test_simplicity_refusal_names_the_far_half_arrays(trit_labels, monkeypatch):
-    # MAX_SYMBOLS prices the length-h_N arrays f, g and the far mask; the
-    # diagnostic builds no coordinates.  A stand-in limit one below h_3 = 405.
+    # MAX_SYMBOLS prices the h_N positions the sums run over, although no
+    # array of that length is built: admission is unchanged.  A stand-in
+    # limit one below h_3 = 405.
     def no_lift(*args):
         raise AssertionError("lifted W_n before the guard")
 
@@ -681,7 +712,7 @@ def test_simplicity_refusal_names_the_far_half_arrays(trit_labels, monkeypatch):
         m.setattr(il.correlation, "_far_half_base_function", no_lift)
         with pytest.raises(ResourceRefusal) as exc:
             il.simplicity_diagnostic(sch, trit_labels, 1, 3)
-    assert str(exc.value) == ("h_3 (far-half arrays f, g and the far mask) = 405 > 404; "
+    assert str(exc.value) == ("h_3 (positions of the far-half sums) = 405 > 404; "
                               "pass --force to proceed")
     assert il.simplicity_diagnostic(sch, trit_labels, 1, 3, force=True).h_N == 405
     monkeypatch.setattr(il.correlation, "MAX_SYMBOLS", 405)

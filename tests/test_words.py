@@ -458,3 +458,30 @@ def test_concat_stage_equals_roll_and_concatenate(data, copies):
         got = il.words.concat_stage(arr, stage, fill)
         assert got.dtype == arr.dtype
         assert np.array_equal(got, np.concatenate(parts))
+
+
+@given(
+    data=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+    copies=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=4)),
+        min_size=1, max_size=8,
+    ),
+    cuts=st.tuples(st.integers(min_value=0, max_value=10**4),
+                   st.integers(min_value=0, max_value=10**4)),
+)
+@settings(max_examples=150, deadline=None)
+def test_concat_stage_window_equals_the_slice_of_the_whole(data, copies, cuts):
+    # Windows that are empty, start or end inside a copy or a fill run, or
+    # span many copies, written into a caller's buffer, for each dtype the
+    # library concatenates: symbols, coordinates, masks and complex tables.
+    stage = il.Stage(len(copies), tuple(a for a, _ in copies), tuple(s for _, s in copies))
+    base = np.asarray(data)
+    for arr, fill in ((base.astype(np.int32), 3), (base.astype(np.int64), il.SPACER_MARK),
+                      (base % 2 == 1, True), (base * (1 - 2j) + 0.5, 0.25 - 1j)):
+        whole = il.words.concat_stage(arr, stage, fill)
+        lo, hi = sorted(c % (whole.size + 1) for c in cuts)
+        for a, b in ((lo, hi), (lo, lo), (hi, whole.size), (0, whole.size)):
+            out = np.empty(b - a, dtype=arr.dtype)
+            got = il.words.concat_stage(arr, stage, fill, a, b, out)
+            assert got is out
+            assert got.tobytes() == whole[a:b].tobytes(), (a, b)
