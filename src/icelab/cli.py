@@ -332,17 +332,20 @@ def _int_list(option: str, text: str) -> list[int]:
 
 
 def _counts(option: str, text: str, force: bool) -> list[int]:
-    """Counts from a comma list, each refused above ``MAX_SYMBOLS`` before any work.
+    """Counts from a comma list, each checked by ``_count`` before any work.
 
     A stage of ``q`` copies draws ``q`` rotations and makes a word of at
     least ``q`` symbols; ``--exp-n n`` evaluates ``n`` frequencies per point.
     """
-    counts = _int_list(option, text)
-    for n in counts:
-        if n < 1:
-            raise ConfigurationError(f"{option} entry {n} is below 1")
-        refuse_above(f"{option} entry", n, MAX_SYMBOLS, force)
-    return counts
+    return [_count(f"{option} entry", n, force) for n in _int_list(option, text)]
+
+
+def _count(what: str, n: int, force: bool) -> int:
+    """``n``, refused below 1 and above ``MAX_SYMBOLS`` before any work."""
+    if n < 1:
+        raise ConfigurationError(f"{what} {n} is below 1")
+    refuse_above(what, n, MAX_SYMBOLS, force)
+    return n
 
 
 def _int_from(low: int):
@@ -364,6 +367,8 @@ def _parse_qs(args) -> list[int]:
         return _counts("--qs", args.qs, args.force)
     refuse_above("--q (copies per stage)", args.q, MAX_SYMBOLS, args.force)
     refuse_above("--depth (stages of --q copies)", args.depth, MAX_SYMBOLS, args.force)
+    if args.depth >= 2**63:  # forced: a list of that many stages cannot be indexed
+        raise ConfigurationError(f"--depth {args.depth} is not below 2**63 (int64)")
     return [args.q] * args.depth
 
 
@@ -847,9 +852,7 @@ def _fan_out(task, seeds: list[int], args) -> list:
 
 
 def _cmd_ensemble(out_dir: Path, args) -> tuple[str | None, str | None]:
-    seeds = [args.base_seed + i for i in range(args.seeds)]
-    if args.seeds < 1:
-        raise ConfigurationError("ensemble needs --seeds >= 1")
+    seeds = [args.base_seed + i for i in range(_count("--seeds", args.seeds, args.force))]
 
     if args.task == "jumps":
         words_mod.check_draw_height("jumps task --h", args.h)

@@ -13,10 +13,11 @@ reconstruction ``g`` from base-level returns: ``g = sum_{|j| <= (h-1)/2}
 f_(n)(j) * T^j b_n`` where ``b_n`` is the indicator of the base level.  The
 remainder splits as ``g = f - u + v`` with ``u`` the restriction of ``f`` to
 the far half of the signed-level chart; the report carries all seven inner
-products of the decomposition.  ``f``, the far mask and ``g`` are tables on
+products of the decomposition.  The signed chart and ``g`` are tables on
 ``W_{n+1}`` carried up to ``W_{N-1}`` by the concatenation that builds the
 words and read block by block through the last stage's window, with ``g``
-scattered again only near the junctions between copies.
+scattered again only near the junctions between copies; ``f`` and the far
+mask are read off each block of the chart.
 ``|u|^2 = |v|^2`` while every stage-``n`` copy is intact;
 ``severed_copy_imbalance`` accounts exactly, at any depth, for the gap that
 the copies severed by deeper stages' rotations leave, by telescoping window
@@ -36,7 +37,7 @@ import numpy as np
 
 from .dynamics import project_positions
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import Schedule, Stage, Word, build_word, concat_stage
+from .words import ONE_COPY, Schedule, Stage, Word, build_word, concat_stage, cyclic_window
 
 #: Values per ``np.vdot`` in ``_block_sums``: at most OpenBLAS's threading
 #: threshold (about 10,000), so no product is split across threads.
@@ -66,9 +67,6 @@ _RETURN_BLOCK = 4096
 #: positions or one row (64 Ki hold about 2 MB of positions and returns), and
 #: they read a span of at most 64 Ki positions plus one row.
 _JUNCTION_BLOCK = 2**16
-
-#: One unrotated copy: ``concat_stage`` through it is the identity.
-_ONE_COPY = Stage(1, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +133,7 @@ def lift(
 
 
 def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool,
-                   stage: Stage = _ONE_COPY) -> tuple[np.ndarray, float]:
+                   stage: Stage = ONE_COPY) -> tuple[np.ndarray, float]:
     """The values ``lift`` wraps, as a fresh writable array the caller owns,
     and the largest real or imaginary part of the labels lifted.
 
@@ -145,6 +143,7 @@ def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool,
     through ``concat_stage``'s window, and the mean is taken over the whole
     lift as ``np.mean`` takes it.  Where spacers occur, the mean is that of
     the values off the spacers, gathered in order, and spacers stay +0.0.
+    NaN and infinite labels are refused.
     """
     alpha = word.alphabet
     spacer = alpha.spacer_index
@@ -153,6 +152,8 @@ def _lifted_values(labels: Mapping[str, complex], word: Word, zero_mean: bool,
     for sym, val in labels.items():
         idx = alpha.index(sym)
         table[idx] = complex(val)
+        if not np.isfinite(table[idx]):
+            raise ConfigurationError(f"label of symbol {sym!r} is {val}, not a finite number")
         labelled[idx] = True
     if spacer is not None:
         table[spacer] = 0.0
@@ -367,7 +368,7 @@ def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.nda
 
 
 def _lifted_series(labels: Mapping[str, complex], words: list, n: int, zero_mean: bool,
-                   drop: bool = False, stage: Stage = _ONE_COPY) -> np.ndarray:
+                   drop: bool = False, stage: Stage = ONE_COPY) -> np.ndarray:
     """The autocorrelation series of the lift of ``words[n]``, or of the word
     ``stage`` builds on it (``_lifted_values``), computed in the lift.
 
@@ -708,12 +709,12 @@ def simplicity_diagnostic(
     before any length-``h_N`` work).  ``depth = n`` returns
     the degenerate exact report (``g = f``, ``u = v = 0``).
 
-    ``f``, the far mask and ``g`` are tables on ``W_{depth-1}``, carried up
+    The signed chart and ``g`` are tables on ``W_{depth-1}``, carried up
     from ``W_{n+1}`` and read one ``_VDOT_BLOCK`` block at a time through the
-    last stage's window (``_far_half_windows``); no coordinate array and no
-    length-``h_N`` array is built.  In each block ``g`` becomes ``v`` and
-    ``f`` becomes ``u``, and ``_block_sums`` adds up the seven products of
-    the blocks.
+    last stage's window, ``f`` and the far mask from the block's chart
+    (``_far_half_windows``); no length-``h_N`` array is built.  In each block
+    ``g`` becomes ``v`` and ``f`` becomes ``u``, and ``_block_sums`` adds up
+    the seven products of the blocks.
     """
     h = _check_far_half(schedule, n, depth)
     h_N = schedule.height(depth)
@@ -763,95 +764,76 @@ def simplicity_diagnostic(
 
 def _far_half_windows(schedule: Schedule, n: int, depth: int, fn: np.ndarray):
     """``window(lo, hi)``: ``f``, the far mask and ``g`` on positions ``lo:hi``
-    of ``W_depth`` (``hi - lo <= _VDOT_BLOCK``), in buffers that the function
-    owns and reuses.
+    of ``W_depth`` (``hi - lo <= _VDOT_BLOCK``).
 
-    With ``chart = signed_levels(schedule, n)`` and ``w = (h_n - 1)/2`` they
-    come from tables on ``W_{n+1}``: ``fn[chart]`` (negative levels wrap to
-    their plain level), the far mask ``|chart| > w`` and ``g`` of the cyclic
-    ``W_{n+1}``, scattered by ``_base_returns`` from its bases (``chart ==
-    0``).  The tables and the base mask are carried up by ``concat_stage``
-    through stages ``n+1 .. depth-2``, and the window reads the last stage's
-    concatenation of them without building it (at ``depth = n + 1`` it reads
-    ``W_{n+1}`` through ``_ONE_COPY``).  Concatenation only copies, so ``f``
-    and the far mask are the tables read at the level-``(n+1)`` coordinates,
-    bit for bit.  If ``g`` is ``g`` of the cyclic ``W_m``, its copies in
-    ``W_{m+1}`` are ``g`` of the cyclic ``W_{m+1}`` at every position whose
-    window ``[p - w, p + w]`` stays inside one copy: inside a copy every step
-    is a step of the cyclic ``W_m``, so the window reads the same bases at the
-    same offsets ``j``, and ``_base_returns`` adds them in ascending ``j`` on
-    both cycles.  The positions within ``w`` of a junction between copies are
-    scattered again (``_patch_junctions``): after each carried stage over the
-    whole table, and in each window over the last stage's junctions inside it.
+    Two tables on ``W_{n+1}`` are carried up by ``concat_stage`` through
+    stages ``n+1 .. depth-2``: ``chart = signed_levels(schedule, n)`` and
+    ``g`` of the cyclic ``W_{n+1}``, scattered by ``_base_returns`` from its
+    bases (``chart == 0``).  The window reads the last stage's concatenation
+    of them without building it (``ONE_COPY`` at ``depth = n + 1``) and, with
+    ``w = (h_n - 1)/2``, returns ``fn[c]`` (negative levels wrap to their
+    plain level), ``|c| > w`` and ``g`` for its chart ``c``: concatenation
+    only copies, so ``f`` and the far mask are those at the level-``(n+1)``
+    coordinates, bit for bit.  If ``g`` is ``g`` of the cyclic ``W_m``, its
+    copies in ``W_{m+1}`` are ``g`` of the cyclic ``W_{m+1}`` at every
+    position whose window ``[p - w, p + w]`` stays inside one copy: inside a
+    copy every step is a step of the cyclic ``W_m``, so the window reads the
+    same bases at the same offsets ``j``, and ``_base_returns`` adds them in
+    ascending ``j`` on both cycles.  The positions within ``w`` of a junction
+    between copies are scattered again (``_patch_junctions``): after each
+    carried stage over the whole table, and in each window over the last
+    stage's junctions inside it.
 
-    So two complex tables and two masks of length ``h_{depth-1}`` and one
-    block are alive; nothing has length ``h_N``.
+    So one int64 and one complex table of length ``h_{depth-1}`` (24 B per
+    position) and one block are alive; nothing has length ``h_N``.
     """
     w = (fn.size - 1) // 2
-    *stages, top = schedule.stages[n + 1: depth] or [_ONE_COPY]
+    *stages, top = schedule.stages[n + 1: depth] or [ONE_COPY]
     chart = signed_levels(schedule, n)
-    base = chart == 0
-    g = _base_returns(np.flatnonzero(base), chart.size, fn)
-    f, far = fn[chart], np.abs(chart) > w
-    del chart
+    g = _base_returns(np.flatnonzero(chart == 0), chart.size, fn)
     for st in stages:
         g = concat_stage(g, st, None)
-        _patch_junctions(g, 0, base, st, fn)
-        f, far, base = (concat_stage(x, st, None) for x in (f, far, base))
-    tables = (f, far, g)
-    buffers = [np.empty(_VDOT_BLOCK, dtype=x.dtype) for x in tables]
+        _patch_junctions(g, 0, chart, st, fn)
+        chart = concat_stage(chart, st, None)
+    c_buf, g_buf = np.empty(_VDOT_BLOCK, dtype=np.int64), np.empty(_VDOT_BLOCK, dtype=g.dtype)
 
     def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        f_b, far_b, g_b = (concat_stage(x, top, None, lo, hi, out[:hi - lo])
-                           for x, out in zip(tables, buffers))
-        _patch_junctions(g_b, lo, base, top, fn)
-        return f_b, far_b, g_b
+        c = concat_stage(chart, top, None, lo, hi, c_buf[:hi - lo])
+        g_b = concat_stage(g, top, None, lo, hi, g_buf[:hi - lo])
+        _patch_junctions(g_b, lo, chart, top, fn)
+        return fn[c], np.abs(c) > w, g_b
 
     return window
 
 
-def _patch_junctions(g: np.ndarray, lo: int, base: np.ndarray, stage: Stage,
+def _patch_junctions(g: np.ndarray, lo: int, chart: np.ndarray, stage: Stage,
                      fn: np.ndarray) -> None:
     """Scatter ``g`` again, in place, where it holds positions ``lo : lo +
-    g.size`` of the concatenation by the pure ``stage`` of a cycle whose base
-    mask is ``base``: at the positions whose window crosses a junction between
-    copies, ``p - c in [-w, w)`` for a copy start ``c`` (the cycle's end,
-    ``c = size``, too).
+    g.size`` of the concatenation by the pure ``stage`` of a cycle whose
+    signed chart is ``chart``: at the positions whose window crosses a
+    junction between copies, ``p - c in [-w, w)`` for a copy start ``c`` (the
+    cycle's end, ``c = size``, too).
 
     They are the cores of the rows of ``4w`` positions centred on the starts
-    (``_window_rows``), whose bases are read from ``base`` through
-    ``concat_stage``'s window; cores outside ``g`` are dropped.  Rows that
-    overlap write the same values.  The starts are taken ``_JUNCTION_BLOCK //
-    max(h, 4w)`` at a time (at least one), so a batch's rows and the span of
-    positions they read stay bounded however many copies there are.
+    (``_window_rows``), whose bases are read through ``cyclic_window``;
+    cores outside ``g`` are dropped.  Rows that overlap write the same values.
+    The starts are taken ``_JUNCTION_BLOCK // max(h, 4w)`` at a time (at
+    least one), so a batch's rows and the span of positions they read stay
+    bounded however many copies there are.
     """
     w = (fn.size - 1) // 2
-    h = base.size
+    h = chart.size
     hi = lo + g.size
     starts = h * np.arange(max((lo - w) // h + 1, 0), min((hi + w - 1) // h, stage.q) + 1)
     batch = max(1, _JUNCTION_BLOCK // max(h, 4 * w))
     for i in range(0, starts.size, batch):
         c = starts[i: i + batch]
         first = int(c[0]) - 2 * w
-        span = _cyclic_window(base, stage, first, int(c[-1]) + 2 * w)
+        span = cyclic_window(chart, stage, None, first, int(c[-1]) + 2 * w) == 0
         rows = _window_rows(c - first, w, span.size)
         core = rows[:, w: 3 * w] + (first - lo)
         inside = (core >= 0) & (core < g.size)
         g[core[inside]] = _core_returns(span[rows], fn)[inside]
-
-
-def _cyclic_window(table: np.ndarray, stage: Stage, lo: int, hi: int) -> np.ndarray:
-    """Positions ``lo .. hi - 1``, taken mod its length, of the concatenation
-    of ``table`` by the pure ``stage``, read through ``concat_stage``'s window."""
-    size = stage.q * table.size
-    out = np.empty(hi - lo, dtype=table.dtype)
-    p = lo
-    while p < hi:
-        start = p % size
-        end = min(size, start + hi - p)
-        concat_stage(table, stage, None, start, end, out[p - lo: p - lo + end - start])
-        p += end - start
-    return out
 
 
 def severed_copy_imbalance(

@@ -4,9 +4,9 @@ The depth-``N`` truncation of a hierarchy is the cyclic shift ``x -> x + 1``
 on ``Z_{h_N}``.  Each position of ``W_{n+1}`` reads a position of ``W_n``,
 ``phi_n(y*h_n + t) = (t + a_{n,y}) mod h_n`` inside copy ``y``; spacer
 positions read a reserved mark.  Composing these gives every lower
-coordinate of a point, the per-level jump structure of the shift, orbit
-codings, and the coverage statistic (how much of the deep word is covered by
-rotations of a shallow one).
+coordinate of a point and the per-level jump structure of the shift; orbit
+codings are windows of the cyclic word, and the coverage statistic measures
+how much of the deep word is covered by rotations of a shallow one.
 
 Two routes compute coordinates.  The concatenated route (``project_all``)
 builds the level-``n`` coordinates of a whole truncation the way words are
@@ -20,12 +20,12 @@ for the concatenated route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import Schedule, Word, build_word, concat_stage, concat_stages
+from .words import ONE_COPY, Schedule, Word, build_word, concat_stage, concat_stages, cyclic_window
 
 #: Reserved projection value for spacer positions.
 SPACER_MARK = -1
@@ -79,7 +79,6 @@ class ProjectionChain:
     schedule: Schedule
     depth: int
     heights: list[int]
-    _words: dict[int, Word] = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(
@@ -98,10 +97,8 @@ class ProjectionChain:
         return cls(schedule=schedule, depth=depth, heights=heights)
 
     def word(self, m: int) -> Word:
-        """Materialised ``W_m`` (cached; covered by the chain's guardrail)."""
-        if m not in self._words:
-            self._words[m] = build_word(self.schedule, m, force=True)[-1]
-        return self._words[m]
+        """Materialised ``W_m`` (covered by the chain's guardrail), built on each call."""
+        return build_word(self.schedule, m, force=True)[-1]
 
 
 @dataclass(frozen=True)
@@ -238,17 +235,21 @@ def orbit_coding(pc: ProjectionChain, start: int, length: int, m: int) -> Word:
     """Letters of ``W_m`` read along ``length`` forward steps from ``start``.
 
     Spacer positions contribute the alphabet's spacer symbol.  Since
-    ``W_m[x_m] = W_0[x_0]``, the coding is the same for every ``m`` and is read
-    from the seed at level-0 coordinates.  Starting at 0 with ``length = h_N``
-    on a pure schedule returns ``W_N`` itself.
+    ``W_m[x_m] = W_0[x_0]``, the coding is the same for every ``m``: the
+    ``cyclic_window`` of ``W_N`` from ``start`` (any integer, taken mod
+    ``h_N``), read through the last stage from ``W_{N-1}``.  Starting at 0
+    with ``length = h_N`` returns ``W_N`` itself.
     """
     h_N = pc.heights[pc.depth]
     if not 0 <= m <= pc.depth:
         raise ConfigurationError(f"coding level {m} outside [0, {pc.depth}]")
     if not 1 <= length <= h_N:
         raise ConfigurationError(f"coding length {length} outside [1, {h_N}]")
-    positions = (int(start) + np.arange(length, dtype=np.int64)) % h_N
-    return Word(pc.schedule.alphabet, _letters(pc.schedule, project_all(pc, 0)[positions]))
+    top = pc.schedule.stages[pc.depth - 1] if pc.depth else ONE_COPY
+    start = int(start) % h_N
+    letters = cyclic_window(pc.word(max(pc.depth - 1, 0)).symbols, top,
+                            pc.schedule.alphabet.spacer_index, start, start + length)
+    return Word(pc.schedule.alphabet, letters)
 
 
 def coverage_statistic(pc: ProjectionChain, m: int, windows: int) -> float:
@@ -267,17 +268,14 @@ def coverage_statistic(pc: ProjectionChain, m: int, windows: int) -> float:
     h_m = pc.heights[m]
     if not 1 <= windows <= h_N:
         raise ConfigurationError(f"window count {windows} outside [1, {h_N}]")
-    stride = h_N // windows
+    samples = np.arange(windows, dtype=np.int64) * (h_N // windows)
+    in_copy = project_positions(pc.schedule, samples, pc.depth, m) != SPACER_MARK
     w_m = pc.word(m)
     rotations = {np.roll(w_m.symbols, -a).tobytes() for a in range(h_m)}
-    coords = project_all(pc, m)
-    letters = _letters(pc.schedule, project_all(pc, 0))
+    letters = pc.word(pc.depth).symbols
     offsets = np.arange(h_m, dtype=np.int64)
     hits = 0
-    for k in range(windows):
-        p = k * stride
-        if coords[p] == SPACER_MARK:
-            continue  # spacer material belongs to no copy
+    for p in samples[in_copy].tolist():  # spacer material belongs to no copy
         for back in range(h_m):
             window = letters[(p - back + offsets) % h_N]
             if window.tobytes() in rotations:

@@ -270,11 +270,11 @@ def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None, lo: int = 0,
     """Apply one stage to an index array: concatenate rotated copies with fill runs.
 
     Result = ``rot(A, a_0) f^{s_0} rot(A, a_1) f^{s_1} ... rot(A, a_{q-1}) f^{s_{q-1}}``
-    where ``f`` is ``fill`` (read only when the stage has spacers).  Rotations
-    are reduced mod ``len(arr)`` here, at application time, and read as
-    Python ints.  Words are this loop on symbol arrays with the spacer symbol
-    as fill; level-``n`` coordinates are this loop on ``arange(h_n)`` with the
-    dynamics' spacer mark as fill.
+    where ``f`` is ``fill``, read only when the stage has spacers and then
+    needed (None is refused).  Rotations are reduced mod ``len(arr)`` here,
+    at application time, and read as Python ints.  Words are this loop on
+    symbol arrays with the spacer symbol as fill; level-``n`` coordinates are
+    this loop on ``arange(h_n)`` with the dynamics' spacer mark as fill.
 
     Only positions ``lo:hi`` of the result are written (default: all of
     them), into ``out`` when it is given (``hi - lo`` values), which is
@@ -291,6 +291,8 @@ def concat_stage(arr: np.ndarray, stage: Stage, fill: int | None, lo: int = 0,
         first, stop = lo // h, -(-hi // h)
         start = first * h
     else:
+        if fill is None:
+            raise ConfigurationError("stage requests spacers but alphabet has no spacer symbol")
         first, stop, start = 0, stage.q, 0
         if lo or hi < size:  # the copies whose span (copy and run) meets the window
             ends = np.cumsum(stage.spacers + h)
@@ -329,6 +331,22 @@ def _put_copy(out: np.ndarray, arr: np.ndarray, pos: int, a: int, s: int, fill) 
     return pos + h + s
 
 
+#: One unrotated copy: ``concat_stage`` through it is the identity.
+ONE_COPY = Stage(1, (0,))
+
+
+def cyclic_window(arr: np.ndarray, stage: Stage, fill: int | None, lo: int, hi: int) -> np.ndarray:
+    """Positions ``lo .. hi - 1``, taken mod its length, of ``concat_stage(arr,
+    stage, fill)``, which is never built: ``lo`` may be negative and the
+    window may wrap the cycle any number of times."""
+    size = stage.q * arr.size + stage.total_spacers
+    out = np.empty(hi - lo, dtype=arr.dtype)
+    for p in range(lo - lo % size, hi, size):  # each pass of the cycle that meets the window
+        a, b = max(lo, p), min(hi, p + size)
+        concat_stage(arr, stage, fill, a - p, b - p, out[a - lo: b - lo])
+    return out
+
+
 def concat_stages(arr: np.ndarray, stages: Sequence[Stage], fill: int | None = None) -> np.ndarray:
     """``concat_stage`` through ``stages`` in order: an array on the positions
     of a word carried to the positions of the word those stages build."""
@@ -353,12 +371,10 @@ def build_word(
     if not 0 <= depth <= schedule.depth:
         raise ConfigurationError(f"depth {depth} outside [0, {schedule.depth}]")
     refuse_above(f"h_{depth} (word symbols)", schedule.heights()[depth], MAX_SYMBOLS, force)
-    spacer = schedule.alphabet.spacer_index
-    if spacer is None and not all(st.pure for st in schedule.stages[:depth]):
-        raise ConfigurationError("stage requests spacers but alphabet has no spacer symbol")
     words = [schedule.seed_word]
     for st in schedule.stages[:depth]:
-        words.append(Word(schedule.alphabet, concat_stage(words[-1].symbols, st, spacer)))
+        words.append(Word(schedule.alphabet,
+                          concat_stage(words[-1].symbols, st, schedule.alphabet.spacer_index)))
     return words
 
 

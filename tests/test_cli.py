@@ -23,6 +23,7 @@ from icelab import (BINARY, Schedule, Stage, cli, morse_schedule, random_schedul
 from icelab.errors import MAX_SWEEP_CUTS, MAX_SYMBOLS
 from icelab.words import schedule_to_dict
 from icelab import correlation as corr
+from icelab import dynamics as dyn
 from icelab import words as words_mod
 from icelab import spectral as spx
 
@@ -1077,6 +1078,78 @@ def test_build_coding_length_zero_exits_2(tmp_path):
     ])
     assert code == 2
     assert list(out.iterdir()) == []
+
+
+def test_build_coding_start_beyond_int64_is_taken_mod_h_N(tmp_path):
+    # --coding-start 2^70 exited 1 with an OverflowError.  Any start is taken
+    # mod h_N; the oracle reads the seed letters at the level-0 coordinates
+    # of the positions (the arithmetic route) on a spacer family.
+    start, length = 2**70, 40
+    out = tmp_path / "o"
+    assert cli.run(["build", "--family", "staircase", "--qs", "3,4,5", "--coding-start",
+                    str(start), "--coding-length", str(length), "--out", str(out)]) == 0
+    sch = words_mod.load_schedule(out / "schedule.json")
+    h_N = sch.heights()[-1]
+    positions = (start % h_N + np.arange(length)) % h_N
+    letters = dyn._letters(sch, dyn.project_positions(sch, positions, sch.depth, 0))
+    expect = "".join(sch.alphabet.symbols[i] for i in letters.tolist())
+    assert (out / "coding.txt").read_text(encoding="utf-8") == expect + "\n"
+
+
+_TRITS = ["--seed-word", "012", "--alphabet", "012"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--family", "random", "--qs", "3,3,3", "--seed", "1", *_TRITS,
+     "--labels", "0=nan,1=1,2=0", "--from-stage", "0", "--to-stage", "2"],
+    ["ensemble", "--task", "decay", "--seeds", "2", "--qs", "3,3,3", *_TRITS,
+     "--labels", "0=1,1=inf,2=0", "--from-stage", "0", "--to-stage", "2"],
+    ["simplicity", "--family", "random", "--qs", "3,9", "--seed", "1", *_TRITS,
+     "--labels", "0=1,1=-inf,2=0", "--base", "1", "--diag-depth", "2"],
+    ["ensemble", "--task", "simplicity", "--seeds", "2", "--qs", "3,9", *_TRITS,
+     "--labels", "0=1,1=-1,2=nanj", "--base", "1", "--diag-depth", "2"],
+    ["correlate", "--family", "random", "--qs", "3,3", "--seed", "1", *_TRITS,
+     "--labels", "0=1,1=-1,2=nan"],
+    ["spectrum", "--mode", "riesz", "--family", "staircase", "--qs", "3,3",
+     "--labels", "0=inf", "--grid-size", "64"],
+], ids=["decay", "ensemble-decay", "simplicity", "ensemble-simplicity", "correlate", "riesz"])
+def test_non_finite_labels_exit_2_with_out_empty(argv, tmp_path, capsys):
+    # decay wrote "slope": NaN and Infinity into decay.json, which is not
+    # JSON, and exited 0; the others exited 0 on NaN statistics too.
+    out = tmp_path / "o"
+    assert cli.run([*argv, "--out", str(out)]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_forced_depth_beyond_int64_exits_2(tmp_path, capsys):
+    # With --force the depth passes its price, and [q] * 2^70 exited 1 with
+    # an OverflowError.
+    out = tmp_path / "o"
+    argv = ["geometry", "--family", "random", "--seed", "1", "--q", "1", "--depth", str(2**70),
+            "--force", "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert "not below 2**63" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_ensemble_seeds_are_priced_before_the_seed_list(monkeypatch, tmp_path, capsys):
+    # --seeds is refused below 1 and, at a stand-in limit of 4, above it
+    # unless forced, before any list of seeds exists (10^9 seeds would make a
+    # billion-entry list).  Only 5 seeds run, on a serial pool.
+    monkeypatch.setattr(cli, "MAX_SYMBOLS", 4)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "opened", [])
+    argv = ["ensemble", "--task", "jumps", "--h", "16", "--q-list", "2", "--threads", "1"]
+    for seeds, code, message in (("0", 2, "--seeds 0 is below 1"),
+                                 ("5", 3, "--seeds = 5 > 4; pass --force")):
+        out = tmp_path / seeds
+        assert cli.run([*argv, "--seeds", seeds, "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+    assert _SerialPool.opened == []
+    assert cli.run([*argv, "--seeds", "5", "--force", "--out", str(tmp_path / "f")]) == 0
+    assert _SerialPool.opened == [1]
 
 
 def test_summary_line_printed_after_success(tmp_path, capsys):

@@ -52,6 +52,12 @@ def test_lift_missing_label(cat_words):
         il.lift({"C": 1}, cat_words[0], 0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0, -float("inf"))])
+def test_lift_refuses_a_non_finite_label_naming_its_symbol(cat_words, value):
+    with pytest.raises(ConfigurationError, match="label of symbol 'A' is .*not a finite number"):
+        il.lift({"C": 1, "A": value, "T": 0}, cat_words[0], 0)
+
+
 def test_lift_zero_mean_flag(cat_words):
     f = il.lift({"C": 1, "A": 0, "T": 0}, cat_words[1], 1, zero_mean=True)
     assert abs(f.values.sum()) < 1e-12

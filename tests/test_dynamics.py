@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,52 @@ def test_orbit_coding_independent_of_level(family, seed, qs, data):
         coords = il.project_all(pc, m)[positions]
         direct = [spacer if c == il.SPACER_MARK else int(w_m[c]) for c in coords]
         assert direct == coding
+
+
+@given(
+    family=st.sampled_from(["morse", "random", "staircase", "ornstein"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    qs=st.lists(st.integers(min_value=2, max_value=4), min_size=0, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_orbit_coding_equals_the_letters_at_the_projected_positions(family, seed, qs, data):
+    # The window of the cyclic W_N against the arithmetic route: the seed
+    # letters at the level-0 coordinates of the positions mod h_N.  Spacer
+    # families, depth 0 (no stage: qs = []) and starts that are negative or
+    # far beyond int64 are taken mod h_N.
+    sch = _family_schedule(family, qs, seed)
+    pc = il.ProjectionChain.build(sch)
+    h_N = pc.heights[pc.depth]
+    start = data.draw(st.sampled_from([-1, -h_N - 3, 2**70, -(2**70) + 5])
+                      | st.integers(min_value=-3 * h_N, max_value=3 * h_N))
+    length = data.draw(st.integers(min_value=1, max_value=h_N))
+    positions = (start % h_N + np.arange(length)) % h_N
+    expect = il.dynamics._letters(sch, il.project_positions(sch, positions, pc.depth, 0))
+    got = il.orbit_coding(pc, start, length, data.draw(st.integers(0, pc.depth)))
+    assert got.symbols.tolist() == expect.tolist()
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coding_and_coverage_build_no_length_h_N_coordinates():
+    # h_N = 2 * 4^10 = 2^21.  A 4,096-letter coding reads 1.34 B per h_N
+    # symbol (W_9 and the words below it, int32) and the coverage of 64
+    # samples 5.34 B (W_10 and the words below it); the whole-truncation
+    # route read 10.0 and 20.0 B, int64 coordinates of every position.
+    sch = il.random_schedule([4] * 10, 3, il.word_from_text(il.BINARY, "01"))
+    pc = il.ProjectionChain.build(sch)
+    h_N = pc.heights[-1]
+    assert h_N == 2**21
+    assert _peak_bytes(lambda: il.orbit_coding(pc, 12345, 4096, 0)) < 2 * h_N
+    assert _peak_bytes(lambda: il.coverage_statistic(pc, 0, 64)) < 8 * h_N
 
 
 # ---------------------------------------------------------------------------

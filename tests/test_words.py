@@ -485,3 +485,41 @@ def test_concat_stage_window_equals_the_slice_of_the_whole(data, copies, cuts):
             got = il.words.concat_stage(arr, stage, fill, a, b, out)
             assert got is out
             assert got.tobytes() == whole[a:b].tobytes(), (a, b)
+
+
+@given(
+    data=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+    copies=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=4)),
+        min_size=1, max_size=6,
+    ),
+    pure=st.booleans(),
+    lo=st.integers(min_value=-10**4, max_value=10**4),
+    length=st.integers(min_value=0, max_value=400),
+)
+@settings(max_examples=150, deadline=None)
+def test_cyclic_window_equals_the_cycle_taken_mod_its_length(data, copies, pure, lo, length):
+    # Windows of pure and spacer stages that start below 0 or past the end
+    # and wrap the cycle several times (400 positions over cycles of as few
+    # as one), against the whole concatenation indexed mod its length.
+    spacers = () if pure else tuple(s for _, s in copies)
+    stage = il.Stage(len(copies), tuple(a for a, _ in copies), spacers)
+    base = np.asarray(data)
+    for arr, fill in ((base.astype(np.int32), 3), (base.astype(np.int64), il.SPACER_MARK),
+                      (base * (1 - 2j) + 0.5, 0.25 - 1j)):
+        whole = il.words.concat_stage(arr, stage, fill)
+        got = il.words.cyclic_window(arr, stage, fill, lo, lo + length)
+        ref = np.take(whole, np.arange(lo, lo + length) % whole.size)
+        assert got.dtype == arr.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_spacer_stages_need_a_spacer_symbol():
+    # concat_stage refuses a spacer run without a fill, so a spacer stage over
+    # an alphabet with no spacer symbol is refused wherever a word is read.
+    sch = il.Schedule(il.BINARY, il.word_from_text(il.BINARY, "01"),
+                      (il.Stage(2, (0, 1), (1, 0)),))
+    with pytest.raises(ConfigurationError, match="no spacer symbol"):
+        il.build_word(sch)
+    with pytest.raises(ConfigurationError, match="no spacer symbol"):
+        il.orbit_coding(il.ProjectionChain.build(sch), 0, 3, 0)
