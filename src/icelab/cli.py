@@ -488,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="icelab",
         description="Rotated-word hierarchies: geometry, dynamics, correlations, spectra, rank.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     values = {}  # option -> the values of its "OPTION VALUE" rows
@@ -504,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices = {"choices": values[option]} if option in values else {}
         actions[option] = options.add_argument(option, **keywords, **choices)
     for name, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # No abbreviations: "--h" is jumps' height, not a prefix of --help.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         rows = ["--out --force --overwrite", _READS[name]]
         for row in rows:
             for option in re.findall(r"--[a-z-]+", row):
@@ -636,6 +638,7 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
                      MAX_DENSE_TERMS, args.force)
     built = words_mod.build_word(sch, top, force=args.force)
     v = np.concatenate([corr._lifted_series(labels, built, n, args.zero_mean) for n in stages])
+    corr._refuse_overflow("the correlation series", v)
     sizes = [heights[n] for n in stages]
     _write_csv(out_dir / "correlation.csv", ["schedule_hash", "stage", "t", "re", "im"],
                _Columns([sh] * v.size, np.repeat(stages, sizes),

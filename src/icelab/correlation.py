@@ -48,8 +48,10 @@ _VDOT_BLOCK = 8192
 #: directly), so the bound grows with the labels.
 ZERO_MEAN_TOL = 1e-12
 
-#: Values per block of ``_correlate_owned``'s passes and per in-place ``|F|^2``
-#: product (1 MiB of complex128).
+#: Values per cache block (1 MiB of complex128): per block of
+#: ``_correlate_owned``'s passes, per in-place ``|F|^2`` product, per window of
+#: ``_lifted_values`` and ``_central_decay``, and positions per batch of
+#: ``_patch_junctions`` rows (about 2 MB of positions and returns).
 _PRODUCT_CHUNK = 2**16
 
 #: Transforms up to this length run in one piece, as pocketfft's 1-d route.
@@ -62,11 +64,6 @@ _QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 #: about ``_RETURN_BLOCK * h_n`` complex values (1.8 MB at h_n = 27), which
 #: stay in a core's cache across the block's ``h_n`` passes.
 _RETURN_BLOCK = 4096
-
-#: Positions per batch of ``_patch_junctions``: its rows hold at most 64 Ki
-#: positions or one row (64 Ki hold about 2 MB of positions and returns), and
-#: they read a span of at most 64 Ki positions plus one row.
-_JUNCTION_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +114,20 @@ def _check_zero_mean(values: np.ndarray, scale: float | None = None) -> None:
         scale = max(parts.max(), -parts.min())
     if abs(values.sum()) > ZERO_MEAN_TOL * values.size * max(1.0, scale):
         raise ConfigurationError("zero_mean flag set but values do not sum to zero")
+
+
+def _refuse_overflow(what: str, values) -> None:
+    """Raise unless every real and imaginary part of ``values`` is finite.
+
+    Labels are refused unless finite (``_lifted_values``), so a NaN or an
+    infinity in a value formed from them is an overflow.  Only the largest
+    and smallest parts are read, from a float view (a copy only for a
+    strided array), so no mask is allocated.
+    """
+    parts = np.ravel(values).view(np.float64)
+    if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
+        raise ConfigurationError(f"overflow in {what}: not finite for these finite labels; "
+                                 "scale the labels down")
 
 
 def lift(
@@ -548,6 +559,8 @@ def decay_profile(
     rows.append(_central_decay(n_hi, _lifted_series(labels, words, last, True, drop=True,
                                                     stage=schedule.stages[last])))
 
+    # A mean square is finite only if every magnitude and square it averages is.
+    _refuse_overflow("the decay statistics", np.array([r.variance for r in rows]))
     stat = np.array([getattr(r, statistic) for r in rows])
     logh = np.log([r.h for r in rows])
     if np.any(stat <= 0):
@@ -676,7 +689,9 @@ def _far_half_base_function(
     to 0 up to a rounding residue (all ``0.1`` over three letters leaves
     ``f2 = 1.9e-34``), so the labels are compared, not the centred values.
     Labels that differ by so little that every centred square underflows
-    (``0`` and ``1e-170``) leave ``f2 = 0``.
+    (``0`` and ``1e-170``) leave ``f2 = 0``, and labels so large that the
+    centring or the squares overflow (``1e308`` and ``-1e308``) leave it
+    non-finite.
     """
     word = build_word(schedule, n, force=force)[n]
     fn = lift(labels, word, n, zero_mean=True).values
@@ -687,7 +702,9 @@ def _far_half_base_function(
             f"far-half diagnostic needs labels that differ on the letters of W_{n} "
             "(a constant lift centres to f2 = 0)"
         )
-    if np.mean(np.abs(fn) ** 2) == 0.0:
+    f2 = np.mean(np.abs(fn) ** 2)
+    _refuse_overflow(f"f2 of the centred lift on W_{n}", f2)
+    if f2 == 0.0:
         raise ConfigurationError("far-half diagnostic needs labels whose centred squares "
                                  "do not all underflow (f2 = 0)")
     return fn
@@ -746,7 +763,9 @@ def simplicity_diagnostic(
         np.copyto(u, 0.0, where=np.logical_not(far_b, out=far_b))  # far is not read again
         return f2, g2, fg_diff2, fv, np.vdot(u, u), np.vdot(v, v), np.vdot(v, u)
 
-    f2, g2, fg_diff2, fv, u2, v2, uv = (complex(s / h_N) for s in _block_sums(h_N, block))
+    sums = _block_sums(h_N, block)
+    _refuse_overflow("the far-half sums", sums)
+    f2, g2, fg_diff2, fv, u2, v2, uv = (complex(s / h_N) for s in sums)
     return SimplicityReport(
         n=n,
         depth=depth,
@@ -817,15 +836,16 @@ def _patch_junctions(g: np.ndarray, lo: int, chart: np.ndarray, stage: Stage,
     They are the cores of the rows of ``4w`` positions centred on the starts
     (``_window_rows``), whose bases are read through ``cyclic_window``;
     cores outside ``g`` are dropped.  Rows that overlap write the same values.
-    The starts are taken ``_JUNCTION_BLOCK // max(h, 4w)`` at a time (at
-    least one), so a batch's rows and the span of positions they read stay
-    bounded however many copies there are.
+    The starts are taken ``_PRODUCT_CHUNK // max(h, 4w)`` at a time (at
+    least one), so a batch's rows hold at most ``_PRODUCT_CHUNK`` positions
+    or one row, and read a span of at most that plus one row, however many
+    copies there are.
     """
     w = (fn.size - 1) // 2
     h = chart.size
     hi = lo + g.size
     starts = h * np.arange(max((lo - w) // h + 1, 0), min((hi + w - 1) // h, stage.q) + 1)
-    batch = max(1, _JUNCTION_BLOCK // max(h, 4 * w))
+    batch = max(1, _PRODUCT_CHUNK // max(h, 4 * w))
     for i in range(0, starts.size, batch):
         c = starts[i: i + batch]
         first = int(c[0]) - 2 * w

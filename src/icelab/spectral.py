@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlation import lift
+from .correlation import _correlate_owned, _refuse_overflow, lift
 from .errors import MAX_DENSE_TERMS, ConfigurationError, refuse_above
 from .words import Schedule, build_word
 
@@ -301,6 +301,8 @@ def riesz_partial_product(
         vals = _evaluate(fs.frequencies, np.ones(fs.q, np.complex128), grid, force=force)
         values = values * (np.abs(vals) ** 2 / fs.q)
         masses.append(float(values.mean()))
+    # A mean is finite only if every value it averages is.
+    _refuse_overflow("the Riesz product", np.array(masses))
     return RieszProduct(
         n0=n0, last=last, grid=grid, weight=weight, values=values, masses=tuple(masses)
     )
@@ -328,7 +330,9 @@ def direct_word_spectrum(
     norm = schedule.height(n0)
     for n in range(n0, level):
         norm *= schedule.stages[n].q
-    return np.abs(amp) ** 2 / norm
+    spectrum = np.abs(amp) ** 2 / norm
+    _refuse_overflow(f"the word spectrum of W_{level}", spectrum)
+    return spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +366,11 @@ def flatness_metrics(pg: PolynomialGrid) -> FlatnessMetrics:
 def merit_factor(signs: Sequence[float]) -> float:
     """Merit factor ``N^2 / (2 sum_{k>=1} c_k^2)`` of a +-1 word.
 
-    ``c_k`` are the aperiodic autocorrelations, read off a zero-padded FFT
-    (length ``>= 2N - 1``, so nothing wraps) and rounded: they are integers,
-    and the transform's error is far below 1/2 for any word the symbol limit
-    admits.  A vanishing denominator (a perfect sequence) reports ``inf``.
+    ``c_k`` are the aperiodic autocorrelations: the word is zero-padded to a
+    power of two ``>= 2N - 1``, so nothing wraps, transformed in place by the
+    correlation kernel (``correlation._correlate_owned``), and the series
+    times the padded length is rounded.  The ``c_k`` are integers, and the
+    transform's error is far below 1/2 for any word the symbol limit admits.
     """
     s = np.asarray(signs, dtype=np.float64)
     if s.ndim != 1 or s.size < 2:
@@ -374,9 +379,9 @@ def merit_factor(signs: Sequence[float]) -> float:
         raise ConfigurationError("merit factor needs entries exactly +-1")
     n = s.size
     size = 1 << (2 * n - 2).bit_length()
-    power = np.abs(np.fft.rfft(s, size)) ** 2
-    tail = np.rint(np.fft.irfft(power, size)[1:n])  # c_1 .. c_{N-1}
-    denom = 2.0 * float(np.sum(tail**2))
-    if denom == 0.0:
-        return float("inf")
-    return n * n / denom
+    buf = np.zeros(size, dtype=np.complex128)
+    buf[:n] = s
+    tail = size * _correlate_owned(buf)[1:n].real
+    del buf  # the padded buffer (16 B per point) is not alive beside the rounding
+    np.rint(tail, out=tail)  # c_1 .. c_{N-1}
+    return n * n / (2.0 * float(np.sum(np.square(tail, out=tail))))

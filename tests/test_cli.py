@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from icelab.errors import MAX_SWEEP_CUTS, MAX_SYMBOLS
 from icelab.words import schedule_to_dict
 from icelab import correlation as corr
 from icelab import dynamics as dyn
+from icelab import iceberg as ice
+from icelab import rank as rank_mod
 from icelab import words as words_mod
 from icelab import spectral as spx
 
@@ -517,6 +520,11 @@ _MISREAD = {
     "no mode": ["spectrum", *_MORSE, "--labels", "0=1,1=-1"],
     "no task": ["ensemble", "--seeds", "2", "--h", "16", "--q-list", "4"],
     "no --exp-n": ["spectrum", "--mode", "flat"],
+    # Abbreviations: --h printed the help of decay and exited 0 with no output,
+    # and --seed-w was taken for --seed-word.
+    "--h, a prefix of --help": [*_VALID["decay"], "--h", "4"],
+    "--seed-w, a prefix of --seed-word": ["geometry", "--family", "morse", "--r", "2",
+                                          "--depth", "3", "--seed-w", "01"],
 }
 
 
@@ -526,6 +534,136 @@ def test_an_unread_or_missing_option_exits_2_before_out_is_created(argv, tmp_pat
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert "usage:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# a fuzz drawn from cli._READS and cli._OPTIONS
+# ---------------------------------------------------------------------------
+
+# Values the fuzz gives an option, by the kind its _OPTIONS keywords declare:
+# small and edge integers, malformed numbers, text and comma lists.  --threads
+# and --seeds get 1, 2 or an invalid value only: an ensemble opens
+# min(--threads, --seeds) threads, and the fuzz never starts many.  --force is
+# never drawn, as it would lift the stand-in limits that keep each run small.
+_INTS = ["0", "1", "2", "3", "4", "-1", str(2**63), str(2**70), "x", "1.5"]
+_FLOATS = ["0", "0.5", "1", "2", "3", "-1", "nan", "inf", "x"]
+_TEXTS = ["0", "1", "3", "01", "001", "012", "0123", "2,3", "3,3", "3,3,3", "1,2", "3,-2",
+          "3,x", "", "0=1,1=-1", "0=1,1=-1,2=0", "0=1,1=1j,2=-1,3=-1j", "0=1e200", "0=x", "x"]
+_FEW = ["1", "2", "0", "-1", "x"]
+_FILES = ["pure.json", "rotated.json", "spacer.json", "missing.json", "malformed.json",
+          "list.json"]
+_STAND_INS = [(mod, "MAX_SYMBOLS", 4096) for mod in (cli, words_mod, corr, dyn, ice)] + [
+    (cli, "MAX_GRID_POINTS", 4096), (cli, "MAX_DENSE_TERMS", 2**16),
+    (spx, "MAX_DENSE_TERMS", 2**16), (rank_mod, "MAX_SWEEP_CUTS", 64)]
+
+
+def _good_values() -> dict[str, list[str]]:
+    """The values each option takes in the runs above that exit 0."""
+    good: dict[str, list[str]] = {}
+    for line in [*_VALID.values(), *_RUNS.values(), *_SOURCES.values()]:
+        for option, value in zip(line, line[1:]):
+            if option.startswith("--") and not value.startswith("-") and "{" not in value:
+                good.setdefault(option, []).append(value)
+    return good
+
+
+# Drawn three times in four where an option has them, so that more runs get
+# past the checks into the work.
+_GOOD = _good_values()
+
+
+def _values(option: str):
+    """A strategy for one value of ``option``: its "OPTION VALUE" rows or choices
+    and one that is neither, or the pool of the type its ``cli._OPTIONS``
+    keywords declare, mixed with its values in ``_GOOD``."""
+    keywords = cli._OPTIONS[option]
+    rows = [key.split()[1] for key in cli._READS if key.split()[0] == option]
+    if option in ("--threads", "--seeds"):
+        return st.sampled_from(_FEW)
+    if rows or "choices" in keywords:
+        pool = [*(rows or keywords["choices"]), "x"]
+    elif option == "--schedule":
+        pool = _FILES
+    elif "type" in keywords:
+        pool = _FLOATS if keywords["type"] is float else _INTS
+    else:
+        pool = _TEXTS
+    good = _GOOD.get(option)
+    if not good:
+        return st.sampled_from(pool)
+    return st.integers(0, 3).flatmap(lambda k: st.sampled_from(good if k else pool))
+
+
+@st.composite
+def _command_lines(draw) -> list[str]:
+    """A command line of a subcommand and the rows of ``cli._READS`` its options
+    reach.  A needed clause is left out now and then, an optional one is given
+    now and then, a "--a+--b" clause may lose --b, and one option of
+    ``cli._OPTIONS`` the run may not read may be added."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    argv, keys = [command], [command]
+
+    def give(option: str) -> None:
+        if cli._OPTIONS[option].get("action") == "store_true":
+            argv.append(option)
+            return
+        count = cli._OPTIONS[option].get("nargs", 1)
+        value = draw(st.lists(_values(option), min_size=count, max_size=count))
+        argv.extend([option, *value])
+        keys.extend([f"{option} {value[0]}"] if f"{option} {value[0]}" in cli._READS else [])
+
+    for key in keys:
+        for clause in cli._READS[key].split():
+            if draw(st.integers(0, 9)) < (9 if clause.endswith("!") else 4):
+                lead, *rest = draw(st.sampled_from(clause.rstrip("!").split("|"))).split("+")
+                give(lead)
+                for option in rest:
+                    if draw(st.integers(0, 9)):
+                        give(option)
+    if not draw(st.integers(0, 9)):
+        give(draw(st.sampled_from(sorted(set(cli._OPTIONS) - {"--out", "--force"}))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The --schedule files the fuzz draws, by name: pure, rotated and spacer
+    schedules, a missing file, malformed JSON and JSON of the wrong shape."""
+    base = tmp_path_factory.mktemp("fuzz")
+    pure = Schedule(BINARY, word_from_text(BINARY, "001"), (Stage(3, (0, 0, 0)),) * 2)
+    save_schedule(pure, base / "pure.json")
+    save_schedule(random_schedule([3, 2], 1, word_from_text(BINARY, "011")), base / "rotated.json")
+    save_schedule(words_mod.rank_one_schedule("staircase", [3, 3]), base / "spacer.json")
+    (base / "malformed.json").write_text("{", encoding="utf-8")
+    (base / "list.json").write_text("[]", encoding="utf-8")
+    return base
+
+
+def _payloads(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@given(argv=_command_lines())
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_fuzzed_command_lines_exit_0_2_or_3(argv, fuzz_files):
+    # Stand-in limits keep every admitted run to a few thousand symbols.  A
+    # failed run leaves --out without a payload, and a run that exits 0 writes
+    # the same payload bytes again into a fresh --out.  An exit 1 is an
+    # exception raised here.
+    argv = [str(fuzz_files / a) if a in _FILES else a for a in argv]
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory(dir=fuzz_files) as tmp:
+        for module, name, value in _STAND_INS:
+            mp.setattr(module, name, value)
+        out = Path(tmp) / "o"
+        code = cli.run([*argv, "--out", str(out)])
+        assert code in (0, 2, 3), argv
+        if code:
+            assert not out.exists() or not any(out.iterdir()), argv
+        else:
+            assert (out / "manifest.json").exists(), argv
+            again = Path(tmp) / "again"
+            assert cli.run([*argv, "--out", str(again)]) == 0, argv
+            assert _payloads(again) == _payloads(out), argv
 
 
 # ---------------------------------------------------------------------------
@@ -1122,6 +1260,52 @@ def test_non_finite_labels_exit_2_with_out_empty(argv, tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+_HUGE = "0=1e308,1=-1e308,2=0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--family", "random", "--qs", "3,3,3", "--seed", "1", *_TRITS,
+     "--labels", _HUGE, "--from-stage", "0", "--to-stage", "2"],
+    ["decay", "--family", "random", "--qs", "3,3,3", "--seed", "1", *_TRITS,
+     "--labels", "0=1e150,1=-1e150,2=0", "--from-stage", "0", "--to-stage", "2"],
+    ["ensemble", "--task", "decay", "--seeds", "2", "--qs", "3,3,3", *_TRITS,
+     "--labels", "0=1e150,1=-1e150,2=0", "--from-stage", "0", "--to-stage", "2"],
+    ["simplicity", "--family", "random", "--qs", "3,9,5", "--seed", "1", *_TRITS,
+     "--labels", _HUGE, "--base", "1", "--diag-depth", "3"],
+    ["simplicity", "--family", "random", "--qs", "3,9,5", "--seed", "1", *_TRITS,
+     "--labels", "0=1e153,1=-1e153,2=0", "--base", "1", "--diag-depth", "3"],
+    ["ensemble", "--task", "simplicity", "--seeds", "2", "--qs", "3,9,5", *_TRITS,
+     "--labels", _HUGE, "--base", "1", "--diag-depth", "3"],
+    ["correlate", "--family", "random", "--qs", "3,3", "--seed", "1", *_TRITS,
+     "--labels", "0=1e200,1=-1e200,2=0"],
+    ["spectrum", "--mode", "riesz", "--family", "staircase", "--qs", "3,3",
+     "--labels", "0=1e200", "--grid-size", "64"],
+    ["spectrum", "--mode", "riesz", "--family", "staircase", "--qs", "3,3",
+     "--labels", "0=5e153", "--grid-size", "64"],
+], ids=["decay-nan", "decay-squares", "ensemble-decay", "simplicity-f2", "simplicity-sums",
+        "ensemble-simplicity", "correlate", "riesz-weight", "riesz-product"])
+def test_overflowing_finite_labels_exit_2_with_out_empty(argv, tmp_path, capsys):
+    # Each exited 0 and wrote NaN or infinite values (decay "slope": NaN and
+    # rms inf, simplicity inf and nan, a nan correlation series, inf Riesz
+    # masses); simplicity-sums has a finite f2 but sums over h_N that are not,
+    # and riesz-product a finite weight whose product with the stage factors is not.
+    out = tmp_path / "o"
+    assert cli.run([*argv, "--out", str(out)]) == 2
+    assert "overflow in " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_a_zero_variance_stage_still_reports_an_infinite_ratio(tmp_path):
+    # Constant labels centre to a zero series: its variance ratio is the
+    # documented Infinity, not an overflow.
+    out = tmp_path / "o"
+    assert cli.run(["decay", "--family", "random", "--qs", "3,3,3", "--seed", "1", *_TRITS,
+                    "--labels", "0=1,1=1,2=1", "--from-stage", "0", "--to-stage", "2",
+                    "--out", str(out)]) == 0
+    payload = json.loads((out / "decay.json").read_text(encoding="utf-8"))
+    assert payload["variance_ratios"] == [float("inf")] * 2
+
+
 def test_forced_depth_beyond_int64_exits_2(tmp_path, capsys):
     # With --force the depth passes its price, and [q] * 2^70 exited 1 with
     # an OverflowError.
@@ -1478,6 +1662,26 @@ def test_decay_peak_rss_per_symbol(tmp_path):
     run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     per_symbol = (run - bare) / (16 * 64 * 64 * 32)
     assert per_symbol < 24, f"{per_symbol:.1f} B per symbol"
+
+
+@linux_only
+def test_merit_peak_rss_per_padded_point(tmp_path):
+    # h = 2^21 symbols, zero-padded to 2^22 points.  The padded word is one
+    # complex buffer (16 B per point) that the correlation kernel transforms
+    # in place in blocks of 2^16 values; it is released before the rounded
+    # correlations are squared in their own memory.  Beside it are the lift
+    # (8 B per point) and the int32 words W_0 .. W_20 (4 B).  Measured on a
+    # 2-core Linux box (Python 3.11, numpy 2.4): the manifest read 33.4-33.5 B
+    # per padded point above a bare import; numpy's rfft/irfft pair, with its
+    # spectrum, power and inverse arrays, read 48.7.
+    argv = ["spectrum", "--mode", "merit", "--family", "morse", "--r", "2", "--depth", "20",
+            "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1",
+            "--merit-stages", "20", "--out", str(tmp_path / "o")]
+    bare = _peak_rss_bytes("import icelab.cli")
+    _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+    per_point = (manifest["peak_rss_mb"] * 2**20 - bare) / 2**22
+    assert per_point < 40, f"{per_point:.1f} B per padded point"
 
 
 @linux_only

@@ -643,7 +643,7 @@ def _assert_far_half_windows_match(sch, n, depth, seed, width):
     fn = rng.standard_normal(h) + 1j * rng.standard_normal(h)
     size = sch.height(depth)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corr, "_JUNCTION_BLOCK", width)
+        mp.setattr(corr, "_PRODUCT_CHUNK", width)
         window = corr._far_half_windows(sch, n, depth, fn)
         blocks = [[x.copy() for x in window(lo, min(lo + width, size))]
                   for lo in range(0, size, width)]

@@ -87,15 +87,17 @@ def test_only_the_chain_word_forces_a_build():
 
 
 def test_correlation_transforms_run_in_one_kernel():
-    # Autocorrelation, cross-correlation and decay share correlation._correlate_owned.
+    # Autocorrelation, cross-correlation, decay and the merit factor share
+    # correlation._correlate_owned; the only other transform in the package is
+    # the circle-grid evaluation of a folded polynomial, which correlates nothing.
     def fft_call(call: ast.Call) -> bool:
         f = call.func
         return (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Attribute)
                 and f.value.attr == "fft" and isinstance(f.value.value, ast.Name)
                 and f.value.value.id == "np")
 
-    found = [c for c in _module_calls(fft_call) if c[0] == "correlation"]
-    assert found and set(found) == {("correlation", "_correlate_owned")}
+    assert set(_module_calls(fft_call)) == {("correlation", "_correlate_owned"),
+                                            ("spectral", "_eval_integer_circle")}
 
 
 def test_no_row_wise_unique():

@@ -242,6 +242,23 @@ def test_merit_factor_fft_equals_direct():
             assert il.merit_factor(s) == _direct_merit(s), n
 
 
+def _rfft_merit(s: np.ndarray) -> float:
+    """The zero-padded rfft/irfft merit factor, kept here as the reference."""
+    n = s.size
+    size = 1 << (2 * n - 2).bit_length()
+    tail = np.rint(np.fft.irfft(np.abs(np.fft.rfft(s, size)) ** 2, size)[1:n])
+    return n * n / (2.0 * float(np.sum(tail**2)))
+
+
+@pytest.mark.parametrize("n", [2**17 + 1, 2**17 + 12345, 2**18])
+def test_merit_factor_of_words_past_the_one_piece_transform(n):
+    # Padded to 2^19 points, above _ONE_PIECE = 2^18, so the kernel's blocked
+    # four-step route runs; its integers must be those of the rfft route.
+    assert 1 << (2 * n - 2).bit_length() > il.correlation._ONE_PIECE
+    s = np.random.default_rng(n).choice([-1.0, 1.0], n)
+    assert il.merit_factor(s) == _rfft_merit(s)
+
+
 def test_merit_factor_morse_words():
     sch = il.morse_schedule(2, 6, il.word_from_text(il.BINARY, "01"))
     words = il.build_word(sch)
