@@ -761,14 +761,23 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
             if args.merit_stages
             else list(range(sch.depth + 1))
         )
-        built = words_mod.build_word(sch, max(stages), force=args.force)
+        outside = [n for n in stages if not 0 <= n <= sch.depth]
+        if outside:
+            raise ConfigurationError(f"--merit-stages {outside} outside [0, {sch.depth}]")
+        # Only the words still to be scored are kept, and only the float64
+        # signs of the scored one are alive while merit_factor transforms.
+        built = [w if k in stages else None for k, w in
+                 enumerate(words_mod.build_word(sch, max(stages), force=args.force))]
         rows = []
-        for n in stages:
-            f = corr.lift(labels, built[n], n)
-            signs = f.values.real
-            if np.any(np.abs(f.values.imag) > 0):
+        for i, n in enumerate(stages):
+            values = corr.lift(labels, built[n], n).values
+            if n not in stages[i + 1:]:
+                built[n] = None
+            if np.any(np.abs(values.imag) > 0):
                 raise ConfigurationError("merit mode needs real +-1 labels")
-            rows.append((sh, n, built[n].h, spx.merit_factor(signs)))
+            signs = values.real.copy()
+            del values
+            rows.append((sh, n, signs.size, spx.merit_factor(signs)))
         _write_csv(out_dir / "merit.csv",
                    ["schedule_hash", "stage", "h", "merit_factor"], rows)
         return sh, None

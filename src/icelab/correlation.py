@@ -60,11 +60,6 @@ _ONE_PIECE = 2**18
 #: ``exp(-2 pi i q / 4)`` for the quarter turns ``q`` of ``_unit_roots``.
 _QUARTER_TURNS = np.array([1, -1j, -1, 1j])
 
-#: Bases per block of the ``_base_returns`` scatter: a block's returns span
-#: about ``_RETURN_BLOCK * h_n`` complex values (1.8 MB at h_n = 27), which
-#: stay in a core's cache across the block's ``h_n`` passes.
-_RETURN_BLOCK = 4096
-
 
 # ---------------------------------------------------------------------------
 # Level functions
@@ -729,9 +724,9 @@ def simplicity_diagnostic(
     The signed chart and ``g`` are tables on ``W_{depth-1}``, carried up
     from ``W_{n+1}`` and read one ``_VDOT_BLOCK`` block at a time through the
     last stage's window, ``f`` and the far mask from the block's chart
-    (``_far_half_windows``); no length-``h_N`` array is built.  In each block
-    ``g`` becomes ``v`` and ``f`` becomes ``u``, and ``_block_sums`` adds up
-    the seven products of the blocks.
+    (``_far_half_windows``); no length-``h_N`` array is built.  Each block
+    forms ``g - f``, ``u`` and ``v`` beside ``f`` and ``g``, and
+    ``_block_sums`` adds up the seven products of the blocks.
     """
     h = _check_far_half(schedule, n, depth)
     h_N = schedule.height(depth)
@@ -748,20 +743,12 @@ def simplicity_diagnostic(
     window = _far_half_windows(schedule, n, depth, fn)
 
     def block(lo: int, hi: int) -> tuple:
-        # v = (g - f) + u is formed in g and u in f, each sum taken while its
-        # operands exist, with the bits of the out-of-place forms: g - f is the
-        # exact negation of f - g, so |g - f|^2 is |f - g|^2; and g starts at
-        # +0.0 and only adds, so g - f holds no -0.0 and adding f only where
-        # far adds u = f*[far] bit for bit.
-        f_b, far_b, g_b = window(lo, min(hi, h_N))
-        f2, g2 = np.vdot(f_b, f_b), np.vdot(g_b, g_b)
-        v = np.subtract(g_b, f_b, out=g_b)
-        fg_diff2 = np.vdot(v, v)
-        np.add(v, f_b, out=v, where=far_b)
-        fv = np.vdot(v, f_b)
-        u = f_b
-        np.copyto(u, 0.0, where=np.logical_not(far_b, out=far_b))  # far is not read again
-        return f2, g2, fg_diff2, fv, np.vdot(u, u), np.vdot(v, v), np.vdot(v, u)
+        f, far, g = window(lo, min(hi, h_N))
+        d = g - f  # the exact negation of f - g, so |d|^2 is |f - g|^2
+        u = np.where(far, f, 0)
+        v = d + u  # g starts at +0.0 and only adds, so d holds no -0.0 and d + 0 is d
+        return (np.vdot(f, f), np.vdot(g, g), np.vdot(d, d), np.vdot(v, f),
+                np.vdot(u, u), np.vdot(v, v), np.vdot(v, u))
 
     sums = _block_sums(h_N, block)
     _refuse_overflow("the far-half sums", sums)
@@ -783,7 +770,7 @@ def simplicity_diagnostic(
 
 def _far_half_windows(schedule: Schedule, n: int, depth: int, fn: np.ndarray):
     """``window(lo, hi)``: ``f``, the far mask and ``g`` on positions ``lo:hi``
-    of ``W_depth`` (``hi - lo <= _VDOT_BLOCK``).
+    of ``W_depth``, as fresh arrays.
 
     Two tables on ``W_{n+1}`` are carried up by ``concat_stage`` through
     stages ``n+1 .. depth-2``: ``chart = signed_levels(schedule, n)`` and
@@ -804,7 +791,8 @@ def _far_half_windows(schedule: Schedule, n: int, depth: int, fn: np.ndarray):
     stage's junctions inside it.
 
     So one int64 and one complex table of length ``h_{depth-1}`` (24 B per
-    position) and one block are alive; nothing has length ``h_N``.
+    position) and the arrays of one window are alive; nothing has length
+    ``h_N``.
     """
     w = (fn.size - 1) // 2
     *stages, top = schedule.stages[n + 1: depth] or [ONE_COPY]
@@ -814,11 +802,10 @@ def _far_half_windows(schedule: Schedule, n: int, depth: int, fn: np.ndarray):
         g = concat_stage(g, st, None)
         _patch_junctions(g, 0, chart, st, fn)
         chart = concat_stage(chart, st, None)
-    c_buf, g_buf = np.empty(_VDOT_BLOCK, dtype=np.int64), np.empty(_VDOT_BLOCK, dtype=g.dtype)
 
     def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = concat_stage(chart, top, None, lo, hi, c_buf[:hi - lo])
-        g_b = concat_stage(g, top, None, lo, hi, g_buf[:hi - lo])
+        c = concat_stage(chart, top, None, lo, hi)
+        g_b = concat_stage(g, top, None, lo, hi)
         _patch_junctions(g_b, lo, chart, top, fn)
         return fn[c], np.abs(c) > w, g_b
 
@@ -918,39 +905,16 @@ def severed_copy_imbalance(
 
 def _base_returns(bases: np.ndarray, size: int, fn: np.ndarray) -> np.ndarray:
     """Reconstruction ``g = sum_{|j| <= w} f_(n)(j) T^j b_n`` on a cycle of
-    ``size`` positions, scattered from its bases (ascending positions), with
-    ``h = fn.size = h_n`` and ``w = (h - 1)/2``.
-
-    Each position receives its returns in ascending ``j``, that is from its
-    bases in descending order, so ``g`` is bitwise that of one pass over all
-    bases per ``j``.  The passes run over blocks of ``_RETURN_BLOCK``
-    consecutive bases instead, blocks in descending order and each block's
-    ``j`` loop ascending, so the block's slice of ``g`` stays in cache across
-    its ``h`` passes.  Seam rule: the cycle is read from a cut just after its
-    widest gap between consecutive bases, so the bases before the cut come
-    last along it and are scattered first.  When that gap is at least
-    ``2w + 1`` no position has returns from bases on both sides of the cut,
-    so descending order along the cut cycle is descending order at every
-    position.  Bases with mean gap ``h`` (one per copy of ``W_n``, as in the
-    diagnostic) always have such a gap; when there is none, all bases form
-    one block.
+    ``size`` positions, scattered from its bases, with ``h = fn.size = h_n``
+    and ``w = (h - 1)/2``: one pass over all bases per ``j``, ``j`` ascending,
+    so each position adds its returns in ascending ``j`` from +0.0.  Callers
+    scatter ``W_{n+1}`` and junction rows (``_core_returns``), never ``W_N``.
     """
     h = fn.size
     w = (h - 1) // 2
     g = np.zeros(size, dtype=np.complex128)
-    if bases.size == 0:
-        return g
-    gaps = np.diff(bases, append=bases[0] + size)
-    cut = int(np.argmax(gaps)) + 1
-    block = _RETURN_BLOCK
-    if gaps[cut - 1] <= 2 * w:  # no seam: each j passes over all bases at once
-        cut, block = 0, bases.size
-    del gaps
-    for part in (bases[:cut], bases[cut:]):
-        for hi in range(part.size, 0, -block):
-            chunk = part[max(hi - block, 0): hi]
-            for j in range(-w, w + 1):
-                g[(chunk + j) % size] += fn[j % h]
+    for j in range(-w, w + 1):
+        g[(bases + j) % size] += fn[j % h]
     return g
 
 

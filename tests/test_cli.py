@@ -548,7 +548,8 @@ def test_an_unread_or_missing_option_exits_2_before_out_is_created(argv, tmp_pat
 _INTS = ["0", "1", "2", "3", "4", "-1", str(2**63), str(2**70), "x", "1.5"]
 _FLOATS = ["0", "0.5", "1", "2", "3", "-1", "nan", "inf", "x"]
 _TEXTS = ["0", "1", "3", "01", "001", "012", "0123", "2,3", "3,3", "3,3,3", "1,2", "3,-2",
-          "3,x", "", "0=1,1=-1", "0=1,1=-1,2=0", "0=1,1=1j,2=-1,3=-1j", "0=1e200", "0=x", "x"]
+          "0,-1", "3,x", "", "0=1,1=-1", "0=1,1=-1,2=0", "0=1,1=1j,2=-1,3=-1j", "0=1e200",
+          "0=x", "x"]
 _FEW = ["1", "2", "0", "-1", "x"]
 _FILES = ["pure.json", "rotated.json", "spacer.json", "missing.json", "malformed.json",
           "list.json"]
@@ -1100,6 +1101,31 @@ def test_non_integer_stage_list_exits_2(argv, tmp_path):
     out = tmp_path / "o"
     assert cli.run(argv + ["--out", str(out)]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("stages", ["-1,3", "0,-3", "-4", "1,4"])
+def test_merit_stages_outside_the_schedule_exit_2(stages, tmp_path, capsys):
+    # A negative entry would index the list of words from its end and score
+    # W_3 as stage -1.
+    out = tmp_path / "o"
+    argv = ["spectrum", "--mode", "merit", *_MORSE, "--labels", "0=1,1=-1",
+            f"--merit-stages={stages}", "--out", str(out)]
+    assert cli.run(argv) == 2
+    assert "outside [0, 3]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_merit_rows_follow_the_stage_list_with_repeats(tmp_path):
+    # Each word is dropped after its last entry in the list, not before.
+    out = tmp_path / "o"
+    argv = ["spectrum", "--mode", "merit", *_MORSE, "--labels", "0=1,1=-1",
+            "--merit-stages", "3,0,3,1", "--out", str(out)]
+    assert cli.run(argv) == 0
+    words = words_mod.build_word(cli._schedule_from_args(cli.build_parser().parse_args(argv)))
+    expected = [[str(n), str(words[n].h),
+                 str(spx.merit_factor(1.0 - 2.0 * words[n].symbols))] for n in (3, 0, 3, 1)]
+    lines = (out / "merit.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[1:] for line in lines[1:]] == expected
 
 
 def test_exp_n_above_the_symbol_limit_exits_3_before_any_evaluation(tmp_path, monkeypatch):
@@ -1669,11 +1695,13 @@ def test_merit_peak_rss_per_padded_point(tmp_path):
     # h = 2^21 symbols, zero-padded to 2^22 points.  The padded word is one
     # complex buffer (16 B per point) that the correlation kernel transforms
     # in place in blocks of 2^16 values; it is released before the rounded
-    # correlations are squared in their own memory.  Beside it are the lift
-    # (8 B per point) and the int32 words W_0 .. W_20 (4 B).  Measured on a
-    # 2-core Linux box (Python 3.11, numpy 2.4): the manifest read 33.4-33.5 B
-    # per padded point above a bare import; numpy's rfft/irfft pair, with its
-    # spectrum, power and inverse arrays, read 48.7.
+    # correlations are squared in their own memory.  Beside it are only the
+    # float64 signs of W_20 (4 B per point).  Measured on a 2-core Linux box
+    # (Python 3.11, numpy 2.4): the manifest read 25.0-25.1 B per padded
+    # point above a bare import, and the bound leaves 20 % slack.  With the
+    # complex lift (8 B) and the int32 words W_0 .. W_20 (4 B) alive it read
+    # 33.4-33.5, and numpy's rfft/irfft pair, with its spectrum, power and
+    # inverse arrays, 48.7.
     argv = ["spectrum", "--mode", "merit", "--family", "morse", "--r", "2", "--depth", "20",
             "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1",
             "--merit-stages", "20", "--out", str(tmp_path / "o")]
@@ -1681,7 +1709,7 @@ def test_merit_peak_rss_per_padded_point(tmp_path):
     _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
     per_point = (manifest["peak_rss_mb"] * 2**20 - bare) / 2**22
-    assert per_point < 40, f"{per_point:.1f} B per padded point"
+    assert per_point < 30, f"{per_point:.1f} B per padded point"
 
 
 @linux_only

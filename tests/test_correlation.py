@@ -587,30 +587,15 @@ def _dense_cycle(seed, w, size, density):
     w=st.integers(min_value=0, max_value=6),
     size=st.integers(min_value=1, max_value=160),
     density=st.floats(min_value=0.0, max_value=1.0),
-    block=st.sampled_from([1, 2, 3]),
 )
 @settings(max_examples=300, deadline=None)
-def test_blocked_base_returns_bitwise_equal_the_per_j_loop(seed, w, size, density, block):
+def test_blocked_base_returns_bitwise_equal_the_per_j_loop(seed, w, size, density):
     # Dense arcs give positions three or more returns, and an arc that wraps
     # past position 0 puts them on both sides of the cycle's end.
     fn, bases = _dense_cycle(seed, w, size, density)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corr, "_RETURN_BLOCK", block)
-        got = corr._base_returns(bases, size, fn)
+    got = corr._base_returns(bases, size, fn)
     ref = _per_j_base_returns(bases, size, fn)
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_blocked_base_returns_at_the_default_block(seed):
-    # Several default-size blocks and a seam (a gap of at least 2w + 1 = 13),
-    # with a dense arc that wraps past position 0.
-    size = 12 * corr._RETURN_BLOCK
-    fn, bases = _dense_cycle(seed, 6, size, 0.6)
-    assert bases.size > 2 * corr._RETURN_BLOCK
-    assert np.diff(bases, append=bases[0] + size).max() >= 13
-    got = corr._base_returns(bases, size, fn)
-    assert np.array_equal(got.view(np.int64), _per_j_base_returns(bases, size, fn).view(np.int64))
 
 
 def _gather_and_scatter(schedule, n, depth, fn):
@@ -622,7 +607,7 @@ def _gather_and_scatter(schedule, n, depth, fn):
     chart = il.signed_levels(schedule, n)
     w = (fn.size - 1) // 2
     bases = np.flatnonzero((chart == 0)[x])
-    return fn[chart][x], (np.abs(chart) > w)[x], corr._base_returns(bases, x.size, fn)
+    return fn[chart][x], (np.abs(chart) > w)[x], _per_j_base_returns(bases, x.size, fn)
 
 
 def _rotated_schedule(rng, h0, qs, zeros):
