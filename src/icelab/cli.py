@@ -637,7 +637,9 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
                      sum((sch.stages[n].q - 1) * heights[n + 1] for n in checked),
                      MAX_DENSE_TERMS, args.force)
     built = words_mod.build_word(sch, top, force=args.force)
-    v = np.concatenate([corr._lifted_series(labels, built, n, args.zero_mean) for n in stages])
+    # A list of its own for each lift, so built keeps the word for the recursion check.
+    transform = lambda n: corr._lifted_series(labels, [built[n]], 0, args.zero_mean)
+    v = np.concatenate([transform(n) for n in stages])
     corr._refuse_overflow("the correlation series", v)
     sizes = [heights[n] for n in stages]
     _write_csv(out_dir / "correlation.csv", ["schedule_hash", "stage", "t", "re", "im"],
@@ -647,10 +649,12 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     summary = None
     if args.check_recursion:
         res_rows, worst = [], 0.0
+        # A stage that was written is read back from v, not transformed again.
+        written = dict(zip(stages, np.split(v, np.cumsum(sizes)[:-1])))
         for n in checked:
             st = sch.stages[n]
             series = corr.CorrelationSeries(
-                n=n, values=corr._lifted_series(labels, built, n, args.zero_mean))
+                n=n, values=written[n] if n in written else transform(n))
             f_hi = corr.lift(labels, built[n + 1], n + 1, zero_mean=args.zero_mean)
             shifts = list(range(1, st.q))
             lhs = corr.correlation_at_lags(f_hi, lags=[s * heights[n] for s in shifts])

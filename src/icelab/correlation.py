@@ -374,18 +374,18 @@ def _correlate_owned(buf: np.ndarray, other: np.ndarray | None = None) -> np.nda
 
 
 def _lifted_series(labels: Mapping[str, complex], words: list, n: int, zero_mean: bool,
-                   drop: bool = False, stage: Stage = ONE_COPY) -> np.ndarray:
+                   stage: Stage = ONE_COPY) -> np.ndarray:
     """The autocorrelation series of the lift of ``words[n]``, or of the word
     ``stage`` builds on it (``_lifted_values``), computed in the lift.
 
     The lift is a buffer this call owns: with ``zero_mean`` it is checked as
     ``LevelFunction`` would check it, then ``_correlate_owned`` transforms it
-    in place, so no copy of it is alive beside the transform.  With ``drop``,
-    ``words[n]`` is set to None once lifted, so the word is not alive then either.
+    in place, so no copy of it is alive beside the transform.  ``words[n]``
+    is set to None once lifted, so the word is not alive then either unless
+    the caller holds it elsewhere.
     """
     buf, scale = _lifted_values(labels, words[n], zero_mean, stage)
-    if drop:
-        words[n] = None
+    words[n] = None
     if zero_mean:
         _check_zero_mean(buf, scale)
     return _correlate_owned(buf)
@@ -528,12 +528,20 @@ def decay_profile(
 
     Each stage's lift is a buffer that ``_lifted_series`` owns: it is checked
     to be zero-mean as ``LevelFunction`` would check it, then transformed in
-    place into the correlation series, and ``W_n`` is dropped once it is
-    lifted.  Words are built up to ``W_{n_hi - 1}`` only: the lift of
-    ``W_{n_hi}`` is gathered from it through the last stage's window
-    (``_lifted_values``).  The statistics are taken in the series' own
-    memory (``_central_decay``), and each series is released before the
-    next lift, so one length-``h_n`` complex array is alive at a time.
+    place into the correlation series.  Words are built up to ``W_{n_hi - 1}``
+    only, and every stage ``n >= 1`` is gathered from ``W_{n-1}`` through
+    stage ``n - 1``'s window (``_lifted_values``), stage 0 from ``W_0``
+    itself; ``W_{n-1}`` is dropped once stage ``n`` is lifted.  The
+    statistics are taken in the series' own memory (``_central_decay``), and
+    each series is released before the next lift, so one length-``h_n``
+    complex array is alive at a time.
+
+    The top stage runs first, and the stages below it then run in ascending
+    order.  So ``W_{n_hi - 1}`` is gone once the top lift is gathered, and
+    nothing of another stage (no series, no lift, no word above ``W_{n_hi -
+    2}``) is resident beside the top transform, which sets the peak: a lower
+    stage's series freed just before it would raise glibc's mmap threshold,
+    and the top transform's block temporaries would then stay in the heap.
     """
     if n_hi - n_lo + 1 < 3:
         raise ConfigurationError("decay fit needs at least 3 stages")
@@ -546,13 +554,14 @@ def decay_profile(
         raise ConfigurationError(f"unknown statistic {statistic!r}")
 
     refuse_above(f"h_{n_hi} (word symbols)", schedule.height(n_hi), MAX_SYMBOLS, force)
-    last = n_hi - 1
-    words = build_word(schedule, last, force=force)
-    rows = []
-    for n in range(n_lo, n_hi):  # W_{n_hi - 1} is kept for the last stage's window
-        rows.append(_central_decay(n, _lifted_series(labels, words, n, True, drop=n < last)))
-    rows.append(_central_decay(n_hi, _lifted_series(labels, words, last, True, drop=True,
-                                                    stage=schedule.stages[last])))
+    # Stage n reads words[n] through stages[n]: W_0 itself at n = 0, and
+    # W_{n-1} through stage n - 1's window above it.
+    words = build_word(schedule, n_hi - 1, force=force)
+    words.insert(0, words[0])
+    stages = (ONE_COPY, *schedule.stages)
+    top = _central_decay(n_hi, _lifted_series(labels, words, n_hi, True, stages[n_hi]))
+    rows = [_central_decay(n, _lifted_series(labels, words, n, True, stages[n]))
+            for n in range(n_lo, n_hi)] + [top]
 
     # A mean square is finite only if every magnitude and square it averages is.
     _refuse_overflow("the decay statistics", np.array([r.variance for r in rows]))

@@ -127,6 +127,28 @@ def test_correlate_recursion(cat_file, tmp_path):
     assert {int(r[1]) for r in corr_rows} == {0, 1, 2}
 
 
+@pytest.mark.parametrize("flags, transformed", [([], [3, 18, 54]),
+                                                (["--stage", "2"], [54, 3, 18])])
+def test_correlate_transforms_each_stage_once(cat_file, tmp_path, monkeypatch,
+                                              flags, transformed):
+    # Without --stage, stages 0 and 1 are both written and checked: the
+    # recursion reads their written series back, so each of h = 3, 18, 54 is
+    # transformed once.  With --stage 2 the checked stages are not written
+    # and are transformed for the check alone.
+    real, sizes = corr._correlate_owned, []
+
+    def counted(buf, other=None):
+        sizes.append(buf.size)
+        return real(buf, other)
+
+    monkeypatch.setattr(corr, "_correlate_owned", counted)
+    out = tmp_path / "o"
+    assert cli.run(["correlate", "--schedule", str(cat_file), "--labels", "C=1,A=-1,T=1",
+                    "--check-recursion", *flags, "--out", str(out)]) == 0
+    assert sizes == transformed
+    assert all(float(r[3]) <= 1e-12 for r in read_csv(out / "recursion.csv")[1:])
+
+
 @pytest.mark.parametrize("flags, expected", [([], 0), (["--zero-mean"], 2)])
 def test_correlate_checks_zero_mean_of_its_lifts(cat_file, tmp_path, monkeypatch,
                                                   flags, expected):
@@ -1650,12 +1672,15 @@ def test_csv_writer_workers_stay_within_the_recorded_peak(tmp_path):
 
 @linux_only
 def test_simplicity_peak_rss_per_symbol(tmp_path):
-    # h_N = 2,204,496.  No array of length h_N exists: f, g, the far mask and
-    # the base mask are tables on W_3 (34 B per W_3 position, 34/7 = 4.9 B
-    # per h_N symbol), read in blocks of 8,192 positions through the last
-    # stage's window.  Measured on a 2-core Linux box (Python 3.11, numpy
-    # 2.4): the manifest read 6.1-6.2 B per symbol above the 35.7 MB of
-    # `import icelab.cli`.  Building f and g (16 B per symbol each) and the
+    # h_N = 2,204,496.  No array of length h_N exists: the signed chart
+    # (int64) and g (complex128) are two tables on W_3 (24 B per W_3
+    # position, 24/7 = 3.4 B per h_N symbol), read in blocks of 8,192
+    # positions through the last stage's window; f and the far mask are read
+    # off each block of the chart.  Measured on a 2-core Linux box (Python
+    # 3.11, numpy 2.4): the manifest read 4.8-5.0 B per symbol above the
+    # 35.7 MB of `import icelab.cli`, and 6.1-6.2 B while f, g, the far mask
+    # and the base mask were four tables on W_3 (34 B per W_3 position).
+    # Building f and g (16 B per symbol each) and the
     # far mask over all of h_N read 35.6 B, gathering them through the int64
     # level-(n+1) coordinates 35.8 B, and a third complex array 51.7 B.
     argv = ["simplicity", "--family", "random", "--qs", "9,729,16,7", "--seed", "5",
@@ -1676,7 +1701,10 @@ def test_decay_peak_rss_per_symbol(tmp_path):
     # scratch; the lift of W_3 is gathered through the last stage's window
     # from W_2, so W_3's symbols are never built; and the statistics are
     # taken in the series' own memory.  Measured on a 2-core Linux box
-    # (Python 3.11, numpy 2.4): 19.4-19.6 B per symbol above a bare import.
+    # (Python 3.11, numpy 2.4): 19.4-19.6 B per symbol above a bare import,
+    # whether the top stage runs last or first: stage 2's series is only
+    # 1 MB here, so freeing it before the top transform barely moves the heap
+    # (the deep-tower shape below shows the order's saving).
     # The magnitudes of the central half and a temporary of their statistics
     # beside the series read 27.7-27.9, numpy's 1-d FFT, with about two
     # complex arrays of scratch, 51.2, and the lift, its transform and the
@@ -1688,6 +1716,46 @@ def test_decay_peak_rss_per_symbol(tmp_path):
     run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     per_symbol = (run - bare) / (16 * 64 * 64 * 32)
     assert per_symbol < 24, f"{per_symbol:.1f} B per symbol"
+
+
+@linux_only
+def test_decay_peak_rss_per_symbol_at_the_deep_tower_shape(tmp_path):
+    # h_N = 2^23, the benchmark's deep-tower decay.  The top stage runs first
+    # and W_2 (4 MB of int32) is released once its lift is gathered, so only
+    # the 128 MB top buffer and its transform's blocks are alive at the peak.
+    # Measured on a 2-core Linux box (Python 3.11, numpy 2.4): 16.8-16.9 B
+    # per symbol above a bare import.  With the top stage last, beside W_2,
+    # it read 18.2-18.3: the 16 MB series of stage 2 freed just before raised
+    # glibc's mmap threshold, so the top transform's block temporaries stayed
+    # in the heap.
+    argv = ["decay", "--family", "random", "--qs", "256,256,8", "--seed", "4711",
+            "--seed-word", "0123" * 4, "--alphabet", "0123", "--labels", "0=1,1=1j,2=-1,3=-1j",
+            "--from-stage", "0", "--to-stage", "3", "--out", str(tmp_path / "o")]
+    bare = _peak_rss_bytes("import icelab.cli")
+    run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    per_symbol = (run - bare) / 2**23
+    assert per_symbol < 17.5, f"{per_symbol:.2f} B per symbol"
+
+
+@linux_only
+def test_ensemble_decay_peak_rss_per_task(tmp_path):
+    # The benchmark's ensemble: 8 decay profiles with h_N = 2^20, run on
+    # min(--threads, seeds, usable CPUs) threads, each task holding its own
+    # top buffer (16 B per symbol) and transform blocks.  Measured on a
+    # 2-core Linux box (Python 3.11, numpy 2.4), per concurrent task and
+    # h_N symbol above a bare import: 20.7-21.1 B on two threads (20.3-20.5
+    # with each task's top stage run last) and 23.5-23.7 on one, where one
+    # task carries the command's fixed cost alone; the bound leaves 14 %
+    # slack above the larger.
+    argv = ["ensemble", "--threads", "2", "--base-seed", "4711", "--task", "decay",
+            "--seeds", "8", "--qs", "256,256", "--seed-word", "0123" * 4, "--alphabet", "0123",
+            "--labels", "0=1,1=1j,2=-1,3=-1j", "--from-stage", "0", "--to-stage", "2",
+            "--out", str(tmp_path / "o")]
+    tasks = min(2, 8, corr._usable_cpus())
+    bare = _peak_rss_bytes("import icelab.cli")
+    run = _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
+    per_symbol = (run - bare) / (tasks * 2**20)
+    assert per_symbol < 27, f"{per_symbol:.1f} B per symbol per task"
 
 
 @linux_only

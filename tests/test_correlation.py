@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -363,6 +364,39 @@ def test_decay_large_h_matches_two_transform_reference():
         stats.append(ref.median)
     slope = float(np.polyfit(np.log([s.h for s in prof.stages]), np.log(stats), 1)[0])
     assert repr(prof.slope) == repr(slope)
+
+
+@pytest.mark.parametrize("n_lo", [0, 1, 2])
+def test_decay_runs_the_top_stage_first_and_drops_each_word_once_lifted(
+        monkeypatch, trit_word, trit_labels, n_lo):
+    # The top transform, which sets the peak, runs first, and W_{N-1} is
+    # released once its lift is gathered; the stages below then run in
+    # ascending order, each beside no word above the one it was lifted from.
+    sch = il.random_schedule([4, 5, 6, 7], 2, trit_word)
+    heights = sch.heights()
+    built, transformed = [], []
+    build, transform = corr.build_word, corr._correlate_owned
+
+    def tracked(*args, **kwargs):
+        words = build(*args, **kwargs)
+        built.extend(weakref.ref(w) for w in words)
+        return words
+
+    def counted(buf, other=None):
+        transformed.append((buf.size, [r() is not None for r in built]))
+        return transform(buf, other)
+
+    monkeypatch.setattr(corr, "build_word", tracked)
+    monkeypatch.setattr(corr, "_correlate_owned", counted)
+    prof = il.decay_profile(sch, trit_labels, n_lo, 4)
+    assert [s.h for s in prof.stages] == heights[n_lo:]
+    order = [4, *range(n_lo, 4)]
+    assert [size for size, _ in transformed] == [heights[n] for n in order]
+    for n, (_, alive) in zip(order, transformed):
+        # Stage n >= 1 drops W_{n-1} once lifted; W_0 stays alive as the
+        # schedule's seed word.
+        dropped = {3} if n == 4 else {3, *range(max(n_lo - 1, 1), n)}
+        assert alive == [m not in dropped for m in range(4)], (n, alive)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3, 4, 5, 6, 7, 1000, 1001, 2**19, 2**19 + 3])
