@@ -30,6 +30,7 @@ from .words import (
     schedule_hash,
     schedule_to_json,
     subword_distribution,
+    tower,
     word_from_text,
 )
 from .iceberg import (
@@ -106,7 +107,7 @@ __all__ = [
     # words
     "Alphabet", "Word", "Stage", "Schedule",
     "BINARY", "BINARY_SPACER", "DNA",
-    "word_from_text", "rotate", "build_word", "subword_distribution",
+    "word_from_text", "rotate", "build_word", "tower", "subword_distribution",
     "morse_schedule", "random_schedule", "rank_one_schedule",
     "schedule_to_json", "schedule_from_json", "schedule_hash",
     "save_schedule", "load_schedule",

@@ -555,11 +555,13 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
     sch = _schedule_from_args(args)
     depth = args.depth if args.depth is not None else sch.depth
     sh = words_mod.schedule_hash(sch)
-    stages = words_mod.build_word(sch, depth, force=args.force)
-    rows = [(sh, n, w.h, w.text) for n, w in enumerate(stages)]
+    rows = []
+    for n, word in enumerate(words_mod.tower(sch, depth, force=args.force)):
+        rows.append((sh, n, word.h, word.text))
+        if n == max(depth - 1, 0):
+            below = word  # the coding reads W_N through the last stage from W_{N-1}
     _write_csv(out_dir / "words.csv", ["schedule_hash", "stage", "h", "word"], rows)
     words_mod.save_schedule(sch, out_dir / "schedule.json")
-    del stages, rows  # neither the coding nor the jump trace reads the words
 
     wants_coding = any(
         v is not None for v in (args.coding_start, args.coding_length, args.coding_level)
@@ -570,8 +572,9 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
             start = args.coding_start or 0
             length = args.coding_length if args.coding_length is not None else pc.heights[depth]
             level = args.coding_level if args.coding_level is not None else 0
-            coding = dyn.orbit_coding(pc, start, length, level)
+            coding = dyn.orbit_coding(pc, below, start, length, level)
             (out_dir / "coding.txt").write_text(coding.text + "\n", encoding="utf-8")
+        del word, rows, below  # the jump trace reads no word
         if args.jump_trace:
             reg = dyn.regular_indices(pc)
             pos = np.flatnonzero(reg > 0)
@@ -768,22 +771,20 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
         outside = [n for n in stages if not 0 <= n <= sch.depth]
         if outside:
             raise ConfigurationError(f"--merit-stages {outside} outside [0, {sch.depth}]")
-        # Only the words still to be scored are kept, and only the float64
-        # signs of the scored one are alive while merit_factor transforms.
-        built = [w if k in stages else None for k, w in
-                 enumerate(words_mod.build_word(sch, max(stages), force=args.force))]
-        rows = []
-        for i, n in enumerate(stages):
-            values = corr.lift(labels, built[n], n).values
-            if n not in stages[i + 1:]:
-                built[n] = None
-            if np.any(np.abs(values.imag) > 0):
-                raise ConfigurationError("merit mode needs real +-1 labels")
-            signs = values.real.copy()
-            del values
-            rows.append((sh, n, signs.size, spx.merit_factor(signs)))
-        _write_csv(out_dir / "merit.csv",
-                   ["schedule_hash", "stage", "h", "merit_factor"], rows)
+        scores, words = {}, words_mod.tower(sch, max(stages), force=args.force)
+        for n in range(max(stages) + 1):
+            word = next(words)  # enumerate's reused result pair would keep W_n alive
+            if n in stages:
+                values = corr.lift(labels, word, n).values
+                if n == max(stages):
+                    del word, words  # the tower holds its last word too
+                if np.any(np.abs(values.imag) > 0):
+                    raise ConfigurationError("merit mode needs real +-1 labels")
+                signs = values.real.copy()
+                del values  # only the float64 signs are alive while merit_factor transforms
+                scores[n] = (signs.size, spx.merit_factor(signs))
+        _write_csv(out_dir / "merit.csv", ["schedule_hash", "stage", "h", "merit_factor"],
+                   [(sh, n, *scores[n]) for n in stages])
         return sh, None
 
     # riesz mode

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import project_positions
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import ONE_COPY, Schedule, Stage, Word, build_word, concat_stage, cyclic_window
+from .words import ONE_COPY, Schedule, Stage, Word, concat_stage, cyclic_window, tower
 
 #: Values per ``np.vdot`` in ``_block_sums``: at most OpenBLAS's threading
 #: threshold (about 10,000), so no product is split across threads.
@@ -556,8 +556,7 @@ def decay_profile(
     refuse_above(f"h_{n_hi} (word symbols)", schedule.height(n_hi), MAX_SYMBOLS, force)
     # Stage n reads words[n] through stages[n]: W_0 itself at n = 0, and
     # W_{n-1} through stage n - 1's window above it.
-    words = build_word(schedule, n_hi - 1, force=force)
-    words.insert(0, words[0])
+    words = [schedule.seed_word, *tower(schedule, n_hi - 1, force=force)]
     stages = (ONE_COPY, *schedule.stages)
     top = _central_decay(n_hi, _lifted_series(labels, words, n_hi, True, stages[n_hi]))
     rows = [_central_decay(n, _lifted_series(labels, words, n, True, stages[n]))
@@ -697,7 +696,8 @@ def _far_half_base_function(
     centring or the squares overflow (``1e308`` and ``-1e308``) leave it
     non-finite.
     """
-    word = build_word(schedule, n, force=force)[n]
+    for word in tower(schedule, n, force=force):
+        pass  # W_n, the last word, is the one kept
     fn = lift(labels, word, n, zero_mean=True).values
     alpha = word.alphabet
     present = np.flatnonzero(np.bincount(word.symbols, minlength=len(alpha.symbols)))

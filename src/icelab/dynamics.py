@@ -10,7 +10,7 @@ how much of the deep word is covered by rotations of a shallow one.
 
 Two routes compute coordinates.  The concatenated route (``project_all``)
 builds the level-``n`` coordinates of a whole truncation the way words are
-built: ``words.concat_stages`` applied to ``arange(h_n)`` through stages
+built: ``words.concat_stage`` applied to ``arange(h_n)`` through stages
 ``n .. N-1`` with ``SPACER_MARK`` as the spacer fill.  The arithmetic route
 (``project_positions`` / ``symbols_range``) locates arbitrary position
 subsets by ``searchsorted`` over the copy starts, so it streams through words
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import ONE_COPY, Schedule, Word, build_word, concat_stage, concat_stages, cyclic_window
+from .words import ONE_COPY, Schedule, Word, concat_stage, cyclic_window, tower
 
 #: Reserved projection value for spacer positions.
 SPACER_MARK = -1
@@ -70,10 +70,10 @@ def _project_down(schedule: Schedule, arr: np.ndarray, n: int, h: int) -> np.nda
 class ProjectionChain:
     """The depth-``depth`` truncation of a schedule, within the symbol guardrail.
 
-    Holds no coordinate arrays: ``project_all`` builds them from the schedule
-    on each call by the concatenated route, and ``project`` / ``step`` read
-    single points through the arithmetic route.  ``build`` refuses truncations
-    whose height exceeds ``MAX_SYMBOLS`` unless forced.
+    Holds no coordinate arrays or words: ``project_all`` builds the arrays on
+    each call by the concatenated route, ``project`` / ``step`` read single
+    points by the arithmetic route, and ``orbit_coding`` is handed ``W_{depth-1}``.
+    ``build`` refuses truncations whose height exceeds ``MAX_SYMBOLS`` unless forced.
     """
 
     schedule: Schedule
@@ -95,10 +95,6 @@ class ProjectionChain:
         heights = schedule.heights()[: depth + 1]
         refuse_above(f"h_{depth} (coordinates)", heights[-1], MAX_SYMBOLS, force)
         return cls(schedule=schedule, depth=depth, heights=heights)
-
-    def word(self, m: int) -> Word:
-        """Materialised ``W_m`` (covered by the chain's guardrail), built on each call."""
-        return build_word(self.schedule, m, force=True)[-1]
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,9 @@ def project_all(pc: ProjectionChain, n: int) -> np.ndarray:
     if not 0 <= n <= pc.depth:
         raise ConfigurationError(f"need 0 <= n <= depth = {pc.depth}, got n={n}")
     arr = np.arange(pc.heights[n], dtype=np.int64)
-    return concat_stages(arr, pc.schedule.stages[n:pc.depth], SPACER_MARK)
+    for st in pc.schedule.stages[n:pc.depth]:
+        arr = concat_stage(arr, st, SPACER_MARK)
+    return arr
 
 
 def step(pc: ProjectionChain, x: int) -> StepResult:
@@ -231,24 +229,26 @@ def regular_indices(pc: ProjectionChain) -> np.ndarray:
     return reg
 
 
-def orbit_coding(pc: ProjectionChain, start: int, length: int, m: int) -> Word:
+def orbit_coding(pc: ProjectionChain, below: Word, start: int, length: int, m: int) -> Word:
     """Letters of ``W_m`` read along ``length`` forward steps from ``start``.
 
     Spacer positions contribute the alphabet's spacer symbol.  Since
     ``W_m[x_m] = W_0[x_0]``, the coding is the same for every ``m``: the
     ``cyclic_window`` of ``W_N`` from ``start`` (any integer, taken mod
-    ``h_N``), read through the last stage from ``W_{N-1}``.  Starting at 0
-    with ``length = h_N`` returns ``W_N`` itself.
+    ``h_N``), read through the last stage from ``below = W_{N-1}`` (``W_0``
+    at depth 0).  Starting at 0 with ``length = h_N`` returns ``W_N`` itself.
     """
-    h_N = pc.heights[pc.depth]
+    h_N, n = pc.heights[pc.depth], max(pc.depth - 1, 0)
     if not 0 <= m <= pc.depth:
         raise ConfigurationError(f"coding level {m} outside [0, {pc.depth}]")
     if not 1 <= length <= h_N:
         raise ConfigurationError(f"coding length {length} outside [1, {h_N}]")
+    if below.h != pc.heights[n]:
+        raise ConfigurationError(f"below must be W_{n} (h = {pc.heights[n]}), not h = {below.h}")
     top = pc.schedule.stages[pc.depth - 1] if pc.depth else ONE_COPY
     start = int(start) % h_N
-    letters = cyclic_window(pc.word(max(pc.depth - 1, 0)).symbols, top,
-                            pc.schedule.alphabet.spacer_index, start, start + length)
+    letters = cyclic_window(below.symbols, top, pc.schedule.alphabet.spacer_index,
+                            start, start + length)
     return Word(pc.schedule.alphabet, letters)
 
 
@@ -262,17 +262,20 @@ def coverage_statistic(pc: ProjectionChain, m: int, windows: int) -> float:
     covered by their own copy's window, samples in cut scars generally are
     not, so the statistic tracks the body fraction up to boundary slack and
     accidental matches.  Cost is O(windows * h_m^2) in the worst case, so
-    keep ``m`` small relative to the chain depth.
+    keep ``m`` small relative to the chain depth.  One pass of ``words.tower``
+    builds ``W_m`` and ``W_N``.
     """
     h_N = pc.heights[pc.depth]
-    h_m = pc.heights[m]
     if not 1 <= windows <= h_N:
         raise ConfigurationError(f"window count {windows} outside [1, {h_N}]")
     samples = np.arange(windows, dtype=np.int64) * (h_N // windows)
     in_copy = project_positions(pc.schedule, samples, pc.depth, m) != SPACER_MARK
-    w_m = pc.word(m)
+    for k, word in enumerate(tower(pc.schedule, pc.depth, force=True)):  # the chain checked h_N
+        if k == m:
+            w_m = word
+    h_m = pc.heights[m]
     rotations = {np.roll(w_m.symbols, -a).tobytes() for a in range(h_m)}
-    letters = pc.word(pc.depth).symbols
+    letters = word.symbols
     offsets = np.arange(h_m, dtype=np.int64)
     hits = 0
     for p in samples[in_copy].tolist():  # spacer material belongs to no copy

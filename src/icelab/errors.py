@@ -12,7 +12,7 @@ is refused, a size equal to it is admitted.  ``MAX_SYMBOLS`` and
 (``--force`` on the command line); ``MAX_SWEEP_CUTS`` is a hard cap.
 
 The merit factor needs no limit of its own: the word it scores is built by
-``build_word``, which refuses it above ``MAX_SYMBOLS`` before any work, and
+``words.tower``, which refuses it above ``MAX_SYMBOLS`` before any work, and
 its zero-padded transform adds only a constant factor (a length below
 ``4N`` for a word of length ``N``), so a separate limit would guard nothing
 new.

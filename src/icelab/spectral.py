@@ -24,7 +24,7 @@ import numpy as np
 
 from .correlation import _correlate_owned, _refuse_overflow, lift
 from .errors import MAX_DENSE_TERMS, ConfigurationError, refuse_above
-from .words import Schedule, build_word
+from .words import Schedule, tower
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,8 @@ def direct_word_spectrum(
     product over stages ``n0 .. level-1`` — the direct counterpart of the
     partial Riesz product with factors ``n0 .. level-1``.
     """
-    word = build_word(schedule, level, force=force)[-1]
+    for word in tower(schedule, level, force=force):
+        pass  # W_level, the last word, is the one kept
     coeffs = lift(labels, word, level, zero_mean=zero_mean).values
     amp = _evaluate(np.arange(word.h, dtype=np.int64), coeffs, grid, force=force)
     norm = schedule.height(n0)

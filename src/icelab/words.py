@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -347,35 +347,28 @@ def cyclic_window(arr: np.ndarray, stage: Stage, fill: int | None, lo: int, hi: 
     return out
 
 
-def concat_stages(arr: np.ndarray, stages: Sequence[Stage], fill: int | None = None) -> np.ndarray:
-    """``concat_stage`` through ``stages`` in order: an array on the positions
-    of a word carried to the positions of the word those stages build."""
-    for st in stages:
-        arr = concat_stage(arr, st, fill)
-    return arr
-
-
 def build_word(
     schedule: Schedule,
     depth: int | None = None,
     *,
     force: bool = False,
 ) -> list[Word]:
-    """Materialise ``W_0 .. W_depth``; returns the full list of words.
+    """The words of ``tower`` as one list, for a caller that holds several at once."""
+    return list(tower(schedule, depth, force=force))
 
-    Refuses (``ResourceRefusal``) when the final height exceeds
-    ``MAX_SYMBOLS``, unless ``force`` is set.
-    """
+
+def tower(schedule: Schedule, depth: int | None = None, *, force: bool = False) -> Iterator[Word]:
+    """An iterator over ``W_0 .. W_depth``, each built from the one before by ``concat_stage``
+    when it is drawn; only the last is kept.  The depth, and the final height against
+    ``MAX_SYMBOLS`` unless ``force`` is set, are checked at the call, before any word is built."""
     if depth is None:
         depth = schedule.depth
     if not 0 <= depth <= schedule.depth:
         raise ConfigurationError(f"depth {depth} outside [0, {schedule.depth}]")
     refuse_above(f"h_{depth} (word symbols)", schedule.heights()[depth], MAX_SYMBOLS, force)
-    words = [schedule.seed_word]
-    for st in schedule.stages[:depth]:
-        words.append(Word(schedule.alphabet,
-                          concat_stage(words[-1].symbols, st, schedule.alphabet.spacer_index)))
-    return words
+    spacer = schedule.alphabet.spacer_index
+    return accumulate(schedule.stages[:depth], initial=schedule.seed_word,
+                      func=lambda w, st: Word(w.alphabet, concat_stage(w.symbols, st, spacer)))
 
 
 def subword_distribution(word: Word, length: int) -> dict[str, Fraction]:

@@ -77,6 +77,29 @@ def test_build_coding_and_jumps(cat_file, tmp_path):
     assert all(int(r[2]) == 1 for r in jumps)
 
 
+def test_build_with_coding_and_jump_trace_builds_each_word_once(cat_file, tmp_path,
+                                                                monkeypatch):
+    # words.csv and the coding share one pass of the tower: the coding reads
+    # W_2 through the last stage from the W_1 that pass kept, so W_1 (from
+    # the 3 symbols of W_0) and W_2 (from the 18 of W_1) are each built once.
+    # The coding's windows write into buffers of their own and are not
+    # counted; the jump trace concatenates no word.
+    real, sizes = words_mod.concat_stage, []
+
+    def counted(arr, stage, fill, lo=0, hi=None, out=None):
+        if out is None:
+            sizes.append(arr.size)
+        return real(arr, stage, fill, lo, hi, out)
+
+    monkeypatch.setattr(words_mod, "concat_stage", counted)
+    out = tmp_path / "o"
+    assert cli.run(["build", "--schedule", str(cat_file), "--coding-start", "5",
+                    "--coding-length", "4", "--jump-trace", "--out", str(out)]) == 0
+    assert sizes == [3, 18]
+    top = read_csv(out / "words.csv")[-1][3]
+    assert (out / "coding.txt").read_text(encoding="utf-8") == top[5:9] + "\n"
+
+
 # ---------------------------------------------------------------------------
 # geometry / correlate / rank
 # ---------------------------------------------------------------------------
@@ -1764,10 +1787,13 @@ def test_merit_peak_rss_per_padded_point(tmp_path):
     # complex buffer (16 B per point) that the correlation kernel transforms
     # in place in blocks of 2^16 values; it is released before the rounded
     # correlations are squared in their own memory.  Beside it are only the
-    # float64 signs of W_20 (4 B per point).  Measured on a 2-core Linux box
-    # (Python 3.11, numpy 2.4): the manifest read 25.0-25.1 B per padded
-    # point above a bare import, and the bound leaves 20 % slack.  With the
-    # complex lift (8 B) and the int32 words W_0 .. W_20 (4 B) alive it read
+    # float64 signs of W_20 (4 B per point): the tower that built W_20 is
+    # closed once W_20 is lifted, and the lift is dropped once its signs are
+    # copied, so no word and no complex lift is resident.  Measured on a
+    # 2-core Linux box (Python 3.11, numpy 2.4): the manifest read 24.9-25.1
+    # B per padded point above a bare import, and the bound leaves 20 %
+    # slack.  With the tower's W_20 (2 B) left alive it read 26.9, with the
+    # complex lift (8 B) and the int32 words W_0 .. W_20 (4 B) alive
     # 33.4-33.5, and numpy's rfft/irfft pair, with its spectrum, power and
     # inverse arrays, 48.7.
     argv = ["spectrum", "--mode", "merit", "--family", "morse", "--r", "2", "--depth", "20",
@@ -1785,12 +1811,13 @@ def test_build_jump_trace_peak_rss_per_symbol(tmp_path):
     # h_N = 2^22.  The regular indices are one int64 array carried up by
     # concatenation (8 B per symbol, plus the 4 B of the stage below while
     # the top stage is built), and the jumps.csv table comes on top; the
-    # words and the words.csv rows are dropped before either is built.
-    # Measured on a 2-core Linux box (Python 3.11, numpy 2.4): the manifest
-    # read 17.4 B per symbol above a bare import; the bound leaves 32 %
-    # slack.  Keeping the words alive read 27.3 B, and a whole int64
-    # coordinate array and plain-step mask per level, scanned for every
-    # level, read 57.9 B.
+    # words.csv rows and the words of the tower's one pass are dropped
+    # before either is built.  Measured on a 2-core Linux box (Python 3.11,
+    # numpy 2.4): the manifest read 17.2 B per symbol above a bare import;
+    # the bound leaves 34 % slack.  With the whole list W_0 .. W_N built for
+    # words.csv it read 17.4 B, keeping the words alive 27.3 B, and a whole
+    # int64 coordinate array and plain-step mask per level, scanned for
+    # every level, 57.9 B.
     argv = ["build", "--family", "morse", "--r", "2", "--depth", "21", "--seed-word", "01",
             "--alphabet", "01", "--jump-trace", "--out", str(tmp_path / "o")]
     bare = _peak_rss_bytes("import icelab.cli")

@@ -375,18 +375,18 @@ def test_decay_runs_the_top_stage_first_and_drops_each_word_once_lifted(
     sch = il.random_schedule([4, 5, 6, 7], 2, trit_word)
     heights = sch.heights()
     built, transformed = [], []
-    build, transform = corr.build_word, corr._correlate_owned
+    build, transform = corr.tower, corr._correlate_owned
 
     def tracked(*args, **kwargs):
-        words = build(*args, **kwargs)
-        built.extend(weakref.ref(w) for w in words)
-        return words
+        for word in build(*args, **kwargs):
+            built.append(weakref.ref(word))
+            yield word
 
     def counted(buf, other=None):
         transformed.append((buf.size, [r() is not None for r in built]))
         return transform(buf, other)
 
-    monkeypatch.setattr(corr, "build_word", tracked)
+    monkeypatch.setattr(corr, "tower", tracked)
     monkeypatch.setattr(corr, "_correlate_owned", counted)
     prof = il.decay_profile(sch, trit_labels, n_lo, 4)
     assert [s.h for s in prof.stages] == heights[n_lo:]

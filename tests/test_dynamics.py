@@ -218,12 +218,23 @@ def test_project_step_commutes_when_plain(cat_chain_2):
 # ---------------------------------------------------------------------------
 
 
+def _below(pc: il.ProjectionChain) -> il.Word:
+    """``W_{N-1}`` of the chain (``W_0`` at depth 0), the word a coding reads ``W_N`` through."""
+    return il.build_word(pc.schedule, max(pc.depth - 1, 0))[-1]
+
+
 def test_orbit_coding_anchor(cat_chain_1):
-    assert il.orbit_coding(cat_chain_1, 5, 4, 0).text == "CTCA"
+    assert il.orbit_coding(cat_chain_1, _below(cat_chain_1), 5, 4, 0).text == "CTCA"
 
 
 def test_orbit_coding_full_cycle_is_word(cat_chain_2, cat_words):
-    assert il.orbit_coding(cat_chain_2, 0, 54, 0).text == cat_words[2].text
+    assert il.orbit_coding(cat_chain_2, cat_words[1], 0, 54, 0).text == cat_words[2].text
+
+
+def test_orbit_coding_refuses_a_word_other_than_the_one_below_the_top(cat_chain_2, cat_words):
+    for word in (cat_words[0], cat_words[2]):
+        with pytest.raises(ConfigurationError, match=r"below must be W_1 \(h = 18\)"):
+            il.orbit_coding(cat_chain_2, word, 0, 4, 0)
 
 
 def test_orbit_coding_regular_window_matches_rotation():
@@ -232,7 +243,7 @@ def test_orbit_coding_regular_window_matches_rotation():
     # coding is the word rotated by the starting coordinate.
     sch = il.random_schedule([4, 5], 17, il.word_from_text(il.BINARY, "0110"))
     pc = il.ProjectionChain.build(sch, 2)
-    w1 = pc.word(1)
+    w1 = _below(pc)
     h1 = w1.h
     jumps = set(int(x) for x in il.jump_positions(pc, 1))
     coords = il.project_all(pc, 1)
@@ -241,7 +252,7 @@ def test_orbit_coding_regular_window_matches_rotation():
     for x in range(0, pc.heights[2], h1):
         if any((x + j) % pc.heights[2] in jumps for j in range(h1 - 1)):
             continue
-        coding = il.orbit_coding(pc, x, h1, 1).text
+        coding = il.orbit_coding(pc, w1, x, h1, 1).text
         assert coding == il.rotate(w1, int(coords[x])).text
         assert coding in rotations
         checked += 1
@@ -275,10 +286,12 @@ def test_orbit_coding_independent_of_level(family, seed, qs, data):
     length = data.draw(st.integers(min_value=1, max_value=h_N))
     positions = (start + np.arange(length)) % h_N
     spacer = sch.alphabet.spacer_index
-    coding = il.orbit_coding(pc, start, length, 0).symbols.tolist()
+    words = il.build_word(sch)
+    below = words[max(pc.depth - 1, 0)]
+    coding = il.orbit_coding(pc, below, start, length, 0).symbols.tolist()
     for m in range(pc.depth + 1):
-        assert il.orbit_coding(pc, start, length, m).symbols.tolist() == coding
-        w_m = pc.word(m).symbols
+        assert il.orbit_coding(pc, below, start, length, m).symbols.tolist() == coding
+        w_m = words[m].symbols
         coords = il.project_all(pc, m)[positions]
         direct = [spacer if c == il.SPACER_MARK else int(w_m[c]) for c in coords]
         assert direct == coding
@@ -304,7 +317,7 @@ def test_orbit_coding_equals_the_letters_at_the_projected_positions(family, seed
     length = data.draw(st.integers(min_value=1, max_value=h_N))
     positions = (start % h_N + np.arange(length)) % h_N
     expect = il.dynamics._letters(sch, il.project_positions(sch, positions, pc.depth, 0))
-    got = il.orbit_coding(pc, start, length, data.draw(st.integers(0, pc.depth)))
+    got = il.orbit_coding(pc, _below(pc), start, length, data.draw(st.integers(0, pc.depth)))
     assert got.symbols.tolist() == expect.tolist()
 
 
@@ -318,15 +331,18 @@ def _peak_bytes(call) -> int:
 
 
 def test_coding_and_coverage_build_no_length_h_N_coordinates():
-    # h_N = 2 * 4^10 = 2^21.  A 4,096-letter coding reads 1.34 B per h_N
-    # symbol (W_9 and the words below it, int32) and the coverage of 64
-    # samples 5.34 B (W_10 and the words below it); the whole-truncation
-    # route read 10.0 and 20.0 B, int64 coordinates of every position.
+    # h_N = 2 * 4^10 = 2^21.  A 4,096-letter coding through the caller's W_9
+    # reads 0.01 B per h_N symbol (its window's letters), and the coverage of
+    # 64 samples 5.00 B (W_9 and W_10, int32, while the tower builds W_10).
+    # Building W_0 .. W_9 inside the coding read 1.34 B, and all of W_0 ..
+    # W_10 in the coverage 5.34 B; the whole-truncation route read 10.0 and
+    # 20.0 B, int64 coordinates of every position.
     sch = il.random_schedule([4] * 10, 3, il.word_from_text(il.BINARY, "01"))
     pc = il.ProjectionChain.build(sch)
     h_N = pc.heights[-1]
     assert h_N == 2**21
-    assert _peak_bytes(lambda: il.orbit_coding(pc, 12345, 4096, 0)) < 2 * h_N
+    below = _below(pc)
+    assert _peak_bytes(lambda: il.orbit_coding(pc, below, 12345, 4096, 0)) < h_N // 16
     assert _peak_bytes(lambda: il.coverage_statistic(pc, 0, 64)) < 8 * h_N
 
 
@@ -374,7 +390,8 @@ def test_coverage_staircase_counts_spacer_samples_uncovered():
     # of W_1, yet position 12 belongs to no copy and counts as uncovered.
     sch = il.rank_one_schedule("staircase", [3, 3])
     pc = il.ProjectionChain.build(sch)
-    text, w1 = pc.word(2).text, pc.word(1).text
+    words = il.build_word(sch)
+    text, w1 = words[2].text, words[1].text
     h_N, h_m = len(text), len(w1)
     rotations = {w1[a:] + w1[:a] for a in range(h_m)}
     in_copy = [True] * h_m  # level-1 membership, concatenated like the words
@@ -436,6 +453,9 @@ def test_coverage_window_count_validated(cat_chain_1):
         il.coverage_statistic(cat_chain_1, 0, 0)
     with pytest.raises(ConfigurationError):
         il.coverage_statistic(cat_chain_1, 0, 100)
+    for m in (-1, 2):
+        with pytest.raises(ConfigurationError, match="to_level"):
+            il.coverage_statistic(cat_chain_1, m, 4)
 
 
 # ---------------------------------------------------------------------------

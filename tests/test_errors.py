@@ -78,12 +78,13 @@ def test_resource_refusals_are_raised_only_by_the_shared_guard():
 
 
 def test_only_the_chain_word_forces_a_build():
-    # ProjectionChain.word builds W_m <= W_depth, which ProjectionChain.build checked.
+    # coverage_statistic builds W_m and W_depth of a chain through words.tower,
+    # and ProjectionChain.build checked h_depth.
     def forces(call: ast.Call) -> bool:
         return any(kw.arg == "force" and isinstance(kw.value, ast.Constant)
                    and kw.value.value is True for kw in call.keywords)
 
-    assert _module_calls(forces) == [("dynamics", "word")]
+    assert _module_calls(forces) == [("dynamics", "coverage_statistic")]
 
 
 def test_correlation_transforms_run_in_one_kernel():

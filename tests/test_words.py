@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,55 @@ def test_build_word_guardrail():
     assert il.build_word(sch, 2)[2].h == 2 * 256 * 256
 
 
+def test_tower_refuses_at_the_call_before_any_stage_is_concatenated(monkeypatch):
+    # h_2 = 3 * 4 * 5 = 60 against a limit of 59: the call refuses, not the
+    # first next(), and no concat_stage has run; forced, the words are built
+    # only as they are drawn.
+    sch = il.random_schedule([4, 5], 1, il.word_from_text(il.BINARY, "011"))
+    concatenated, concat_stage = [], il.words.concat_stage
+
+    def counted(arr, *args, **kwargs):
+        concatenated.append(arr.size)
+        return concat_stage(arr, *args, **kwargs)
+
+    monkeypatch.setattr(il.words, "concat_stage", counted)
+    monkeypatch.setattr(il.words, "MAX_SYMBOLS", 59)
+    with pytest.raises(ResourceRefusal, match="h_2"):
+        il.tower(sch)
+    assert concatenated == []
+    assert [w.h for w in il.tower(sch, 1)] == [3, 12]
+    forced = il.tower(sch, force=True)
+    assert concatenated == [3]
+    assert [w.h for w in forced] == [3, 12, 60]
+    assert concatenated == [3, 3, 12]
+
+
+@pytest.mark.parametrize("depth", [-1, 3])
+def test_tower_refuses_a_depth_outside_the_schedule_at_the_call(cat_schedule, depth):
+    with pytest.raises(ConfigurationError, match=r"outside \[0, 2\]"):
+        il.tower(cat_schedule, depth)
+
+
+def test_tower_yields_the_words_of_build_word(cat_schedule):
+    assert [w.text for w in il.tower(cat_schedule)] == ["CAT", CAT_W1, CAT_W2]
+    sch = il.rank_one_schedule("ornstein", [3, 4, 5], seed=2, ratio=2)
+    for depth in range(sch.depth + 1):
+        assert ([w.symbols.tolist() for w in il.tower(sch, depth)]
+                == [w.symbols.tolist() for w in il.build_word(sch, depth)])
+
+
+def test_tower_frees_each_word_once_the_next_is_yielded():
+    # The tower keeps only its last word, so a caller that keeps none holds
+    # W_{n-1} and W_n at most, and nothing below W_n once W_n is yielded.
+    # W_0 stays alive as the schedule's seed word.
+    sch = il.random_schedule([3, 4, 5, 6], 1, il.word_from_text(il.BINARY, "011"))
+    refs = []
+    for n, word in enumerate(il.tower(sch)):
+        refs.append(weakref.ref(word))
+        assert [r() is not None for r in refs] == [True] + [False] * (n - 1) + [True] * (n > 0)
+    assert len(refs) == 5
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -522,4 +572,4 @@ def test_spacer_stages_need_a_spacer_symbol():
     with pytest.raises(ConfigurationError, match="no spacer symbol"):
         il.build_word(sch)
     with pytest.raises(ConfigurationError, match="no spacer symbol"):
-        il.orbit_coding(il.ProjectionChain.build(sch), 0, 3, 0)
+        il.orbit_coding(il.ProjectionChain.build(sch), sch.seed_word, 0, 3, 0)
