@@ -29,7 +29,6 @@ from .words import (
     schedule_from_json,
     schedule_hash,
     schedule_to_json,
-    subword_distribution,
     tower,
     word_from_text,
 )
@@ -48,8 +47,6 @@ from .dynamics import (
     ProjectionChain,
     SPACER_MARK,
     StepResult,
-    coverage_statistic,
-    inverse_step,
     jump_positions,
     orbit_coding,
     project,
@@ -95,9 +92,7 @@ from .rank import (
     best_subtower_rectangle,
     beta_morse,
     brute_force_rectangle,
-    critical_beta,
     multiplicity_bound,
-    spmult_lemma_rhs,
 )
 
 __all__ = [
@@ -107,7 +102,7 @@ __all__ = [
     # words
     "Alphabet", "Word", "Stage", "Schedule",
     "BINARY", "BINARY_SPACER", "DNA",
-    "word_from_text", "rotate", "build_word", "tower", "subword_distribution",
+    "word_from_text", "rotate", "build_word", "tower",
     "morse_schedule", "random_schedule", "rank_one_schedule",
     "schedule_to_json", "schedule_from_json", "schedule_hash",
     "save_schedule", "load_schedule",
@@ -118,8 +113,8 @@ __all__ = [
     "body_lower_bound_counts", "body_report",
     # dynamics
     "SPACER_MARK", "ProjectionChain", "StepResult",
-    "project_positions", "project", "project_all", "step", "inverse_step",
-    "jump_positions", "regular_indices", "orbit_coding", "coverage_statistic", "symbols_range",
+    "project_positions", "project", "project_all", "step",
+    "jump_positions", "regular_indices", "orbit_coding", "symbols_range",
     # correlation
     "LevelFunction", "CorrelationSeries", "StageDecay", "DecayProfile",
     "SimplicityReport",
@@ -133,5 +128,5 @@ __all__ = [
     "merit_factor",
     # rank
     "RectangleCertificate", "best_subtower_rectangle", "brute_force_rectangle",
-    "beta_morse", "multiplicity_bound", "spmult_lemma_rhs", "critical_beta",
+    "beta_morse", "multiplicity_bound",
 ]

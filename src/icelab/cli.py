@@ -639,7 +639,8 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
         refuse_above("terms of the recursion check",
                      sum((sch.stages[n].q - 1) * heights[n + 1] for n in checked),
                      MAX_DENSE_TERMS, args.force)
-    built = words_mod.build_word(sch, top, force=args.force)
+    reads = set(stages).union(*((n, n + 1) for n in checked)) if args.check_recursion else stages
+    built = {n: w for n, w in enumerate(words_mod.tower(sch, top, force=args.force)) if n in reads}
     # A list of its own for each lift, so built keeps the word for the recursion check.
     transform = lambda n: corr._lifted_series(labels, [built[n]], 0, args.zero_mean)
     v = np.concatenate([transform(n) for n in stages])

@@ -5,8 +5,7 @@ on ``Z_{h_N}``.  Each position of ``W_{n+1}`` reads a position of ``W_n``,
 ``phi_n(y*h_n + t) = (t + a_{n,y}) mod h_n`` inside copy ``y``; spacer
 positions read a reserved mark.  Composing these gives every lower
 coordinate of a point and the per-level jump structure of the shift; orbit
-codings are windows of the cyclic word, and the coverage statistic measures
-how much of the deep word is covered by rotations of a shallow one.
+codings are windows of the cyclic word.
 
 Two routes compute coordinates.  The concatenated route (``project_all``)
 builds the level-``n`` coordinates of a whole truncation the way words are
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import ONE_COPY, Schedule, Word, concat_stage, cyclic_window, tower
+from .words import ONE_COPY, Schedule, Word, concat_stage, cyclic_window
 
 #: Reserved projection value for spacer positions.
 SPACER_MARK = -1
@@ -120,15 +119,6 @@ def _plain_pair(cur: np.ndarray, nxt: np.ndarray, h: int) -> np.ndarray:
     return (cur != SPACER_MARK) & (nxt != SPACER_MARK) & (nxt == (cur + 1) % h)
 
 
-def _plain_steps(cur: np.ndarray, h: int) -> np.ndarray:
-    """Plain-step mask of a cycle of level-``n`` coordinates.
-
-    ``cur[p]`` is the level-``n`` coordinate of the ``p``-th point of a cycle
-    (wrapping at the end); entry ``p`` is ``_plain_pair`` of it and the next.
-    """
-    return _plain_pair(cur, np.roll(cur, -1), h)
-
-
 def _letters(schedule: Schedule, coords: np.ndarray) -> np.ndarray:
     """Seed letters at level-0 coordinates (marks -> the spacer symbol).
 
@@ -158,7 +148,8 @@ def project_all(pc: ProjectionChain, n: int) -> np.ndarray:
     """Vector of level-``n`` coordinates of every position of ``Z_{h_depth}``.
 
     Built by concatenation: ``arange(h_n)`` through stages ``n .. depth-1``
-    with ``SPACER_MARK`` in the spacer runs.
+    with ``SPACER_MARK`` in the spacer runs.  Its reader is ``jump_positions``,
+    the brute-force oracle of ``regular_indices``.
     """
     if not 0 <= n <= pc.depth:
         raise ConfigurationError(f"need 0 <= n <= depth = {pc.depth}, got n={n}")
@@ -180,17 +171,17 @@ def step(pc: ProjectionChain, x: int) -> StepResult:
     return StepResult(successor=succ, jumps=jumps, regular_index=regular)
 
 
-def inverse_step(pc: ProjectionChain, x: int) -> int:
-    """Predecessor under the truncation shift (exact inverse of ``step``)."""
-    h_N = pc.heights[pc.depth]
-    return (int(x) - 1) % h_N
-
-
 def jump_positions(pc: ProjectionChain, n: int) -> np.ndarray:
-    """All positions ``p`` whose step jumps at level ``n`` (brute force)."""
+    """All positions ``p`` whose step jumps at level ``n`` (brute force).
+
+    The oracle of ``regular_indices``, which writes the jump trace of ``build
+    --jump-trace``: one whole coordinate array of the level and its plain-step
+    mask, each point against the next around the cycle.
+    """
     if not 0 <= n < pc.depth:
         raise ConfigurationError(f"level {n} outside [0, {pc.depth})")
-    return np.nonzero(~_plain_steps(project_all(pc, n), pc.heights[n]))[0]
+    cur = project_all(pc, n)
+    return np.nonzero(~_plain_pair(cur, np.roll(cur, -1), pc.heights[n]))[0]
 
 
 def regular_indices(pc: ProjectionChain) -> np.ndarray:
@@ -250,41 +241,6 @@ def orbit_coding(pc: ProjectionChain, below: Word, start: int, length: int, m: i
     letters = cyclic_window(below.symbols, top, pc.schedule.alphabet.spacer_index,
                             start, start + length)
     return Word(pc.schedule.alphabet, letters)
-
-
-def coverage_statistic(pc: ProjectionChain, m: int, windows: int) -> float:
-    """Fraction of sampled aligned windows matching some rotation of ``W_m``.
-
-    ``windows`` sample positions are taken at stride ``h_N // windows``; a
-    sample ``p`` counts as covered when some length-``h_m`` window containing
-    ``p`` equals one of the ``h_m`` rotations of ``W_m`` exactly.  This probes
-    the intact-copy body directly: samples inside intact copies are always
-    covered by their own copy's window, samples in cut scars generally are
-    not, so the statistic tracks the body fraction up to boundary slack and
-    accidental matches.  Cost is O(windows * h_m^2) in the worst case, so
-    keep ``m`` small relative to the chain depth.  One pass of ``words.tower``
-    builds ``W_m`` and ``W_N``.
-    """
-    h_N = pc.heights[pc.depth]
-    if not 1 <= windows <= h_N:
-        raise ConfigurationError(f"window count {windows} outside [1, {h_N}]")
-    samples = np.arange(windows, dtype=np.int64) * (h_N // windows)
-    in_copy = project_positions(pc.schedule, samples, pc.depth, m) != SPACER_MARK
-    for k, word in enumerate(tower(pc.schedule, pc.depth, force=True)):  # the chain checked h_N
-        if k == m:
-            w_m = word
-    h_m = pc.heights[m]
-    rotations = {np.roll(w_m.symbols, -a).tobytes() for a in range(h_m)}
-    letters = word.symbols
-    offsets = np.arange(h_m, dtype=np.int64)
-    hits = 0
-    for p in samples[in_copy].tolist():  # spacer material belongs to no copy
-        for back in range(h_m):
-            window = letters[(p - back + offsets) % h_N]
-            if window.tobytes() in rotations:
-                hits += 1
-                break
-    return hits / windows
 
 
 def symbols_range(schedule: Schedule, depth: int, start: int, stop: int) -> np.ndarray:

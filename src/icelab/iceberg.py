@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import Schedule, Stage, _count_rank_rows, _read_only
+from .words import Schedule, Stage, _read_only
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,8 @@ def jump_matrix(st: Stage, h: int) -> JumpMatrix:
     if h < 1:
         raise ConfigurationError("height must be positive")
     values, ranks = np.unique(st.rotations % h, return_inverse=True)
-    (a, b), counts = _count_rank_rows((ranks, np.roll(ranks, -1)), values.size)
+    keys, counts = np.unique(ranks * values.size + np.roll(ranks, -1), return_counts=True)
+    a, b = np.divmod(keys, values.size)
     return JumpMatrix(h=h, q=st.q, cells=np.stack((values[a], values[b], counts), axis=1))
 
 

@@ -171,26 +171,3 @@ def multiplicity_bound(beta: "Fraction | float") -> int:
     if not 0 < beta <= 1:
         raise ConfigurationError("local rank must be in (0, 1]")
     return math.floor(1 / beta)
-
-
-def spmult_lemma_rhs(m: int, a: float) -> float:
-    """The scalar bound ``m * (1 + a^2 - 2a/sqrt(m))``.
-
-    Requires ``m >= 1`` and ``a >= 0``; e.g. ``(m=2, a=1)`` gives
-    ``2(2 - sqrt(2))``.
-    """
-    if m < 1:
-        raise ConfigurationError("m must be >= 1")
-    if a < 0:
-        raise ConfigurationError("a must be >= 0")
-    return m * (1.0 + a * a - 2.0 * a / np.sqrt(m))
-
-
-def critical_beta() -> float:
-    """Root of ``1 - beta/2 = 1 + beta - sqrt(2 beta)`` in ``(0, 1]``: 8/9.
-
-    The equation is ``sqrt(2 beta) = 3 beta / 2``; squaring gives
-    ``2 beta = 9 beta^2 / 4``, whose positive root is ``beta = 8/9`` (both
-    sides equal 5/9 there).
-    """
-    return 8 / 9

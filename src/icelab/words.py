@@ -17,7 +17,6 @@ import hashlib
 import json
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
@@ -369,60 +368,6 @@ def tower(schedule: Schedule, depth: int | None = None, *, force: bool = False) 
     spacer = schedule.alphabet.spacer_index
     return accumulate(schedule.stages[:depth], initial=schedule.seed_word,
                       func=lambda w, st: Word(w.alphabet, concat_stage(w.symbols, st, spacer)))
-
-
-def subword_distribution(word: Word, length: int) -> dict[str, Fraction]:
-    """Exact frequencies of length-``length`` subwords over the linear windows.
-
-    There are ``h - length + 1`` windows (no wrap-around); frequencies are
-    exact rationals summing to 1.  Keys are the joined symbol strings.
-    """
-    h = word.h
-    if not 1 <= length <= h:
-        raise ConfigurationError(f"subword length {length} outside [1, {h}]")
-    windows = np.lib.stride_tricks.sliding_window_view(word.symbols, length)
-    columns, counts = _count_rank_rows(windows.T, len(word.alphabet.symbols))
-    symbols = word.alphabet.symbols
-    total = h - length + 1
-    rows = zip(*(col.tolist() for col in columns))
-    return {
-        "".join(symbols[i] for i in row): Fraction(c, total)
-        for row, c in zip(rows, counts.tolist())
-    }
-
-
-def _count_rank_rows(
-    ranks: Sequence[np.ndarray], bound: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Distinct rows of rank columns with their counts, in lexicographic order.
-
-    ``ranks`` are equal-length integer columns with entries in ``[0, bound)``.
-    The result is ``np.unique(np.stack(ranks, axis=1), axis=0,
-    return_counts=True)`` with the distinct rows split into columns, at the
-    cost of 1-d sorts: the columns are folded from the left into one key,
-    ``key * bound + rank``, which orders rows as their columns do.  Before
-    each fold after the first, the key is replaced by its rank among the
-    distinct prefixes, so it stays below the number of rows and no folded key
-    reaches ``max(rows, bound) * bound``: int64 holds it whatever values the
-    ranks stand for.
-    """
-    key = np.asarray(ranks[0], dtype=np.int64)
-    prefixes = []  # the distinct folded keys behind each re-ranked prefix
-    for j in range(1, len(ranks)):
-        if j > 1:
-            distinct, key = np.unique(key, return_inverse=True)
-            prefixes.append(distinct)
-        key = key * bound + ranks[j]
-    keys, counts = np.unique(key, return_counts=True)
-    columns = []  # unfolded from the last column back to the first
-    for distinct in reversed(prefixes):
-        columns.append(keys % bound)
-        keys = distinct[keys // bound]
-    if len(ranks) > 1:
-        columns.append(keys % bound)
-        keys = keys // bound
-    columns.append(keys)
-    return columns[::-1], counts
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,29 @@ def test_correlate_transforms_each_stage_once(cat_file, tmp_path, monkeypatch,
                     "--check-recursion", *flags, "--out", str(out)]) == 0
     assert sizes == transformed
     assert all(float(r[3]) <= 1e-12 for r in read_csv(out / "recursion.csv")[1:])
+
+
+def test_correlate_keeps_no_lower_word_through_a_stage_transform(tmp_path, monkeypatch):
+    # Without --check-recursion a --stage k run reads W_k alone: every word
+    # the tower built between the seed word (held by the schedule) and W_k is
+    # freed before the one transform.
+    real_tower, real_series, refs, alive = words_mod.tower, corr._lifted_series, [], []
+
+    def tracked(*args, **kwargs):
+        for word in real_tower(*args, **kwargs):
+            refs.append(weakref.ref(word))
+            yield word
+
+    def spied(*args, **kwargs):
+        alive.append([r() is not None for r in refs])
+        return real_series(*args, **kwargs)
+
+    monkeypatch.setattr(words_mod, "tower", tracked)
+    monkeypatch.setattr(corr, "_lifted_series", spied)
+    assert cli.run(["correlate", "--family", "morse", "--r", "2", "--depth", "4",
+                    "--seed-word", "01", "--alphabet", "01", "--labels", "0=1,1=-1",
+                    "--stage", "4", "--out", str(tmp_path / "o")]) == 0
+    assert alive == [[True, False, False, False, True]]
 
 
 @pytest.mark.parametrize("flags, expected", [([], 0), (["--zero-mean"], 2)])
@@ -1614,7 +1638,7 @@ def test_write_csv_single_empty_cell_and_carriage_return(header, rows, tmp_path)
 
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    code = ("import sys, icelab, icelab.cli; icelab.critical_beta(); "
+    code = ("import sys, icelab, icelab.cli; icelab.beta_morse(2); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120)

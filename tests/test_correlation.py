@@ -704,8 +704,7 @@ def test_far_half_arrays_at_jumps_closer_than_the_window(rotations):
     alphabet = il.Alphabet(("0", "1"))
     stages = [il.Stage(1, (5,)), il.Stage(1, (11,)), il.Stage(2, (0, 11)), il.Stage(3, rotations)]
     sch = il.Schedule(alphabet, il.word_from_text(alphabet, "01" * 13 + "0"), stages)
-    x = il.project_all(il.ProjectionChain.build(sch), 1)
-    assert np.diff(np.flatnonzero(~il.dynamics._plain_steps(x, 27))).min() <= 3
+    assert np.diff(il.jump_positions(il.ProjectionChain.build(sch), 1)).min() <= 3
     for depth, width in itertools.product((1, 2, 3, 4), (1, 64, 8192)):
         _assert_far_half_windows_match(sch, 0, depth, 7, width)
 
@@ -719,8 +718,7 @@ def test_steps_that_are_not_plain_end_a_copy(seed, h0, qs, zeros):
     sch = _rotated_schedule(np.random.default_rng(seed), h0, qs, zeros)
     for m in range(sch.depth):
         h = sch.height(m)
-        x = il.project_all(il.ProjectionChain.build(sch, m + 1), m)
-        jumps = np.flatnonzero(~il.dynamics._plain_steps(x, h))
+        jumps = il.jump_positions(il.ProjectionChain.build(sch, m + 1), m)
         assert np.all(jumps % h == h - 1)
 
 

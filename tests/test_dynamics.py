@@ -1,4 +1,4 @@
-"""Dynamics module: projections, stepping, jumps, codings, coverage, streaming."""
+"""Dynamics module: projections, stepping, jumps, codings, streaming."""
 
 from __future__ import annotations
 
@@ -44,10 +44,12 @@ def test_project_letter_consistency(cat_chain_2, cat_words):
         assert cat_words[2].text[p] == cat_words[0].text[x0]
 
 
-@pytest.mark.parametrize("x, n", [(0, -1), (0, 2), (-1, 0), (18, 0), (2**64, 0), (-2**63 - 1, 0)],
-                         ids=["n=-1", "n=depth+1", "x=-1", "x=h_N", "x=2^64", "x=-2^63-1"])
-def test_project_refuses_out_of_range(cat_chain_1, x, n):
-    with pytest.raises(ConfigurationError):
+@pytest.mark.parametrize("x, n, match", [
+    (0, -1, "to_level"), (0, 2, "to_level"), (-1, 0, "outside"), (18, 0, "outside"),
+    (2**64, 0, "outside"), (-2**63 - 1, 0, "outside"),
+], ids=["n=-1", "n=depth+1", "x=-1", "x=h_N", "x=2^64", "x=-2^63-1"])
+def test_project_refuses_out_of_range(cat_chain_1, x, n, match):
+    with pytest.raises(ConfigurationError, match=match):
         il.project(cat_chain_1, x, n)
 
 
@@ -136,10 +138,12 @@ def test_plain_step_mask_shared_by_step_jumps_and_cli(tmp_path):
 
 
 def _regular_indices_by_level(pc: il.ProjectionChain) -> np.ndarray:
-    """Oracle: one whole coordinate array and plain-step mask per level."""
+    """Oracle: the brute-force jump positions of each level."""
     reg = np.full(pc.heights[pc.depth], pc.depth, dtype=np.int64)
     for n in range(pc.depth - 1, -1, -1):
-        reg[il.dynamics._plain_steps(il.project_all(pc, n), pc.heights[n])] = n
+        plain = np.ones(reg.size, dtype=bool)
+        plain[il.jump_positions(pc, n)] = False
+        reg[plain] = n
     return reg
 
 
@@ -197,11 +201,6 @@ def test_step_cycles_whole_truncation(cat_chain_2):
     for _ in range(54):
         x = il.step(cat_chain_2, x).successor
     assert x == 0
-
-
-def test_inverse_step(cat_chain_2):
-    for x in (0, 1, 17, 53):
-        assert il.inverse_step(cat_chain_2, il.step(cat_chain_2, x).successor) == x
 
 
 def test_project_step_commutes_when_plain(cat_chain_2):
@@ -330,86 +329,17 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-def test_coding_and_coverage_build_no_length_h_N_coordinates():
+def test_coding_builds_no_length_h_N_coordinates():
     # h_N = 2 * 4^10 = 2^21.  A 4,096-letter coding through the caller's W_9
-    # reads 0.01 B per h_N symbol (its window's letters), and the coverage of
-    # 64 samples 5.00 B (W_9 and W_10, int32, while the tower builds W_10).
-    # Building W_0 .. W_9 inside the coding read 1.34 B, and all of W_0 ..
-    # W_10 in the coverage 5.34 B; the whole-truncation route read 10.0 and
-    # 20.0 B, int64 coordinates of every position.
+    # reads 0.01 B per h_N symbol (its window's letters).  Building W_0 ..
+    # W_9 inside the coding read 1.34 B, and the whole-truncation route 10.0 B,
+    # int64 coordinates of every position.
     sch = il.random_schedule([4] * 10, 3, il.word_from_text(il.BINARY, "01"))
     pc = il.ProjectionChain.build(sch)
     h_N = pc.heights[-1]
     assert h_N == 2**21
     below = _below(pc)
     assert _peak_bytes(lambda: il.orbit_coding(pc, below, 12345, 4096, 0)) < h_N // 16
-    assert _peak_bytes(lambda: il.coverage_statistic(pc, 0, 64)) < 8 * h_N
-
-
-# ---------------------------------------------------------------------------
-# Coverage
-# ---------------------------------------------------------------------------
-
-
-def test_coverage_cat(cat_chain_2):
-    cov = il.coverage_statistic(cat_chain_2, 0, 54)
-    assert cov >= 15 / 18
-
-
-def test_coverage_morse_is_one():
-    sch = il.morse_schedule(2, 3, il.word_from_text(il.BINARY, "01"))
-    pc = il.ProjectionChain.build(sch, 3)
-    for m in (0, 1, 2):
-        for k in (1, 7, 16):
-            assert il.coverage_statistic(pc, m, k) == 1.0
-
-
-def test_coverage_q64_exceeds_090():
-    sch = il.random_schedule([64, 64, 64], 11, il.word_from_text(il.BINARY, "01"))
-    pc = il.ProjectionChain.build(sch, 3)
-    assert il.coverage_statistic(pc, 0, 128) >= 0.9
-
-
-def test_coverage_full_sampling_ge_body():
-    # With every position sampled, intact copies guarantee the body fraction.
-    rng = np.random.default_rng(4)
-    w0 = il.word_from_text(il.BINARY, "011")
-    for _ in range(5):
-        qs = [int(rng.integers(2, 6)) for _ in range(2)]
-        sch = il.random_schedule(qs, int(rng.integers(0, 2**31)), w0)
-        pc = il.ProjectionChain.build(sch, 2)
-        h_N = pc.heights[2]
-        cov = il.coverage_statistic(pc, 0, h_N)
-        rep = il.body_report(sch, 0, 2)
-        assert cov >= rep.exact_fraction - 1e-12
-
-
-def test_coverage_staircase_counts_spacer_samples_uncovered():
-    # W_2 = W_1 W_1 "1" W_1 "11" with W_1 = "001011": positions 12, 19 and 20
-    # are stage-1 spacers.  The window [12, 18) reads "100101", a rotation
-    # of W_1, yet position 12 belongs to no copy and counts as uncovered.
-    sch = il.rank_one_schedule("staircase", [3, 3])
-    pc = il.ProjectionChain.build(sch)
-    words = il.build_word(sch)
-    text, w1 = words[2].text, words[1].text
-    h_N, h_m = len(text), len(w1)
-    rotations = {w1[a:] + w1[:a] for a in range(h_m)}
-    in_copy = [True] * h_m  # level-1 membership, concatenated like the words
-    for st_ in sch.stages[1:]:
-        in_copy = sum((in_copy + [False] * s for s in st_.spacers), [])
-    assert [p for p in range(h_N) if not in_copy[p]] == [12, 19, 20]
-
-    def matched(p):
-        return any("".join(text[(p - back + i) % h_N] for i in range(h_m)) in rotations
-                   for back in range(h_m))
-
-    assert matched(12)
-    for windows in (h_N, 7, 3):
-        stride = h_N // windows
-        samples = [k * stride for k in range(windows)]
-        expect = sum(in_copy[p] and matched(p) for p in samples) / windows
-        assert il.coverage_statistic(pc, 1, windows) == expect
-    assert il.coverage_statistic(pc, 1, h_N) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +378,6 @@ def test_chain_guardrail():
         il.ProjectionChain.build(sch, 4)
 
 
-def test_coverage_window_count_validated(cat_chain_1):
-    with pytest.raises(ConfigurationError):
-        il.coverage_statistic(cat_chain_1, 0, 0)
-    with pytest.raises(ConfigurationError):
-        il.coverage_statistic(cat_chain_1, 0, 100)
-    for m in (-1, 2):
-        with pytest.raises(ConfigurationError, match="to_level"):
-            il.coverage_statistic(cat_chain_1, m, 4)
-
-
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
@@ -472,11 +392,10 @@ def test_step_properties(seed, qs):
     sch = il.random_schedule(qs, seed, il.word_from_text(il.BINARY, "011"))
     pc = il.ProjectionChain.build(sch, len(qs))
     h_N = pc.heights[pc.depth]
-    # Invertibility everywhere; plain steps advance every lower level by one.
+    # Plain steps advance every lower level by one.
     all_coords = [il.project_all(pc, n) for n in range(pc.depth + 1)]
     for x in range(h_N):
         res = il.step(pc, x)
-        assert il.inverse_step(pc, res.successor) == x
         for n in range(pc.depth):
             if not res.jumps[n]:
                 assert all_coords[n][res.successor] == (all_coords[n][x] + 1) % pc.heights[n]

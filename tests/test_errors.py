@@ -77,14 +77,14 @@ def test_resource_refusals_are_raised_only_by_the_shared_guard():
     assert _module_calls(constructs_refusal) == [("errors", "refuse_above")]
 
 
-def test_only_the_chain_word_forces_a_build():
-    # coverage_statistic builds W_m and W_depth of a chain through words.tower,
-    # and ProjectionChain.build checked h_depth.
+def test_no_library_call_forces_a_build():
+    # Only a caller passes force=True, as the CLI's --force does; no library
+    # function forces a build of its own.
     def forces(call: ast.Call) -> bool:
         return any(kw.arg == "force" and isinstance(kw.value, ast.Constant)
                    and kw.value.value is True for kw in call.keywords)
 
-    assert _module_calls(forces) == [("dynamics", "coverage_statistic")]
+    assert _module_calls(forces) == []
 
 
 def test_correlation_transforms_run_in_one_kernel():
@@ -102,8 +102,9 @@ def test_correlation_transforms_run_in_one_kernel():
 
 
 def test_no_row_wise_unique():
-    # Distinct rows are counted on rank-folded 1-d keys (words._count_rank_rows);
-    # np.unique(..., axis=0) sorts whole rows and was the jump matrix's bottleneck.
+    # The jump matrix counts its pairs of ranks on folded 1-d keys
+    # (iceberg.jump_matrix); np.unique(..., axis=0) sorts whole rows and was
+    # its bottleneck.
     def row_wise_unique(call: ast.Call) -> bool:
         return (isinstance(call.func, ast.Attribute) and call.func.attr == "unique"
                 and any(kw.arg == "axis" for kw in call.keywords))

@@ -182,18 +182,3 @@ def test_multiplicity_bound_validates():
         il.multiplicity_bound(0.0)
     with pytest.raises(ConfigurationError):
         il.multiplicity_bound(1.5)
-
-
-def test_spmult_lemma_rhs():
-    assert il.spmult_lemma_rhs(2, 1) == pytest.approx(2 * (2 - np.sqrt(2)))
-    assert il.spmult_lemma_rhs(1, 1) == pytest.approx(0.0)
-    with pytest.raises(ConfigurationError):
-        il.spmult_lemma_rhs(0, 1)
-
-
-def test_critical_beta():
-    cb = il.critical_beta()
-    assert cb == pytest.approx(8 / 9, abs=1e-12)
-    # Both competing expressions evaluate to 5/9 there.
-    assert 1 - cb / 2 == pytest.approx(5 / 9, abs=1e-12)
-    assert 1 + cb - np.sqrt(2 * cb) == pytest.approx(5 / 9, abs=1e-9)

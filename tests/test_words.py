@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,47 +87,6 @@ def test_rotation_of_w1_matches_first_block(cat_words):
     # Rotating the 18-symbol word by 7 gives the first 18-symbol block of the
     # 54-symbol word.
     assert il.rotate(cat_words[1], 7).text == CAT_W2[:18]
-
-
-def test_subword_distribution_catcat():
-    # Linear windows: 4 windows of length 3 in "CATCAT".
-    w = il.word_from_text(il.DNA, "CATCAT")
-    dist = il.subword_distribution(w, 3)
-    assert dist == {
-        "CAT": Fraction(1, 2),
-        "ATC": Fraction(1, 4),
-        "TCA": Fraction(1, 4),
-    }
-
-
-def test_subword_distribution_sums_to_one(cat_words):
-    dist = il.subword_distribution(cat_words[1], 2)
-    assert sum(dist.values()) == 1
-
-
-def _row_unique_subwords(word: il.Word, length: int) -> dict[str, Fraction]:
-    """Subword frequencies by a row-wise ``np.unique`` of the windows (the reference)."""
-    windows = np.lib.stride_tricks.sliding_window_view(word.symbols, length)
-    uniq, counts = np.unique(windows, axis=0, return_counts=True)
-    total = word.h - length + 1
-    return {"".join(word.alphabet.symbols[i] for i in row): Fraction(int(c), total)
-            for row, c in zip(uniq, counts)}
-
-
-@given(
-    h=st.integers(1, 300),
-    letters=st.sampled_from([2, 4]),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-@settings(max_examples=80, deadline=None)
-def test_subword_distribution_matches_row_unique_reference(h, letters, seed, data):
-    # Two letters make repeated windows common; beyond length 31 the folded
-    # window key of four letters would pass 4**32 and wrap without re-ranking.
-    w = il.Word(il.DNA, np.random.default_rng(seed).integers(0, letters, h))
-    length = data.draw(st.integers(1, h))
-    got = il.subword_distribution(w, length)
-    assert list(got.items()) == list(_row_unique_subwords(w, length).items())
 
 
 # ---------------------------------------------------------------------------
