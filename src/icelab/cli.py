@@ -30,7 +30,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from datetime import datetime, timezone
-from itertools import groupby
+from itertools import groupby, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -56,7 +56,9 @@ OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
 #: Version of the payload bytes, recorded in ``manifest.json``.  At 2 the values
 #: computed from transforms longer than 2^18 (``decay``, ``ensemble --task decay``,
 #: ``correlate``) come from the blocked transform and differ from 1 in their last bits.
-PAYLOAD_VERSION = 2
+#: At 3 ``correlate`` writes the ``im`` cells of real labels as 0.0, the exact value,
+#: not the transform's round-off.
+PAYLOAD_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -72,37 +74,46 @@ PAYLOAD_VERSION = 2
 _CSV_CHUNK = 4096
 
 
+def _is_constant(col) -> bool:
+    """Whether a ``_Columns`` column is one cell repeated on every row: not a list or an array."""
+    return not isinstance(col, (list, np.ndarray))
+
+
 class _Columns:
     """A csv table held by column; ``len`` is its number of rows.
 
-    Each column is a 1-d numpy ``int64`` or ``float64`` array or a list of
-    ``int``, ``float`` or ``str``, and all have the same length.  No Python
-    object exists per row of an array column: ``_csv_lines`` formats a
-    chunk's slice of it as an array, and only the finished lines are strings.
+    Each column is a 1-d numpy ``int64`` or ``float64`` array, a list of
+    ``int``, ``float`` or ``str``, or one ``str``, ``int`` or ``float``: a
+    constant column, whose cell every row repeats.  The arrays and lists all
+    have the table's length, and a table of constant columns only is given
+    its length as ``rows``.  No Python object exists per row of an array or
+    constant column: ``_csv_lines`` formats a chunk's slice of an array as an
+    array, and ``_write_csv`` a constant once per table.
     """
 
-    def __init__(self, *columns) -> None:
-        if len({len(col) for col in columns}) > 1:
+    def __init__(self, *columns, rows: int | None = None) -> None:
+        lengths = {len(col) for col in columns if not _is_constant(col)}
+        lengths |= set() if rows is None else {rows}
+        if len(lengths) > 1:
             raise ValueError("table columns differ in length")
+        if columns and not lengths:
+            raise ValueError("a table of constant columns needs its number of rows")
         self.columns = columns
+        self.rows = next(iter(lengths), 0)
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
-
-    def slices(self, lo: int, hi: int) -> list:
-        """Rows ``lo:hi`` of every column: array slices (views) and list slices."""
-        return [col[lo:hi] for col in self.columns]
+        return self.rows
 
 
 def _is_text(path: Path, name: str, col) -> bool:
     """Whether ``col`` holds text; ``TypeError`` unless the writer formats its kind exactly.
 
     ``numtext`` formats ``int64`` and ``float64`` arrays only.  A list cell
-    is written with ``str``, which is ``repr`` (shortest round trip) for a
-    float, but a numpy scalar such as ``np.float64`` (a ``float`` subclass)
-    would appear as ``np.float64(...)``, and a bool as ``True``.  So a list
-    must hold exactly ``int``, ``float`` or ``str``; a list is homogeneous,
-    so its first cell suffices.
+    or a constant is written with ``str``, which is ``repr`` (shortest round
+    trip) for a float, but a numpy scalar such as ``np.float64`` (a
+    ``float`` subclass) would appear as ``np.float64(...)``, and a bool as
+    ``True``.  So a list or a constant must hold exactly ``int``, ``float``
+    or ``str``; a list is homogeneous, so its first cell suffices.
     """
     if isinstance(col, np.ndarray):
         if col.ndim == 1 and col.dtype in (np.int64, np.float64):
@@ -112,10 +123,12 @@ def _is_text(path: Path, name: str, col) -> bool:
         if not col or type(col[0]) in (int, float, str):
             return bool(col) and type(col[0]) is str
         kind = f"a list of {type(col[0]).__name__}"
+    elif type(col) in (int, float, str):
+        return type(col) is str
     else:
         kind = type(col).__name__
-    raise TypeError(f"{path.name}: column {name!r} must be an int64 or float64 array "
-                    f"or a list of int, float or str, got {kind}")
+    raise TypeError(f"{path.name}: column {name!r} must be an int64 or float64 array, "
+                    f"a list of int, float or str, or one int, float or str, got {kind}")
 
 
 def _quote_text(col: list[str], alone: bool):
@@ -134,15 +147,27 @@ def _quote_text(col: list[str], alone: bool):
     return map(quoted.__getitem__, col)
 
 
-def _array_cells(run: list[np.ndarray]) -> list[str]:
-    """Adjacent int64 and float64 array slices as one string per row, cells joined by commas.
+def _constant_cells(value, is_text: bool, alone: bool, rows: int) -> np.ndarray:
+    """A constant column's cells, formatted once: ``rows`` rows of its UTF-8 bytes.
 
-    ``numtext`` gives each cell's bytes, padded with 0xFF, in one uint8
-    matrix with a comma after each cell and a newline ending each row;
-    removing the padding leaves the rows.
+    The matrix is one row that ``np.broadcast_to`` repeats, so it takes no
+    memory per row, and a chunk's slice of it is a ``numtext`` cell matrix.
     """
-    cells = [numtext.float_cells(col) if col.dtype == np.float64 else numtext.int_cells(col)
-             for col in run]
+    cell = next(_quote_text([value], alone)) if is_text else str(value)
+    row = np.frombuffer(cell.encode("utf-8"), dtype=np.uint8)
+    return np.broadcast_to(row, (rows, row.size))
+
+
+def _cell_matrix(run: list[np.ndarray]) -> np.ndarray:
+    """Adjacent array columns as one uint8 matrix, a csv line per row padded with 0xFF.
+
+    ``numtext`` gives each int64 and float64 cell's bytes, padded with 0xFF,
+    and a constant column is already its cells' matrix (``_constant_cells``).
+    A comma follows each cell and a newline ends each row, so removing the
+    padding leaves the lines.
+    """
+    cells = [col if col.ndim == 2 else numtext.float_cells(col) if col.dtype == np.float64
+             else numtext.int_cells(col) for col in run]
     rows = np.empty((len(run[0]), sum(c.shape[1] + 1 for c in cells)), dtype=np.uint8)
     at = 0
     for c in cells:
@@ -150,37 +175,46 @@ def _array_cells(run: list[np.ndarray]) -> list[str]:
         rows[:, at + c.shape[1]] = ord(",")
         at += c.shape[1] + 1
     rows[:, -1] = ord("\n")
-    return rows.tobytes().translate(None, b"\xff").decode("ascii").split("\n")[:-1]
+    return rows
 
 
-def _csv_lines(columns: list, text: list[bool]) -> str:
-    """Equal-length column slices as csv lines.
+def _csv_lines(columns: list, text: list[bool]) -> bytes:
+    """Equal-length column slices as the UTF-8 bytes of csv lines.
 
-    Text is quoted by ``_quote_text`` and list numbers written with ``str``;
-    each run of adjacent array columns becomes one string per row through
-    ``_array_cells``.
+    A chunk without a list column is one ``_cell_matrix``, whose bytes less
+    the padding are the lines: no string exists per row.  Otherwise text is
+    quoted by ``_quote_text`` and list numbers written with ``str``, each
+    run of adjacent int64 and float64 arrays becomes one string per row
+    through ``_cell_matrix``, a constant repeats its cell, and the rows are
+    joined.
     """
+    if columns and not any(type(col) is list for col in columns):
+        return _cell_matrix(columns).tobytes().translate(None, b"\xff")
     alone = len(text) == 1
     cells = []
-    for arrays, group in groupby(zip(columns, text), lambda pair: isinstance(pair[0], np.ndarray)):
+    numbers = lambda pair: isinstance(pair[0], np.ndarray) and pair[0].ndim == 1
+    for arrays, group in groupby(zip(columns, text), numbers):
         if arrays:
-            cells.append(_array_cells([col for col, _ in group]))
+            rows = _cell_matrix([col for col, _ in group]).tobytes().translate(None, b"\xff")
+            cells.append(rows.decode("ascii").split("\n")[:-1])
         else:
-            cells += [_quote_text(col, alone) if is_text else map(str, col)
+            cells += [repeat(col[0].tobytes().decode("utf-8"), len(col))
+                      if isinstance(col, np.ndarray)
+                      else _quote_text(col, alone) if is_text else map(str, col)
                       for col, is_text in group]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
 
 
-def _write_span(fh, table: _Columns, text: list[bool], lo: int, hi: int) -> None:
+def _write_span(fh, columns: list, text: list[bool], lo: int, hi: int) -> None:
     """Rows ``lo:hi`` as UTF-8 csv lines, a chunk at a time; ``hi`` ends a chunk or the rows."""
     for start in range(lo, hi, _CSV_CHUNK):
-        fh.write(_csv_lines(table.slices(start, start + _CSV_CHUNK), text).encode("utf-8"))
+        fh.write(_csv_lines([col[start:start + _CSV_CHUNK] for col in columns], text))
 
 
-def _fork_span(part, table: _Columns, text: list[bool], lo: int, hi: int) -> int:
+def _fork_span(part, columns: list, text: list[bool], lo: int, hi: int) -> int:
     """Fork a worker that writes rows ``lo:hi`` into ``part``; returns its pid.
 
-    The worker only reads the table's column pages.  It leaves only through
+    The worker only reads the columns' pages.  It leaves only through
     ``os._exit``, whatever it raises, so it never returns into the command,
     never publishes and never removes the staging directory.  Its status is 0
     once the whole span is in ``part``.
@@ -190,7 +224,7 @@ def _fork_span(part, table: _Columns, text: list[bool], lo: int, hi: int) -> int
         return pid
     status = 1
     try:
-        _write_span(part, table, text, lo, hi)
+        _write_span(part, columns, text, lo, hi)
         part.flush()
         status = 0
     except BaseException:  # the worker's last frame: report, then leave by os._exit
@@ -206,7 +240,8 @@ def _write_csv(path: Path, header: Sequence[str], table: _Columns | list[tuple])
     ``table`` is a ``_Columns``, or a list of row tuples, which is turned into
     list columns once on entry; either way ``len(table)`` is the number of
     rows.  Every column's kind is checked (``_is_text``) before the file
-    is opened.  Each chunk of ``_CSV_CHUNK`` rows is formatted by
+    is opened, and each constant column is formatted once
+    (``_constant_cells``).  Each chunk of ``_CSV_CHUNK`` rows is formatted by
     ``_csv_lines``: array columns by ``numtext``, list columns by ``str`` or,
     for text, ``_quote_text``.
 
@@ -224,18 +259,20 @@ def _write_csv(path: Path, header: Sequence[str], table: _Columns | list[tuple])
     if table.columns and len(table.columns) != len(header):
         raise ValueError(f"{path.name}: {len(table.columns)} columns for {len(header)} names")
     text = [_is_text(path, name, col) for name, col in zip(header, table.columns)]
+    columns = [_constant_cells(col, is_text, len(text) == 1, len(table)) if _is_constant(col)
+               else col for col, is_text in zip(table.columns, text)]
     chunks = -(-len(table) // _CSV_CHUNK)
     workers = max(1, min(_usable_cpus(), chunks)) if hasattr(os, "fork") else 1
     cuts = [min(chunks * i // workers * _CSV_CHUNK, len(table)) for i in range(workers + 1)]
     with open(path, "wb") as fh, ExitStack() as parts:
-        fh.write(_csv_lines([[name] for name in header], [True] * len(header)).encode("utf-8"))
+        fh.write(_csv_lines([[name] for name in header], [True] * len(header)))
         fh.flush()
         children = []
         try:
             for lo, hi in zip(cuts[1:-1], cuts[2:]):
                 part = parts.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                children.append((_fork_span(part, table, text, lo, hi), part))
-            _write_span(fh, table, text, cuts[0], cuts[1])
+                children.append((_fork_span(part, columns, text, lo, hi), part))
+            _write_span(fh, columns, text, cuts[0], cuts[1])
         finally:
             statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
         for (_, part), status in zip(children, statuses):
@@ -579,7 +616,7 @@ def _cmd_build(out_dir: Path, args) -> tuple[str | None, str | None]:
             reg = dyn.regular_indices(pc)
             pos = np.flatnonzero(reg > 0)
             _write_csv(out_dir / "jumps.csv", ["schedule_hash", "position", "regular_index"],
-                       _Columns([sh] * pos.size, pos, reg[pos]))
+                       _Columns(sh, pos, reg[pos]))
     return sh, f"built {depth + 1} stages, h_N = {sch.heights()[depth]}"
 
 
@@ -605,7 +642,7 @@ def _cmd_geometry(out_dir: Path, args) -> tuple[str | None, str | None]:
     empty = [np.empty(0, dtype=np.int64)]  # a depth-0 schedule has no stage to join
     _write_csv(out_dir / "columns.csv",
                ["schedule_hash", "stage", "cut_value", "count", "weight"],
-               _Columns([sh] * sum(sizes), np.repeat(np.arange(sch.depth), sizes),
+               _Columns(sh, np.repeat(np.arange(sch.depth), sizes),
                         np.concatenate(empty + [ib.cuts for ib in icebergs]),
                         np.concatenate(empty + [ib.counts for ib in icebergs]),
                         np.concatenate(empty + [ib.counts / ib.q for ib in icebergs])))
@@ -646,9 +683,13 @@ def _cmd_correlate(out_dir: Path, args) -> tuple[str | None, str | None]:
     v = np.concatenate([transform(n) for n in stages])
     corr._refuse_overflow("the correlation series", v)
     sizes = [heights[n] for n in stages]
+    # Real labels lift to a real function, whose autocorrelation is real: its
+    # im is exactly +0.0, whatever round-off the transform leaves there.
+    real = all(value.imag == 0 for value in labels.values())
     _write_csv(out_dir / "correlation.csv", ["schedule_hash", "stage", "t", "re", "im"],
-               _Columns([sh] * v.size, np.repeat(stages, sizes),
-                        np.concatenate([np.arange(k) for k in sizes]), v.real, v.imag))
+               _Columns(sh, stages[0] if len(stages) == 1 else np.repeat(stages, sizes),
+                        np.concatenate([np.arange(k) for k in sizes]), v.real,
+                        0.0 if real else v.imag))
 
     summary = None
     if args.check_recursion:
@@ -806,7 +847,7 @@ def _cmd_spectrum(out_dir: Path, args) -> tuple[str | None, str | None]:
     axis = grid.angles() if isinstance(grid, spx.CircleGrid) else grid.points()
     _write_csv(out_dir / "spectrum.csv",
                ["schedule_hash", "index", "point", "abs_p", "product", "weight"],
-               _Columns([sh] * axis.size, np.arange(axis.size), axis,
+               _Columns(sh, np.arange(axis.size), axis,
                         np.sqrt(product.values), product.values, product.weight))
     payload: dict = {
         "schedule_hash": sh,

@@ -413,8 +413,9 @@ def correlation_at_lags(
 ) -> np.ndarray:
     """Exact per-lag correlations (direct inner products, no transform).
 
-    Each lag's ``np.roll(g, t)`` is written into one buffer allocated per
-    call, so ``np.vdot`` sees the same operands as with a fresh roll per lag.
+    Each ``_VDOT_BLOCK`` block of a lag's ``np.roll(g, t)`` is copied from
+    the two slices of ``g`` it joins into one buffer of block size, so
+    ``np.vdot`` sees the same operands as with a fresh roll per lag.
     """
     if g is None:
         g = f
@@ -422,12 +423,19 @@ def correlation_at_lags(
         raise ConfigurationError("correlation needs two functions at the same stage")
     h = f.h
     out = np.empty(len(lags), dtype=np.complex128)
-    rolled = np.empty(h, dtype=np.complex128)
+    block = np.empty(min(h, _VDOT_BLOCK), dtype=np.complex128)
+
+    def rolled(t: int, lo: int, hi: int) -> np.ndarray:
+        """``np.roll(g.values, t)[lo:hi]``: positions below ``t`` wrap to the end of ``g``."""
+        hi = min(hi, h)
+        wrap = min(max(t - lo, 0), hi - lo)
+        block[:wrap] = g.values[h - t + lo:h - t + lo + wrap]
+        block[wrap:hi - lo] = g.values[lo + wrap - t:hi - t]
+        return block[:hi - lo]
+
     for i, t in enumerate(lags):
         t = int(t) % h
-        rolled[:t] = g.values[h - t:]
-        rolled[t:] = g.values[: h - t]
-        out[i] = _block_sums(h, lambda lo, hi: np.vdot(rolled[lo:hi], f.values[lo:hi])) / h
+        out[i] = _block_sums(h, lambda lo, hi: np.vdot(rolled(t, lo, hi), f.values[lo:hi])) / h
     return out
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from itertools import accumulate
 from typing import Iterator, Mapping, Sequence
 
@@ -550,9 +550,34 @@ def schedule_from_json(text: str) -> Schedule:
     return schedule_from_dict(data)
 
 
+#: Rotations, or spacer counts, that ``schedule_hash`` encodes per ``json.dumps`` call.
+_HASH_SLICE = 1 << 16
+
+
 def schedule_hash(schedule: Schedule) -> str:
-    """SHA-256 of the canonical JSON; stable across runs and platforms."""
-    return hashlib.sha256(schedule_to_json(schedule).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical JSON (``schedule_to_json``); stable across runs and platforms.
+
+    The text is hashed a piece at a time, so neither it nor a list of every
+    rotation exists at once.  ``json.dumps`` (its C encoder) writes the
+    fields around the stages, as ``schedule_to_dict`` gives them for no
+    stage, and each stage's rotations and spacer counts ``_HASH_SLICE`` at a
+    time.
+    """
+    dump = partial(json.dumps, separators=(",", ":"))
+    # Every quote inside a JSON string is escaped, so only the key matches.
+    head, _, tail = dump(schedule_to_dict(replace(schedule, stages=()))).partition('"stages":[]')
+    digest = hashlib.sha256(f'{head}"stages":['.encode("utf-8"))
+    for n, st in enumerate(schedule.stages):
+        digest.update(f'{"," * (n > 0)}{{"q":{dump(st.q)}'.encode("ascii"))
+        for key, values in (("rotations", st.rotations), ("spacers", st.spacers)):
+            digest.update(f',"{key}":['.encode("ascii"))
+            for lo in range(0, values.size, _HASH_SLICE):
+                cells = dump(values[lo:lo + _HASH_SLICE].tolist())[1:-1]
+                digest.update(f'{"," * (lo > 0)}{cells}'.encode("ascii"))
+            digest.update(b"]")
+        digest.update(b"}")
+    digest.update(f"]{tail}".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def save_schedule(schedule: Schedule, path) -> None:

@@ -363,7 +363,7 @@ GOLDEN_SHA256 = {
         "geometry.json": "42b98919c7ab11d741b6d00f217b2e66530af3d1b430df44220cfebd431f2f36",
     },
     "correlate": {
-        "correlation.csv": "8131bd7bc26303fabe80de6cd27c45c789764e5a136724b5a0bc95d5f2101209",
+        "correlation.csv": "ed9ae9b00aa3a4da5748df1b25a03edf90893ed15703dab1a5c91721d8f7e827",
         "recursion.csv": "7499230269d5dc9c3d9bbbe47d493b165a7129bcc120282f9b406f8f38882faf",
     },
     "correlate-chunks": {

@@ -209,6 +209,31 @@ def test_correlate_checks_zero_mean_of_its_lifts(cat_file, tmp_path, monkeypatch
     assert code == expected
 
 
+@pytest.mark.parametrize("source, labels, flags", [
+    (["--family", "random", "--qs", "4,8,5", "--seed", "2", "--seed-word", "01",
+      "--alphabet", "01"], "0=1,1=-1", []),
+    (["--family", "staircase", "--qs", "3,4,3", "--seed-word", "0110", "--alphabet", "012",
+      "--spacer-symbol", "2"], "0=1,1=-1", []),
+    (["--family", "random", "--qs", "9,4", "--seed", "4", "--seed-word", "012",
+      "--alphabet", "012"], "0=1,1=0.25,2=-3", ["--zero-mean"]),
+], ids=["signs", "spacer", "zero-mean"])
+def test_correlate_writes_an_exact_zero_im_for_real_labels(source, labels, flags, tmp_path):
+    # A real lift's autocorrelation is real, so every im cell is +0.0, not
+    # the transform's round-off; re keeps the transform's bits.
+    out = tmp_path / "o"
+    assert cli.run(["correlate", *source, "--labels", labels, *flags, "--out", str(out)]) == 0
+    rows = read_csv(out / "correlation.csv")[1:]
+    sch = cli._schedule_from_args(cli._parse_run(cli.build_parser(), ["correlate", *source,
+                                                                       "--labels", labels]))
+    expected = []
+    for n, word in enumerate(words_mod.tower(sch)):
+        f = corr.lift(cli._parse_labels(labels), word, n, zero_mean=bool(flags))
+        expected += [(str(n), str(t), repr(float(x)))
+                     for t, x in enumerate(corr.cyclic_correlation(f).values.real)]
+    assert [tuple(r[1:4]) for r in rows] == expected
+    assert {r[4] for r in rows} == {"0.0"}
+
+
 _LARGE_LABELS = ["--family", "random", "--qs", "9,27,16", "--seed", "1", "--seed-word", "012",
                  "--alphabet", "012", "--labels", "0=100000,1=30000,2=-77000"]
 
@@ -1527,31 +1552,65 @@ _ARRAY_CELLS = {
     "int64": st.integers(-2**63, 2**63 - 1),
     "float64": _COLUMN_CELLS["float"],
 }
+# A constant column is one int, float or str that every row repeats.
+_CONSTANT_CELLS = {
+    "one int": st.one_of(st.integers(), st.sampled_from([2**53 + 1, -2**63, 2**70])),
+    "one float": _COLUMN_CELLS["float"],
+    "one text": _TEXT_CELLS,
+}
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(data=st.data(),
-       kinds=st.lists(st.sampled_from(sorted(_ARRAY_CELLS) + sorted(_COLUMN_CELLS)),
-                      min_size=1, max_size=5),
+       kinds=st.lists(st.sampled_from(sorted(_ARRAY_CELLS) + sorted(_COLUMN_CELLS)
+                                      + sorted(_CONSTANT_CELLS)), min_size=1, max_size=5),
        n_rows=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1,
-                               3 * _CHUNK + 7]),
+                               3 * _CHUNK + 1, 3 * _CHUNK + 7]),
        cpus=st.sampled_from([1, 2, 3]))
 def test_write_csv_of_columns_matches_csv_module(data, kinds, n_rows, cpus, tmp_path_factory):
-    # Array columns are int64 or float64 arrays, the others lists of Python
-    # cells; both are cycled from a pool of distinct rows, as above.
+    # Array columns are int64 or float64 arrays, list columns lists of Python
+    # cells; both are cycled from a pool of distinct rows, as above.  Each
+    # constant is drawn once and repeats in every reference row; a table of
+    # constants only is given its row count.
     header = data.draw(st.lists(_TEXT_CELLS, min_size=len(kinds), max_size=len(kinds)))
-    pool = data.draw(st.lists(st.tuples(*({**_COLUMN_CELLS, **_ARRAY_CELLS}[k] for k in kinds)),
+    constant = {i: data.draw(_CONSTANT_CELLS[k]) for i, k in enumerate(kinds)
+                if k in _CONSTANT_CELLS}
+    cells = {**_COLUMN_CELLS, **_ARRAY_CELLS}
+    pool = data.draw(st.lists(st.tuples(*(st.just(constant[i]) if i in constant else cells[k]
+                                          for i, k in enumerate(kinds))),
                               min_size=1, max_size=30))
     rows = [pool[i % len(pool)] for i in range(n_rows)]
     columns = [list(col) for col in zip(*rows)] if rows else [[] for _ in kinds]
-    table = cli._Columns(*(np.array(col, dtype=kind) if kind in _ARRAY_CELLS else col
-                           for col, kind in zip(columns, kinds)))
+    table = cli._Columns(*(constant[i] if i in constant
+                           else np.array(col, dtype=kind) if kind in _ARRAY_CELLS else col
+                           for i, (col, kind) in enumerate(zip(columns, kinds))),
+                         rows=n_rows if len(constant) == len(kinds) else None)
+    # csv.writer writes a data line per row, so the file has len(table) of
+    # them, also when the first column is a constant, which has no length.
     assert len(table) == n_rows
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_usable_cpus", lambda: cpus)
         cli._write_csv(path, header, table)
     assert path.read_bytes() == _csv_module_bytes(header, rows)
+
+
+@pytest.mark.parametrize("value, text", [("", '""'), ("a,b", '"a,b"'), ('"', '""""'),
+                                         (-0.0, "-0.0"), (float("nan"), "nan"),
+                                         (float("-inf"), "-inf"), (2**70, str(2**70))])
+@pytest.mark.parametrize("n_rows", [0, 1, _CHUNK + 1])
+def test_write_csv_of_a_lone_constant_column(value, text, n_rows, tmp_path):
+    # A row whose only cell is empty is written "", as csv.writer writes it.
+    cli._write_csv(tmp_path / "t.csv", ["c"], cli._Columns(value, rows=n_rows))
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == "c\n" + (text + "\n") * n_rows
+
+
+def test_columns_of_constants_only_need_a_row_count():
+    with pytest.raises(ValueError, match="number of rows"):
+        cli._Columns("sh", 0.0)
+    with pytest.raises(ValueError, match="differ in length"):
+        cli._Columns("sh", np.arange(3), rows=4)
+    assert len(cli._Columns("sh", np.arange(3))) == len(cli._Columns("sh", rows=3)) == 3
 
 
 @pytest.mark.parametrize("column", [
@@ -1679,10 +1738,11 @@ def _peak_rss_bytes(code: str, ballast_mb: int = 0) -> int:
 
 def test_manifest_records_the_payload_version(tmp_path):
     # Version 2: values from transforms longer than 2^18 come from the blocked kernel.
+    # Version 3: correlate writes the im cells of real labels as the exact 0.0.
     out = tmp_path / "o"
     assert cli.run(["rank", "--family", "morse", "--r", "2", "--depth", "1",
                     "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["payload_version"] == 2
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["payload_version"] == 3
 
 
 @linux_only
@@ -1889,12 +1949,15 @@ def test_geometry_peak_rss_per_copy(tmp_path):
 
 @linux_only
 def test_correlate_peak_rss_per_row(tmp_path):
-    # correlation.csv has 262,144 rows, held as columns: the schedule-hash
-    # list, int64 stage and t, and the float64 re and im views of the series
-    # (40 B per row).  Measured on a 2-core Linux box (Python 3.11, numpy
-    # 2.4): the manifest read about 73 B per row above the 33 MB of `import
-    # icelab.cli` (82 B while each lift was copied before its transform), set
-    # by the transform of the stage-4 lift, not the writer.
+    # correlation.csv has 262,144 rows, held as columns: int64 t and the
+    # float64 re view of the series (24 B per row with the series' im), with
+    # the schedule hash, the stage and im (real labels) as constants.
+    # Measured on a 2-core Linux box (Python 3.11, numpy 2.4): the manifest
+    # read about 62 B per row above the 33 MB of `import icelab.cli` (71-73 B
+    # with a schedule-hash list, an int64 stage column and a length-h buffer
+    # for each lag of the recursion check, 82 B while each lift was copied
+    # before its transform), set by the transform of the stage-4 lift, not
+    # the writer.
     # A tuple per row (a tuple, two floats and an int) read 268 B, and the re
     # column handed over as a list of Python floats read 104 B.
     argv = ["correlate", "--family", "random", "--qs", "16,16,16,32", "--seed", "5",

@@ -117,6 +117,26 @@ def test_direct_route_bitwise_equals_defining_sum(h):
         assert got.tobytes() == ref.tobytes()
 
 
+def test_lags_across_vdot_blocks_bitwise_equal_a_rolled_operand():
+    # Each block of the shifted operand joins two slices of g; the reference
+    # rolls all of g and sums the same blocks.  h is not a block multiple, so
+    # the last block is short, and the lags wrap inside, at and past a block edge.
+    block, h = corr._VDOT_BLOCK, 3 * corr._VDOT_BLOCK + 1234
+    rng = np.random.default_rng(8)
+    f, g = (il.LevelFunction(n=0, values=rng.standard_normal(h) + 1j * rng.standard_normal(h))
+            for _ in range(2))
+    lags = [0, block - 1, block, block + 1, h - 1]
+    for other in (f, g):
+        ref = []
+        for t in lags:
+            rolled = np.roll(other.values, t)
+            parts = [np.vdot(rolled[lo:lo + block], f.values[lo:lo + block])
+                     for lo in range(0, h, block)]
+            ref.append(np.add.accumulate(parts)[-1] / h)
+        got = il.correlation_at_lags(f, None if other is f else other, lags)
+        assert got.tobytes() == np.array(ref).tobytes()
+
+
 @pytest.mark.parametrize("h", [7, 1000, 2**10, 2**13, 2**14, 2**15, 2**16, 3 * 2**15, 2**18,
                                3**9, 10007])
 def test_fft_route_bitwise_equals_two_transform_product(h):

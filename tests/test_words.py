@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import weakref
 
@@ -355,6 +356,29 @@ def test_schedule_hash_stable(cat_schedule):
     # Frozen: any change here breaks every stamped payload downstream.
     h = il.schedule_hash(cat_schedule)
     assert len(h) == 64 and h == il.schedule_hash(cat_schedule)
+
+
+@pytest.mark.parametrize("slice_size", [1, 3, 1 << 16])
+def test_schedule_hash_is_the_hash_of_the_canonical_json(slice_size, monkeypatch):
+    # The hash is fed in pieces; its digest is that of the one-string text.
+    # Small slices split every stage's rotations and spacer counts.
+    monkeypatch.setattr(il.words, "_HASH_SLICE", slice_size)
+    binary = il.word_from_text(il.BINARY, "01")
+    quoting = il.Alphabet(tuple('"stage:[]'), "]")  # "stages":[] inside the strings
+    schedules = {
+        "random": il.random_schedule([5, 7, 4], 3, binary),
+        "morse": il.morse_schedule(2, 3, binary),
+        "staircase": il.rank_one_schedule("staircase", [2, 3, 4]),
+        "spacer": il.rank_one_schedule("ornstein", [5, 4], seed=11),
+        "depth-0": il.Schedule(il.BINARY, binary, ()),
+        "above-2^32": il.morse_schedule(2, 36, binary),
+        "quoting": il.Schedule(quoting, il.word_from_text(quoting, '"stages":[]'),
+                               (il.Stage(2, (2**40, 2**62 + 1), (1, 0)),)),
+    }
+    assert max(schedules["above-2^32"].stages[-1].rotations) > 2**32
+    for name, sch in schedules.items():
+        expected = hashlib.sha256(il.schedule_to_json(sch).encode("utf-8")).hexdigest()
+        assert il.schedule_hash(sch) == expected, name
 
 
 def test_schedule_hash_distinguishes():
