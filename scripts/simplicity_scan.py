@@ -6,10 +6,14 @@ depths and prints the half-norm gap at each depth, the gap predicted by
 ``severed_copy_imbalance`` from the block junctions, and the gap times
 q = q_n (the base stage's copy count).  One stage above the base the gap is
 float-exact zero (every base-stage copy is intact); two stages above, each
-rotation that is not a multiple of h_n severs one copy, and the measured gap
-equals the prediction, of order 1/q.  Deeper stages sever further copies, and
-the prediction, telescoped over their block junctions, still equals the
-measured gap at every depth.
+rotation that is not a multiple of h_n severs one copy, and the gap is of
+order 1/q.  Deeper stages sever further copies.  The "predicted" column
+comes from the same stage loop as the report: the diagnostic carries its
+sums over W_{n+1} up stage by stage, and the prediction runs that loop from
+zero, so the two columns agree at every depth by construction.  The
+measured side of the law, the sums over every position of W_N, is
+``_reference_simplicity`` in ``tests/conftest.py``; criterion 05 and the
+severed-copy tests check the prediction against it.
 """
 
 from __future__ import annotations

@@ -57,8 +57,10 @@ OUTPUT_DIR_ENV = "ICELAB_OUTDIR"
 #: computed from transforms longer than 2^18 (``decay``, ``ensemble --task decay``,
 #: ``correlate``) come from the blocked transform and differ from 1 in their last bits.
 #: At 3 ``correlate`` writes the ``im`` cells of real labels as 0.0, the exact value,
-#: not the transform's round-off.
-PAYLOAD_VERSION = 3
+#: not the transform's round-off.  At 4 the far-half sums of ``simplicity`` and
+#: ``ensemble --task simplicity`` deeper than ``n + 1`` are carried up stage by stage
+#: and differ from 3 in their last bits.
+PAYLOAD_VERSION = 4
 
 
 # ---------------------------------------------------------------------------

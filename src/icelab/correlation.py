@@ -13,15 +13,15 @@ reconstruction ``g`` from base-level returns: ``g = sum_{|j| <= (h-1)/2}
 f_(n)(j) * T^j b_n`` where ``b_n`` is the indicator of the base level.  The
 remainder splits as ``g = f - u + v`` with ``u`` the restriction of ``f`` to
 the far half of the signed-level chart; the report carries all seven inner
-products of the decomposition.  The signed chart and ``g`` are tables on
-``W_{n+1}`` carried up to ``W_{N-1}`` by the concatenation that builds the
-words and read block by block through the last stage's window, with ``g``
-scattered again only near the junctions between copies; ``f`` and the far
-mask are read off each block of the chart.
-``|u|^2 = |v|^2`` while every stage-``n`` copy is intact;
-``severed_copy_imbalance`` accounts exactly, at any depth, for the gap that
-the copies severed by deeper stages' rotations leave, by telescoping window
-sums over block junctions.
+products of the decomposition.  They are summed over the cyclic ``W_{n+1}``,
+where the signed chart and ``g`` are tables, and carried up one stage at a
+time: the copies of a word repeat its sums except within ``(h_n - 1)/2`` of
+a junction between copies, so each stage multiplies the sums by its copy
+count and trades the windows around its cut points for those around its
+junctions.  ``|u|^2 = |v|^2`` while every stage-``n`` copy is intact;
+``severed_copy_imbalance`` runs the same stage step from zero and so
+accounts exactly, at any depth, for the gap that the copies severed by
+deeper stages' rotations leave.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import project_positions
 from .errors import MAX_SYMBOLS, ConfigurationError, refuse_above
-from .words import ONE_COPY, Schedule, Stage, Word, concat_stage, cyclic_window, tower
+from .words import ONE_COPY, Schedule, Stage, Word, concat_stage, tower
 
 #: Values per ``np.vdot`` in ``_block_sums``: at most OpenBLAS's threading
 #: threshold (about 10,000), so no product is split across threads.
@@ -51,7 +51,7 @@ ZERO_MEAN_TOL = 1e-12
 #: Values per cache block (1 MiB of complex128): per block of
 #: ``_correlate_owned``'s passes, per in-place ``|F|^2`` product, per window of
 #: ``_lifted_values`` and ``_central_decay``, and positions per batch of
-#: ``_patch_junctions`` rows (about 2 MB of positions and returns).
+#: ``_window_sums`` rows (about 2 MB of positions and returns).
 _PRODUCT_CHUNK = 2**16
 
 #: Transforms up to this length run in one piece, as pocketfft's 1-d route.
@@ -735,15 +735,18 @@ def simplicity_diagnostic(
     Preconditions: ``h_n`` odd, ``depth >= n``, pure stages throughout
     ``[n, depth)``, and labels whose centred lift has ``f2 > 0``, as every
     ratio divides by ``f2`` (``_far_half_base_function`` refuses the others
-    before any length-``h_N`` work).  ``depth = n`` returns
-    the degenerate exact report (``g = f``, ``u = v = 0``).
+    before any table is built).  ``depth = n`` returns the degenerate exact
+    report (``g = f``, ``u = v = 0``).
 
-    The signed chart and ``g`` are tables on ``W_{depth-1}``, carried up
-    from ``W_{n+1}`` and read one ``_VDOT_BLOCK`` block at a time through the
-    last stage's window, ``f`` and the far mask from the block's chart
-    (``_far_half_windows``); no length-``h_N`` array is built.  Each block
-    forms ``g - f``, ``u`` and ``v`` beside ``f`` and ``g``, and
-    ``_block_sums`` adds up the seven products of the blocks.
+    The seven sums are taken over the cyclic ``W_{n+1}`` (``_cycle_sums``)
+    and carried up to ``W_depth`` by the stage step of ``_telescoped``,
+    which reads only the windows around each deeper stage's cut points and
+    junctions.  So the work is ``O(h_{n+1} + sum_m q_m * h_n)`` positions
+    and nothing grows with ``h_N``, although ``MAX_SYMBOLS`` still prices
+    all ``h_N`` positions the averages run over.  At ``depth = n + 1`` the
+    sums are those of ``W_{n+1}``'s ``_VDOT_BLOCK`` blocks added in order;
+    deeper, each field lies within 1e-14 of ``f2`` of the sums taken over
+    every position of ``W_depth`` (at most 8.5e-15 ``f2`` in the tests).
     """
     h = _check_far_half(schedule, n, depth)
     h_N = schedule.height(depth)
@@ -757,17 +760,7 @@ def simplicity_diagnostic(
             u2=0.0, v2=0.0, uv=0j, fv=0j,
         )
 
-    window = _far_half_windows(schedule, n, depth, fn)
-
-    def block(lo: int, hi: int) -> tuple:
-        f, far, g = window(lo, min(hi, h_N))
-        d = g - f  # the exact negation of f - g, so |d|^2 is |f - g|^2
-        u = np.where(far, f, 0)
-        v = d + u  # g starts at +0.0 and only adds, so d holds no -0.0 and d + 0 is d
-        return (np.vdot(f, f), np.vdot(g, g), np.vdot(d, d), np.vdot(v, f),
-                np.vdot(u, u), np.vdot(v, v), np.vdot(v, u))
-
-    sums = _block_sums(h_N, block)
+    sums = _telescoped(schedule, fn, n, depth, _cycle_sums(schedule, n, fn))
     _refuse_overflow("the far-half sums", sums)
     f2, g2, fg_diff2, fv, u2, v2, uv = (complex(s / h_N) for s in sums)
     return SimplicityReport(
@@ -785,79 +778,64 @@ def simplicity_diagnostic(
     )
 
 
-def _far_half_windows(schedule: Schedule, n: int, depth: int, fn: np.ndarray):
-    """``window(lo, hi)``: ``f``, the far mask and ``g`` on positions ``lo:hi``
-    of ``W_depth``, as fresh arrays.
+def _far_half_products(fn: np.ndarray, chart: np.ndarray, g: np.ndarray) -> tuple:
+    """The seven products of the far-half sums over one block of positions,
+    as ``np.vdot`` values: ``(f, f), (g, g), (d, d), (v, f), (u, u), (v, v),
+    (v, u)``.
 
-    Two tables on ``W_{n+1}`` are carried up by ``concat_stage`` through
-    stages ``n+1 .. depth-2``: ``chart = signed_levels(schedule, n)`` and
-    ``g`` of the cyclic ``W_{n+1}``, scattered by ``_base_returns`` from its
-    bases (``chart == 0``).  The window reads the last stage's concatenation
-    of them without building it (``ONE_COPY`` at ``depth = n + 1``) and, with
-    ``w = (h_n - 1)/2``, returns ``fn[c]`` (negative levels wrap to their
-    plain level), ``|c| > w`` and ``g`` for its chart ``c``: concatenation
-    only copies, so ``f`` and the far mask are those at the level-``(n+1)``
-    coordinates, bit for bit.  If ``g`` is ``g`` of the cyclic ``W_m``, its
-    copies in ``W_{m+1}`` are ``g`` of the cyclic ``W_{m+1}`` at every
-    position whose window ``[p - w, p + w]`` stays inside one copy: inside a
-    copy every step is a step of the cyclic ``W_m``, so the window reads the
-    same bases at the same offsets ``j``, and ``_base_returns`` adds them in
-    ascending ``j`` on both cycles.  The positions within ``w`` of a junction
-    between copies are scattered again (``_patch_junctions``): after each
-    carried stage over the whole table, and in each window over the last
-    stage's junctions inside it.
-
-    So one int64 and one complex table of length ``h_{depth-1}`` (24 B per
-    position) and the arrays of one window are alive; nothing has length
-    ``h_N``.
+    ``chart`` holds the block's signed levels and ``g`` its reconstruction;
+    ``f = fn[chart]`` (negative levels wrap to their plain level), ``u`` is
+    ``f`` where ``|chart| > w = (h_n - 1)/2`` and 0 elsewhere, ``d = g - f``
+    and ``v = d + u``.
     """
     w = (fn.size - 1) // 2
-    *stages, top = schedule.stages[n + 1: depth] or [ONE_COPY]
+    f = fn[chart]
+    d = g - f  # the exact negation of f - g, so |d|^2 is |f - g|^2
+    u = np.where(np.abs(chart) > w, f, 0)
+    v = d + u  # g starts at +0.0 and only adds, so d holds no -0.0 and d + 0 is d
+    return (np.vdot(f, f), np.vdot(g, g), np.vdot(d, d), np.vdot(v, f),
+            np.vdot(u, u), np.vdot(v, v), np.vdot(v, u))
+
+
+def _cycle_sums(schedule: Schedule, n: int, fn: np.ndarray) -> np.ndarray:
+    """The seven far-half sums over the cyclic ``W_{n+1}``: its signed chart
+    ``signed_levels(schedule, n)`` and ``g``, scattered by ``_base_returns``
+    from its bases (``chart == 0``), are two tables (24 B per position),
+    read in ``_block_sums``'s blocks."""
     chart = signed_levels(schedule, n)
     g = _base_returns(np.flatnonzero(chart == 0), chart.size, fn)
-    for st in stages:
-        g = concat_stage(g, st, None)
-        _patch_junctions(g, 0, chart, st, fn)
-        chart = concat_stage(chart, st, None)
-
-    def window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = concat_stage(chart, top, None, lo, hi)
-        g_b = concat_stage(g, top, None, lo, hi)
-        _patch_junctions(g_b, lo, chart, top, fn)
-        return fn[c], np.abs(c) > w, g_b
-
-    return window
+    return _block_sums(chart.size, lambda lo, hi: _far_half_products(fn, chart[lo:hi], g[lo:hi]))
 
 
-def _patch_junctions(g: np.ndarray, lo: int, chart: np.ndarray, stage: Stage,
-                     fn: np.ndarray) -> None:
-    """Scatter ``g`` again, in place, where it holds positions ``lo : lo +
-    g.size`` of the concatenation by the pure ``stage`` of a cycle whose
-    signed chart is ``chart``: at the positions whose window crosses a
-    junction between copies, ``p - c in [-w, w)`` for a copy start ``c`` (the
-    cycle's end, ``c = size``, too).
+def _telescoped(schedule: Schedule, fn: np.ndarray, n: int, depth: int,
+                sums: np.ndarray) -> np.ndarray:
+    """The seven far-half sums over the cyclic ``W_depth``, carried up from
+    ``sums``, theirs over the cyclic ``W_{n+1}``, one stage at a time.
 
-    They are the cores of the rows of ``4w`` positions centred on the starts
-    (``_window_rows``), whose bases are read through ``cyclic_window``;
-    cores outside ``g`` are dropped.  Rows that overlap write the same values.
-    The starts are taken ``_PRODUCT_CHUNK // max(h, 4w)`` at a time (at
-    least one), so a batch's rows hold at most ``_PRODUCT_CHUNK`` positions
-    or one row, and read a span of at most that plus one row, however many
-    copies there are.
+    With ``w = (h_n - 1)/2``, every product at a position ``p`` depends only
+    on the level-``(n+1)`` coordinate of ``p`` and on which positions within
+    ``w`` of ``p`` are bases.  ``W_{m+1}`` is ``q = q_m`` blocks, block ``B``
+    being ``W_m`` rotated by ``b_B``.  A position of block ``B`` at least
+    ``w`` away from both block ends sees the same coordinates and the same
+    bases within ``w`` as its image in the cyclic ``W_m``, and ``g`` adds
+    the same returns in the same order there.  The first and last ``w``
+    positions of the blocks are exactly the windows ``p - b_B in [-w, w)``
+    of the cyclic ``W_m``, and also the windows ``p - B*h_m in [-w, w)`` of
+    ``W_{m+1}``; windows at one level never overlap, since ``h_m >= h_{n+1}
+    > 2w``.  Hence, for ``m = n+1 .. depth-1``,
+
+        S_{m+1} = q * S_m - sum_B E_m(b_B) + sum_B E_{m+1}(B*h_m),
+
+    with ``E_k(c)`` the sums over the core ``[c - w, c + w)`` in the cyclic
+    ``W_k`` (``_window_sums``).  The step is linear, so ``sums = 0`` gives
+    the window terms alone.
     """
-    w = (fn.size - 1) // 2
-    h = chart.size
-    hi = lo + g.size
-    starts = h * np.arange(max((lo - w) // h + 1, 0), min((hi + w - 1) // h, stage.q) + 1)
-    batch = max(1, _PRODUCT_CHUNK // max(h, 4 * w))
-    for i in range(0, starts.size, batch):
-        c = starts[i: i + batch]
-        first = int(c[0]) - 2 * w
-        span = cyclic_window(chart, stage, None, first, int(c[-1]) + 2 * w) == 0
-        rows = _window_rows(c - first, w, span.size)
-        core = rows[:, w: 3 * w] + (first - lo)
-        inside = (core >= 0) & (core < g.size)
-        g[core[inside]] = _core_returns(span[rows], fn)[inside]
+    for m in range(n + 1, depth):
+        q = schedule.stages[m].q
+        junctions = np.arange(q, dtype=np.int64) * schedule.height(m)
+        sums = (q * sums - _window_sums(schedule, fn, n, m, schedule.rotations_mod(m))
+                + _window_sums(schedule, fn, n, m + 1, junctions))
+    return sums
 
 
 def severed_copy_imbalance(
@@ -868,56 +846,41 @@ def severed_copy_imbalance(
     Same preconditions as the diagnostic.  The value is computed from windows
     around block junctions and cut points only, at any depth.
 
-    Derivation (``h = h_n`` odd, ``w = (h - 1)/2``, ``s`` the signed chart
-    level, bases the positions with ``s = 0``).  Since ``v = g - f + u = g - f*[|s| <= w]``,
-    ``v(p)`` depends only on the level-``n`` and level-``n+1`` coordinates of
-    ``p`` and on which positions within distance ``w`` of ``p`` are bases;
-    ``|u(p)|^2`` depends only on the coordinates of ``p``.  Write
-    ``D_m = sum_{p in W_m} (|u(p)|^2 - |v(p)|^2)`` for the cyclic ``W_m``, so
+    ``D_m = sum_{p in W_m} (|u(p)|^2 - |v(p)|^2)`` for the cyclic ``W_m``
+    (``h = h_n`` odd, ``w = (h - 1)/2``, ``s`` the signed chart level, bases
+    the positions with ``s = 0``, ``v = g - f + u = g - f*[|s| <= w]``), so
     that the depth-``N`` imbalance is ``D_N``.
 
     * ``D_{n+1} = 0`` (and ``D_n = 0``): every copy of ``W_n`` is intact.
       The window of a copy's base overhangs the copy on exactly the copy's
       far levels, with the far values, and the overhangs of different copies
       never overlap, so ``|v|^2 = |u|^2``.
-    * ``D_m -> D_{m+1}`` for ``m = n+1 .. N-1``: ``W_{m+1}`` is ``q = q_m``
-      blocks, block ``B`` being ``W_m`` rotated by ``b_B``.  A position of
-      block ``B`` at least ``w`` away from both block ends sees the same
-      coordinates and the same bases within ``w`` as its image in the cyclic
-      ``W_m``, so ``u`` and ``v`` agree there with their values in ``W_m``.
-      Every block carries all coordinates of ``W_m`` once, so ``|u|^2`` sums
-      to ``q`` times its ``W_m`` total.  The first and last ``w`` positions
-      of the blocks are exactly the windows ``p - b_B in [-w, w)`` of the
-      cyclic ``W_m``, and also the windows ``p - B*h_m in [-w, w)`` of
-      ``W_{m+1}``; windows at one level never overlap, since
-      ``h_m >= h_{n+1} > 2w``.  Hence
+    * ``D_m -> D_{m+1}`` for ``m = n+1 .. N-1`` is the stage step of
+      ``_telescoped``, applied to ``E_uu - E_vv``:
 
-          D_{m+1} = q * D_m + sum_B sum_{p - b_B in [-w, w)} |v_m(p)|^2
-                            - sum_B sum_{p - B*h_m in [-w, w)} |v_{m+1}(p)|^2,
+          D_{m+1} = q_m * D_m - sum_B (E_uu - E_vv)_m(b_B)
+                              + sum_B (E_uu - E_vv)_{m+1}(B*h_m),
 
       each cut point ``b_B`` in the cyclic ``W_m`` against the junction of
       block ``B`` with block ``B - 1`` in ``W_{m+1}``, and induction on ``m``
-      gives ``D_N``.  When every stage-``n+1`` cut is a multiple of ``h`` no
-      copy is severed at ``m = n + 1`` and ``D_{n+2} = 0`` (the first case
-      applies to ``W_{n+2}``).  Otherwise block ``B`` splits one copy into a
-      tail at its start and a head at its end; near positions of the piece
-      without the base lose their pairing, which leaves a gap of order
-      ``1/q_n`` of the far mass.
+      gives ``D_N``.  ``|u|^2`` depends only on the coordinates, which every
+      block carries once, so its window terms cancel.  When every
+      stage-``n+1`` cut is a multiple of ``h`` no copy is severed at ``m = n
+      + 1`` and ``D_{n+2} = 0`` (the first case applies to ``W_{n+2}``).
+      Otherwise block ``B`` splits one copy into a tail at its start and a
+      head at its end; near positions of the piece without the base lose
+      their pairing, which leaves a gap of order ``1/q_n`` of the far mass.
 
-    Each window reads ``4w`` positions through ``project_positions`` (at most
-    ``depth - n - 1`` stages each) and scatters ``g`` from its few bases, so the
-    cost is ``O(sum_m q_m * h_n)`` positions times that depth; nothing of size
+    So the stage loop runs from ``D_{n+1} = 0``.  Each window reads ``4w``
+    positions through ``project_positions`` (at most ``depth - n - 1``
+    stages each) and scatters ``g`` from its few bases, so the cost is
+    ``O(sum_m q_m * h_n)`` positions times that depth; nothing of size
     ``h_N`` is built.
     """
     _check_far_half(schedule, n, depth)
     fn = _far_half_base_function(schedule, labels, n)
-    imbalance = 0.0
-    for m in range(n + 1, depth):
-        blocks = np.arange(schedule.stages[m].q, dtype=np.int64) * schedule.height(m)
-        cuts = _window_v_energy(schedule, fn, n, m, schedule.rotations_mod(m))
-        junctions = _window_v_energy(schedule, fn, n, m + 1, blocks)
-        imbalance = schedule.stages[m].q * imbalance + cuts - junctions
-    return float(imbalance)
+    *_, u2, v2, _ = _telescoped(schedule, fn, n, depth, np.zeros(7, dtype=np.complex128))
+    return float((u2 - v2).real)
 
 
 def _base_returns(bases: np.ndarray, size: int, fn: np.ndarray) -> np.ndarray:
@@ -935,17 +898,31 @@ def _base_returns(bases: np.ndarray, size: int, fn: np.ndarray) -> np.ndarray:
     return g
 
 
-def _window_v_energy(
+def _window_sums(
     schedule: Schedule, fn: np.ndarray, n: int, level: int, centres: np.ndarray
-) -> float:
-    """``sum |v(p)|^2`` over ``p - c in [-w, w)`` for each centre ``c`` of the
-    cyclic ``W_level``, with ``v = g - f*[|s| <= w]`` as in the diagnostic."""
+) -> np.ndarray:
+    """The seven far-half sums over the cores ``[c - w, c + w)`` of the
+    ``centres`` in the cyclic ``W_level``, added up.
+
+    Each core is read from its row of ``4w`` positions (``_window_rows``):
+    the signed chart of their level-``(n+1)`` coordinates, from
+    ``project_positions``, and ``g`` scattered from the row's bases
+    (``_core_returns``).  The centres are taken ``_PRODUCT_CHUNK // 4w`` at
+    a time (at least one), so a batch holds at most ``_PRODUCT_CHUNK``
+    positions or one row, however many centres a stage has; each batch's
+    cores are summed by ``_block_sums``, and the batch sums in order.
+    """
     w = (fn.size - 1) // 2
-    pos = _window_rows(centres, w, schedule.height(level))
-    signed = _signed_chart(schedule, n, project_positions(schedule, pos, level, n + 1))
-    core = signed[:, w: 3 * w]
-    v = _core_returns(signed == 0, fn) - np.where(np.abs(core) <= w, fn[core], 0.0)
-    return float(np.sum(np.abs(v) ** 2))
+    batch = max(1, _PRODUCT_CHUNK // (4 * w))
+    total = np.zeros(7, dtype=np.complex128)
+    for i in range(0, centres.size, batch):
+        pos = _window_rows(centres[i: i + batch], w, schedule.height(level))
+        signed = _signed_chart(schedule, n, project_positions(schedule, pos, level, n + 1))
+        core = signed[:, w: 3 * w].ravel()
+        g = _core_returns(signed == 0, fn).ravel()
+        total += _block_sums(core.size, lambda lo, hi: _far_half_products(fn, core[lo:hi],
+                                                                          g[lo:hi]))
+    return total
 
 
 def _window_rows(centres: np.ndarray, w: int, size: int) -> np.ndarray:

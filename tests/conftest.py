@@ -24,6 +24,61 @@ def intact_twin(schedule: il.Schedule, n: int) -> il.Schedule:
     return il.Schedule(schedule.alphabet, schedule.seed_word, stages)
 
 
+def _reference_chart(schedule, n, x_n1):
+    """Signed chart levels of the ``W_{n+1}`` coordinates ``x_n1`` by the
+    chart's defining formula, out of place."""
+    h = schedule.heights()[n]
+    t = x_n1 % h
+    a = schedule.rotations_mod(n)[x_n1 // h]
+    return t + a - h * (a >= 1)
+
+
+def _roll_concat(arr, stages):
+    # Pure stages applied by np.roll and np.concatenate.
+    for stage in stages:
+        arr = np.concatenate([np.roll(arr, -(a % arr.size)) for a in stage.rotations])
+    return arr
+
+
+def _reference_simplicity(schedule, labels, n, depth):
+    """The far-half diagnostic as first written, every intermediate array out
+    of place and of length h_N, over words and coordinates built by
+    ``_roll_concat``: ``(f2, g2, fg_diff2, u2, v2, uv, fv)``.
+
+    It sums every position of ``W_depth``, so it is the measured side of the
+    severed-copy law, which ``severed_copy_imbalance`` predicts by the stage
+    step that the diagnostic itself runs.
+    """
+    h = schedule.heights()[n]
+    h_N = schedule.heights()[depth]
+    table = np.array([complex(labels[c]) for c in schedule.alphabet.symbols])
+    fn = table[_roll_concat(schedule.seed_word.symbols, schedule.stages[:n])]
+    fn = fn - fn.mean()
+
+    x_n = _roll_concat(np.arange(h, dtype=np.int64), schedule.stages[n:depth])
+    f = fn[x_n]
+    w = (h - 1) // 2
+    bases = np.nonzero(x_n == 0)[0]
+    g = np.zeros(h_N, dtype=np.complex128)
+    for j in range(-w, w + 1):
+        g[(bases + j) % h_N] += fn[j % h]
+    x_n1 = _roll_concat(np.arange(schedule.heights()[n + 1], dtype=np.int64),
+                        schedule.stages[n + 1:depth])
+    far = np.abs(_reference_chart(schedule, n, x_n1)) > w
+    u = np.where(far, f, 0.0)
+    v = g - f + u
+
+    def avg(x, y):
+        # np.vdot of consecutive 8,192-value blocks, added in order from the first.
+        total = np.vdot(y[:8192], x[:8192])
+        for lo in range(8192, h_N, 8192):
+            total += np.vdot(y[lo: lo + 8192], x[lo: lo + 8192])
+        return complex(total / h_N)
+
+    return (avg(f, f).real, avg(g, g).real, avg(f - g, f - g).real,
+            avg(u, u).real, avg(v, v).real, avg(u, v), avg(f, v))
+
+
 @pytest.fixture(scope="session")
 def cat_schedule() -> il.Schedule:
     w0 = il.word_from_text(il.DNA, "CAT")

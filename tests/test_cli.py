@@ -1739,10 +1739,11 @@ def _peak_rss_bytes(code: str, ballast_mb: int = 0) -> int:
 def test_manifest_records_the_payload_version(tmp_path):
     # Version 2: values from transforms longer than 2^18 come from the blocked kernel.
     # Version 3: correlate writes the im cells of real labels as the exact 0.0.
+    # Version 4: the far-half sums deeper than n + 1 are carried up stage by stage.
     out = tmp_path / "o"
     assert cli.run(["rank", "--family", "morse", "--r", "2", "--depth", "1",
                     "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["payload_version"] == 3
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["payload_version"] == 4
 
 
 @linux_only
@@ -1779,26 +1780,26 @@ def test_csv_writer_workers_stay_within_the_recorded_peak(tmp_path):
 
 @linux_only
 def test_simplicity_peak_rss_per_symbol(tmp_path):
-    # h_N = 2,204,496.  No array of length h_N exists: the signed chart
-    # (int64) and g (complex128) are two tables on W_3 (24 B per W_3
-    # position, 24/7 = 3.4 B per h_N symbol), read in blocks of 8,192
-    # positions through the last stage's window; f and the far mask are read
-    # off each block of the chart.  Measured on a 2-core Linux box (Python
-    # 3.11, numpy 2.4): the manifest read 4.8-5.0 B per symbol above the
-    # 35.7 MB of `import icelab.cli`, and 6.1-6.2 B while f, g, the far mask
-    # and the base mask were four tables on W_3 (34 B per W_3 position).
-    # Building f and g (16 B per symbol each) and the
-    # far mask over all of h_N read 35.6 B, gathering them through the int64
-    # level-(n+1) coordinates 35.8 B, and a third complex array 51.7 B.
-    argv = ["simplicity", "--family", "random", "--qs", "9,729,16,7", "--seed", "5",
+    # Priced per position of W_{n+1} = W_2 (177,147; h_N = 2,125,764).  The
+    # seven sums are taken over the cyclic W_2, whose signed chart (int64)
+    # and g (complex128) are two tables (24 B per position), and carried up
+    # to W_4 by the stage step, which reads windows of 4w = 26 positions
+    # around each deeper stage's cut points and junctions in batches of at
+    # most 2^16 positions; nothing grows with h_N.  Measured on a 2-core
+    # Linux box (Python 3.11, numpy 2.4): the manifest read 39.6-40.0 B per
+    # W_2 position above the 36.2 MB of `import icelab.cli`, and 119-120 B
+    # (10.0 B per h_N symbol) while the chart and g were carried up to W_3
+    # and W_4 was read through the last stage's window in 8,192-position
+    # blocks.
+    argv = ["simplicity", "--family", "random", "--qs", "9,6561,4,3", "--seed", "5",
             "--seed-word", "012", "--alphabet", "012",
             "--labels", "0=1,1=-0.5+0.8660254037844386j,2=-0.5-0.8660254037844386j",
             "--base", "1", "--diag-depth", "4", "--out", str(tmp_path / "o")]
     bare = _peak_rss_bytes("import icelab.cli")
     _peak_rss_bytes(f"from icelab.cli import run; import sys; sys.exit(run({argv!r}))")
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
-    per_symbol = (manifest["peak_rss_mb"] * 2**20 - bare) / (3 * 9 * 729 * 16 * 7)
-    assert per_symbol < 10, f"{per_symbol:.1f} B per symbol"
+    per_position = (manifest["peak_rss_mb"] * 2**20 - bare) / (3 * 9 * 6561)
+    assert per_position < 50, f"{per_position:.1f} B per W_2 position"
 
 
 @linux_only
